@@ -41,8 +41,6 @@ from .frames import (
     effective_rhs,
     effective_rhs_two,
     env_build,
-    env_update_left,
-    env_update_right,
     frame_matrix,
     frame_matrix_two,
     left_interface,

@@ -15,6 +15,7 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
+    _direct_sum_cores,
     mpo_round,
     orthogonalize,
     tt_round,
@@ -37,21 +38,9 @@ def tt_add(x: TTVector, y: TTVector) -> TTVector:
     """Exact sum; interior bond ranks add (block-diagonal core stacking)."""
     if x.mode_sizes != y.mode_sizes:
         raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
-    n_modes = x.order
-    if n_modes == 1:
+    if x.order == 1:
         return TTVector([x.cores[0] + y.cores[0]])
-    cores = []
-    for n, (a, b) in enumerate(zip(x.cores, y.cores)):
-        if n == 0:
-            cores.append(np.concatenate([a, b], axis=2))
-        elif n == n_modes - 1:
-            cores.append(np.concatenate([a, b], axis=0))
-        else:
-            core = np.zeros((a.shape[0] + b.shape[0], a.shape[1], a.shape[2] + b.shape[2]))
-            core[: a.shape[0], :, : a.shape[2]] = a
-            core[a.shape[0] :, :, a.shape[2] :] = b
-            cores.append(core)
-    return TTVector(cores, copy=False)
+    return TTVector(_direct_sum_cores([x.cores, y.cores]), copy=False)
 
 
 def tt_scale(x: TTVector, alpha: float) -> TTVector:

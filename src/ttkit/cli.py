@@ -27,6 +27,7 @@ from .quantize import (
 )
 from .solvers import (
     SweepConfig,
+    _fmt,
     cca,
     eig_block,
     eig_min,
@@ -78,10 +79,6 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _sweep_config(args, identity_grams: bool = False) -> SweepConfig:
     return SweepConfig(
         max_sweeps=args.max_sweeps,
@@ -115,16 +112,16 @@ def _add_solver_flags(parser):
     )
 
 
-def _solver_outputs(prefix: str, report, values=None, values_header="index,value"):
-    _write_text(prefix + ".report.txt", report.to_keyvalue())
-    _write_text(prefix + ".trajectory.csv", report.trajectory_csv())
+def _solver_outputs(args, report, values=None, header=None) -> int:
+    """Write the report, trajectory and values files, print the values and
+    the report; returns the exit code (1 if not converged, unless allowed)."""
+    _write_text(args.out + ".report.txt", report.to_keyvalue())
+    _write_text(args.out + ".trajectory.csv", report.trajectory_csv())
     if values is not None:
-        rows = [values_header]
-        rows += [f"{i},{_fmt(v)}" for i, v in enumerate(values)]
-        _write_text(prefix + ".values.csv", "\n".join(rows) + "\n")
-
-
-def _finish_solver(args, report) -> int:
+        rows = [header] + [f"{i},{_fmt(v)}" for i, v in enumerate(values)]
+        text = "\n".join(rows) + "\n"
+        _write_text(args.out + ".values.csv", text)
+        print(text, end="")
     print(report.to_keyvalue(), end="")
     if not report.converged and not args.allow_nonconverged:
         print("error: solver did not converge (use --allow-nonconverged to accept)", file=sys.stderr)
@@ -227,20 +224,15 @@ def _cmd_eig(args) -> int:
     else:
         values, block, report = eig_block(op, args.k, config)
         container.save(block, args.out + ".tt")
-    _solver_outputs(args.out, report, values, "index,eigenvalue")
-    print("index,eigenvalue")
-    for i, v in enumerate(values):
-        print(f"{i},{_fmt(v)}")
-    return _finish_solver(args, report)
+    return _solver_outputs(args, report, values, "index,eigenvalue")
 
 
 def _cmd_svd(args) -> int:
     op = _expect_matrix(_load(args.operator), args.operator)
     config = _sweep_config(args)
     if args.smallest:
-        sigmas, block, report = svd_small_k(op, args.k, config)
+        values, block, report = svd_small_k(op, args.k, config)
         container.save(block, args.out + ".tt")
-        values = list(sigmas)
     else:
         if args.k != 1:
             raise CliError("--k > 1 needs --smallest (the dominant route is single-triplet)")
@@ -248,11 +240,7 @@ def _cmd_svd(args) -> int:
         container.save(u, args.out + ".u.tt")
         container.save(v, args.out + ".v.tt")
         values = [sigma]
-    _solver_outputs(args.out, report, values, "index,singular_value")
-    print("index,singular_value")
-    for i, v in enumerate(values):
-        print(f"{i},{_fmt(v)}")
-    return _finish_solver(args, report)
+    return _solver_outputs(args, report, values, "index,singular_value")
 
 
 def _cmd_gevd(args) -> int:
@@ -262,11 +250,7 @@ def _cmd_gevd(args) -> int:
     config = _sweep_config(args)
     values, block, report = gevd(x_op, a_op, b_op, args.k, config)
     container.save(block, args.out + ".tt")
-    _solver_outputs(args.out, report, list(values), "index,eigenvalue")
-    print("index,eigenvalue")
-    for i, v in enumerate(values):
-        print(f"{i},{_fmt(v)}")
-    return _finish_solver(args, report)
+    return _solver_outputs(args, report, values, "index,eigenvalue")
 
 
 def _cmd_cca(args) -> int:
@@ -276,11 +260,7 @@ def _cmd_cca(args) -> int:
     corr, wx, wy, report = cca(x_op, y_op, args.k, config)
     container.save(wx, args.out + ".wx.tt")
     container.save(wy, args.out + ".wy.tt")
-    _solver_outputs(args.out, report, list(corr), "index,correlation")
-    print("index,correlation")
-    for i, v in enumerate(corr):
-        print(f"{i},{_fmt(v)}")
-    return _finish_solver(args, report)
+    return _solver_outputs(args, report, corr, "index,correlation")
 
 
 def _cmd_solve(args) -> int:
@@ -289,8 +269,7 @@ def _cmd_solve(args) -> int:
     config = _sweep_config(args)
     x, report = linsolve(op, rhs, config)
     container.save(x, args.out + ".tt")
-    _solver_outputs(args.out, report)
-    return _finish_solver(args, report)
+    return _solver_outputs(args, report)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,8 @@ Layout (all integers and floats little-endian):
 from __future__ import annotations
 
 import io
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,6 +36,11 @@ def _write_u64s(fh, values):
 
 
 def _read_exact(fh, count: int) -> bytes:
+    """Read ``count`` bytes, refusing before any allocation when fewer are
+    left in the file (``count`` comes from untrusted header fields)."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise ValueError(f"truncated TTK1 container: {count} bytes declared, {left} left")
     data = fh.read(count)
     if len(data) != count:
         raise ValueError("truncated TTK1 container")
@@ -41,7 +48,8 @@ def _read_exact(fh, count: int) -> bytes:
 
 
 def _read_u64s(fh, count: int) -> list:
-    return list(np.frombuffer(_read_exact(fh, 8 * count), dtype="<u8").astype(np.int64))
+    # Python ints: u64 fields >= 2^63 must not wrap negative
+    return [int(v) for v in np.frombuffer(_read_exact(fh, 8 * count), dtype="<u8")]
 
 
 def save(obj, path):
@@ -85,11 +93,11 @@ def load(path):
             raise ValueError(f"unknown TTK1 kind {kind}")
         if order < 1:
             raise ValueError("TTK1 container with no cores")
+        sizes = _read_u64s(fh, (2 if kind == KIND_MATRIX else 1) * order)
         if kind == KIND_MATRIX:
-            flat = _read_u64s(fh, 2 * order)
-            rows, cols = flat[0::2], flat[1::2]
+            rows, cols = sizes[0::2], sizes[1::2]
         else:
-            modes = _read_u64s(fh, order)
+            modes = sizes
         ranks = _read_u64s(fh, order + 1)
         if ranks[0] != 1 or ranks[-1] != 1:
             raise ValueError("corrupt TTK1 container: boundary ranks differ from 1")
@@ -99,6 +107,9 @@ def load(path):
             (k_cols,) = _read_u64s(fh, 1)
             if not 1 <= position <= order:
                 raise ValueError(f"corrupt TTK1 container: block position {position}")
+            sizes = sizes + [k_cols]
+        if min(sizes + ranks) < 1:
+            raise ValueError("corrupt TTK1 container: zero mode size, rank or block size")
         cores = []
         for n in range(order):
             if kind == KIND_MATRIX:
@@ -107,7 +118,7 @@ def load(path):
                 shape = (ranks[n], modes[n], k_cols, ranks[n + 1])
             else:
                 shape = (ranks[n], modes[n], ranks[n + 1])
-            count = int(np.prod(shape, dtype=np.int64))
+            count = math.prod(shape)
             data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
             cores.append(data.astype(np.float64).reshape(shape))
         if fh.read(1):

@@ -27,8 +27,6 @@ __all__ = [
     "merged_core",
     "EnvStack",
     "env_build",
-    "env_update_left",
-    "env_update_right",
     "effective_operator",
     "effective_operator_two",
     "effective_rhs",
@@ -198,14 +196,6 @@ def env_build(bra, op: TTMatrix, ket) -> EnvStack:
     for site in range(stack.order - 1, -1, -1):
         stack.update_right(site)
     return stack
-
-
-def env_update_left(stack: EnvStack, site: int):
-    stack.update_left(site)
-
-
-def env_update_right(stack: EnvStack, site: int):
-    stack.update_right(site)
 
 
 def _check_local_dim(dim: int, cap: Optional[int]):

@@ -2,10 +2,14 @@
 
 All solvers share one engine: the iterate is kept mixed-canonical with an
 "active" site holding the current local solution (K columns for the block
-solvers); dense local problems are assembled from cached environments,
-solved exactly, and the active site travels with the sweep, left to right
-and back.  Because the frames are orthonormal, every local solve can only
-improve the global objective, so the per-half-sweep trajectory is monotone.
+solvers); dense local problems are assembled from cached environments and
+solved exactly.  A sweep is two half-sweeps, left to right and back, over
+one site schedule: each step solves the local problem at a site (or a site
+pair), installs the solution and moves the active site one bond on.
+Because the frames are orthonormal, every local solve of an eigen-, SVD or
+CCA problem can only improve the global objective, so its per-half-sweep
+trajectory is monotone; ``linsolve`` on ill-conditioned operators is the
+exception (see its docstring).
 
 Rank policies: the default is single-site updates at the initial bond ranks
 (the block index carries its exact rank across bonds); ``adaptive=True``
@@ -15,6 +19,7 @@ by a truncated SVD, letting ranks grow or shrink as needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -35,8 +40,10 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
+    _nonzero_svd,
     feasible_ranks,
     fix_svd_signs,
+    qr_left,
     qr_right,
     select_rank,
 )
@@ -75,8 +82,9 @@ class SweepConfig:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         for name in ("objective_tol", "residual_tol", "trunc_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.max_rank is not None and self.max_rank < 1:
@@ -172,14 +180,6 @@ class _Chain:
     def order(self) -> int:
         return len(self.cores)
 
-    def local_dim(self) -> int:
-        ra, i, rb, _ = self.x.shape
-        return ra * i * rb
-
-    def set_solution(self, mat: np.ndarray):
-        ra, i, rb, k = self.x.shape
-        self.x = np.ascontiguousarray(mat).reshape(ra, i, rb, k)
-
     def ranks(self) -> list:
         out = [1]
         for j, core in enumerate(self.cores):
@@ -192,13 +192,13 @@ class _Chain:
 
     def move_right(self, max_rank: Optional[int] = None):
         ra, i, rb, k = self.x.shape
-        m = self.x.transpose(0, 1, 3, 2).reshape(ra * i, k * rb)
         if k == 1:
-            q, carry = np.linalg.qr(m)
-            q, carry = _fix_qr(q, carry)
+            q, carry = qr_left(self.x[:, :, :, 0])
         else:
-            q, carry = _trimmed_svd(m, max_rank)
-        self.cores[self.pos] = np.ascontiguousarray(q).reshape(ra, i, -1)
+            m = self.x.transpose(0, 1, 3, 2).reshape(ra * i, k * rb)
+            u, s, vt = _nonzero_svd(m, max_rank)
+            q, carry = u.reshape(ra, i, -1), s[:, None] * vt
+        self.cores[self.pos] = np.ascontiguousarray(q)
         s3 = carry.reshape(-1, k, rb)
         nxt = self.cores[self.pos + 1]
         self.x = np.einsum("skb,bjc->sjck", s3, nxt)
@@ -206,17 +206,13 @@ class _Chain:
 
     def move_left(self, max_rank: Optional[int] = None):
         ra, i, rb, k = self.x.shape
-        m = self.x.transpose(0, 3, 1, 2).reshape(ra * k, i * rb)
         if k == 1:
-            qt, rt = np.linalg.qr(m.T)
-            qt, rt = _fix_qr(qt, rt)
-            q, carry = qt.T, rt.T
+            carry, q = qr_right(self.x[:, :, :, 0])
         else:
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
-            rank = _noise_rank(s, max_rank)
-            u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-            q, carry = vt, u * s[:rank]
-        self.cores[self.pos] = np.ascontiguousarray(q).reshape(-1, i, rb)
+            m = self.x.transpose(0, 3, 1, 2).reshape(ra * k, i * rb)
+            u, s, vt = _nonzero_svd(m, max_rank)
+            q, carry = np.ascontiguousarray(vt).reshape(-1, i, rb), u * s
+        self.cores[self.pos] = q
         s3 = carry.reshape(ra, k, -1)
         prev = self.cores[self.pos - 1]
         self.x = np.einsum("zja,aks->zjsk", prev, s3)
@@ -254,6 +250,19 @@ class _Chain:
         self.x = np.ascontiguousarray(left.transpose(0, 1, 3, 2))
         self.pos = n
 
+    def install(self, solution, step: int, two_site: bool, policy: TruncationPolicy):
+        """Install a local solution and move the active site one bond in
+        direction ``step`` (+1 right, -1 left).  A two-site solution spans
+        the active site and its neighbour in that direction and is split
+        under ``policy``; a single-site solution stays put at either end."""
+        if two_site:
+            (self.split_pair_right if step > 0 else self.split_pair_left)(solution, policy)
+            return
+        ra, i, rb, k = self.x.shape
+        self.x = np.ascontiguousarray(solution).reshape(ra, i, rb, k)
+        if 0 <= self.pos + step < self.order:
+            (self.move_right if step > 0 else self.move_left)(policy.max_rank)
+
     def snapshot(self):
         """Freeze the current iterate as a TTVector (K=1) or BlockTT."""
         cores = [c.copy() for c in self.cores]
@@ -264,86 +273,45 @@ class _Chain:
         return BlockTT(cores, self.pos, copy=False)
 
 
-def _fix_qr(q, r):
-    d = np.sign(np.diagonal(r)).copy()
-    d[d == 0] = 1.0
-    return q * d, r * d[:, None]
-
-
-def _noise_rank(s: np.ndarray, max_rank: Optional[int]) -> int:
-    """Keep every singular value above the numerical-noise floor."""
-    if s.size == 0 or s[0] == 0.0:
-        return 1
-    rank = max(1, int(np.count_nonzero(s > s[0] * 1e-14)))
-    if max_rank is not None:
-        rank = min(rank, max_rank)
-    return rank
-
-
-def _trimmed_svd(m: np.ndarray, max_rank: Optional[int]):
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    rank = _noise_rank(s, max_rank)
-    u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-    return u, s[:rank, None] * vt
-
-
 def _run_sweeps(
     chains: List[_Chain],
     stacks: List[EnvStack],
-    solve_one: Callable,
-    solve_two: Callable,
+    solve: Callable,
     residual_fn: Callable,
     config: SweepConfig,
     report: SolveReport,
 ):
+    """Alternate half-sweeps over one site schedule until convergence.
+
+    ``solve(site, two_site)`` returns the local objective and one local
+    solution per chain.  A step at ``site`` installs that solution and moves
+    the active site one bond in the sweep direction: single-site steps cover
+    every site and the last step of a half-sweep stays put; two-site steps
+    cover the pairs ``(site, site+1)`` and always move.  Whenever the active
+    site moves, the environments across the bond it crossed are refreshed.
+    The objective of a half-sweep is that of its last step.
+    """
     n_sites = chains[0].order
-    adaptive = config.adaptive and n_sites > 1
+    two_site = config.adaptive and n_sites > 1
     policy = TruncationPolicy(config.trunc_tol, config.max_rank)
+    last = n_sites - 2 if two_site else n_sites - 1  # last site a step starts at
     prev = None
     for sweep in range(1, config.max_sweeps + 1):
-        if adaptive:
-            for n in range(n_sites - 1):
-                obj, sols = solve_two(n)
+        for step, sites in ((1, range(last + 1)), (-1, range(last, -1, -1))):
+            for site in sites:
+                obj, sols = solve(site, two_site)
+                start = chains[0].pos
                 for chain, sol in zip(chains, sols):
-                    chain.split_pair_right(sol, policy)
-                for stack in stacks:
-                    stack.invalidate(n)
-                    stack.invalidate(n + 1)
-                    stack.update_left(n)
-            report.objective.append(obj)
-            for n in range(n_sites - 2, -1, -1):
-                obj, sols = solve_two(n)
-                for chain, sol in zip(chains, sols):
-                    chain.split_pair_left(sol, policy)
-                for stack in stacks:
-                    stack.invalidate(n)
-                    stack.invalidate(n + 1)
-                    stack.update_right(n + 1)
-            report.objective.append(obj)
-        else:
-            for n in range(n_sites):
-                obj, sols = solve_one(n)
-                for chain, sol in zip(chains, sols):
-                    chain.set_solution(sol)
-                if n < n_sites - 1:
-                    for chain in chains:
-                        chain.move_right(config.max_rank)
+                    chain.install(sol, step, two_site, policy)
+                if chains[0].pos != start:
+                    bond = min(start, chains[0].pos)  # cores bond and bond+1 changed
                     for stack in stacks:
-                        stack.invalidate(n)
-                        stack.invalidate(n + 1)
-                        stack.update_left(n)
-            report.objective.append(obj)
-            for n in range(n_sites - 1, -1, -1):
-                obj, sols = solve_one(n)
-                for chain, sol in zip(chains, sols):
-                    chain.set_solution(sol)
-                if n > 0:
-                    for chain in chains:
-                        chain.move_left(config.max_rank)
-                    for stack in stacks:
-                        stack.invalidate(n - 1)
-                        stack.invalidate(n)
-                        stack.update_right(n)
+                        stack.invalidate(bond)
+                        stack.invalidate(bond + 1)
+                        if step > 0:
+                            stack.update_left(bond)
+                        else:
+                            stack.update_right(bond + 1)
             report.objective.append(obj)
         report.sweeps = sweep
         report.residuals = residual_fn()
@@ -363,51 +331,32 @@ def _symmetrize(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _regularized_eigh(h: np.ndarray, b: Optional[np.ndarray], report: SolveReport):
-    if b is None:
-        return scipy.linalg.eigh(h)
+def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: str, tries: int = 4):
+    """``attempt(m + mu·I)`` for mu = 0, then 1e-12·s, 1e-10·s, 1e-8·s, ...
+    with s = max(|tr m| / dim, 1), stopping at the first success; each
+    failure is counted in ``report``.  After ``tries`` failures, raises
+    ``LinAlgError`` naming ``what`` and the last shift tried."""
     mu = 0.0
-    for attempt in range(4):
+    for _ in range(tries):
         try:
-            return scipy.linalg.eigh(h, b + mu * np.eye(b.shape[0]) if mu else b)
+            return attempt(m + mu * np.eye(m.shape[0]) if mu else m)
         except scipy.linalg.LinAlgError:
             report.regularized += 1
-            base = abs(np.trace(b)) / b.shape[0]
-            mu = max(base, 1.0) * 1e-12 * (100.0 ** attempt) if mu == 0.0 else mu * 100.0
+            tried = mu
+            mu = max(abs(np.trace(m)) / m.shape[0], 1.0) * 1e-12 if mu == 0.0 else mu * 100.0
     raise scipy.linalg.LinAlgError(
-        "local metric stayed indefinite after regularization "
-        f"(last shift {mu:.3e}); the operator pencil is too ill-conditioned"
-    )
-
-
-def _regularized_cholesky(g: np.ndarray, report: SolveReport) -> np.ndarray:
-    mu = 0.0
-    for attempt in range(4):
-        try:
-            return scipy.linalg.cholesky(
-                g + mu * np.eye(g.shape[0]) if mu else g, lower=True
-            )
-        except scipy.linalg.LinAlgError:
-            report.regularized += 1
-            base = abs(np.trace(g)) / g.shape[0]
-            mu = max(base, 1.0) * 1e-12 * (100.0 ** attempt) if mu == 0.0 else mu * 100.0
-    raise scipy.linalg.LinAlgError(
-        "local Gram matrix stayed indefinite after regularization "
-        f"(last shift {mu:.3e})"
+        f"{what} stayed indefinite after regularization (last shift {tried:.3e})"
     )
 
 
 def _solve_spd(h: np.ndarray, rhs: np.ndarray, report: SolveReport) -> np.ndarray:
+    """SPD solve with one regularizing shift, then least squares."""
     try:
-        return scipy.linalg.solve(h, rhs, assume_a="pos")
+        return _shift_ladder(
+            h, lambda hm: scipy.linalg.solve(hm, rhs, assume_a="pos"), report, "local system", tries=2
+        )
     except scipy.linalg.LinAlgError:
-        report.regularized += 1
-        mu = max(abs(np.trace(h)) / h.shape[0], 1.0) * 1e-12
-        try:
-            return scipy.linalg.solve(h + mu * np.eye(h.shape[0]), rhs, assume_a="pos")
-        except scipy.linalg.LinAlgError:
-            report.regularized += 1
-            return np.linalg.lstsq(h, rhs, rcond=None)[0]
+        return np.linalg.lstsq(h, rhs, rcond=None)[0]
 
 
 def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
@@ -446,15 +395,12 @@ def _block_eig(
         h, b = local_matrices(site, two_site)
         if h.shape[0] < k:
             raise ValueError(f"local dimension {h.shape[0]} cannot hold K={k} vectors")
-        w, v = _regularized_eigh(h, b, report)
+        if b is None:
+            w, v = scipy.linalg.eigh(h)
+        else:
+            w, v = _shift_ladder(b, lambda bm: scipy.linalg.eigh(h, bm), report, "local metric")
         state["values"] = w[:k].copy()
         return float(np.sum(w[:k])), [v[:, :k]]
-
-    def solve_one(site):
-        return solve(site, False)
-
-    def solve_two(site):
-        return solve(site, True)
 
     def residual():
         vectors = _block_columns(chain.snapshot())
@@ -469,7 +415,7 @@ def _block_eig(
             out.append(_residual_norm(left, right) / max(1.0, abs(lam)))
         return out
 
-    _run_sweeps([chain], stacks, solve_one, solve_two, residual, config, report)
+    _run_sweeps([chain], stacks, solve, residual, config, report)
     snap = chain.snapshot()
     return state["values"], snap, report
 
@@ -568,12 +514,6 @@ def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
         state["sigma"] = float(ss[0])
         return float(ss[0]), [u1, v1]
 
-    def solve_one(site):
-        return solve(site, False)
-
-    def solve_two(site):
-        return solve(site, True)
-
     def residual():
         sigma = state["sigma"]
         u = u_chain.snapshot()
@@ -583,7 +523,7 @@ def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
         r2 = _residual_norm(mpo_apply(op_t, u), tt_scale(v, sigma)) / scale
         return [r1, r2]
 
-    _run_sweeps([u_chain, v_chain], [stack], solve_one, solve_two, residual, config, report)
+    _run_sweeps([u_chain, v_chain], [stack], solve, residual, config, report)
     return state["sigma"], u_chain.snapshot(), v_chain.snapshot(), report
 
 
@@ -634,8 +574,12 @@ def cca(
         else:
             g_x = _symmetrize(build(s_gx, site, config.local_cap))
             g_y = _symmetrize(build(s_gy, site, config.local_cap))
-            l_x = _regularized_cholesky(g_x, report)
-            l_y = _regularized_cholesky(g_y, report)
+            l_x, l_y = (
+                _shift_ladder(
+                    g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
+                )
+                for g in (g_x, g_y)
+            )
             m = scipy.linalg.solve_triangular(l_x, c_loc, lower=True)
             m = scipy.linalg.solve_triangular(l_y, m.T, lower=True).T
             uu, ss, vvt = scipy.linalg.svd(m, full_matrices=False)
@@ -658,16 +602,10 @@ def cca(
         )
         return float(np.sum(ss[:k])), [wx_loc, wy_loc]
 
-    def solve_one(site):
-        return solve(site, False)
-
-    def solve_two(site):
-        return solve(site, True)
-
     def residual():
         return [state["constraint"]]
 
-    _run_sweeps([wx, wy], [s_cross, s_gx, s_gy], solve_one, solve_two, residual, config, report)
+    _run_sweeps([wx, wy], [s_cross, s_gx, s_gy], solve, residual, config, report)
     return state["corr"], _as_block(wx.snapshot()), _as_block(wy.snapshot()), report
 
 
@@ -680,7 +618,11 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
 
     Local systems use the Gram operator transpose(A)·A (composed in TT form)
     and the projected right-hand side; singular local systems fall back to a
-    regularized solve, counted in the report.
+    regularized solve, counted in the report.  Squaring the condition number
+    costs accuracy: on ill-conditioned operators the trajectory need not be
+    monotone and the residual can stall above ``residual_tol`` (the 2^10 QTT
+    Laplacian with a ones right-hand side does both, single-site and
+    adaptive alike).
     """
     if op.row_sizes != rhs.mode_sizes:
         raise ValueError(
@@ -706,15 +648,9 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
         objective = float(z @ (h @ z) - 2.0 * (z @ b))
         return objective, [z[:, None]]
 
-    def solve_one(site):
-        return solve(site, False)
-
-    def solve_two(site):
-        return solve(site, True)
-
     def residual():
         x = chain.snapshot()
         return [_residual_norm(mpo_apply(op, x), rhs) / max(rhs_norm, 1e-300)]
 
-    _run_sweeps([chain], [s_gram, s_rhs], solve_one, solve_two, residual, config, report)
+    _run_sweeps([chain], [s_gram, s_rhs], solve, residual, config, report)
     return chain.snapshot(), report

@@ -59,16 +59,19 @@ class TruncationPolicy:
 EXACT = TruncationPolicy(0.0)
 
 
-def _prepare_cores(cores, ndim: int, copy: bool):
+def _prepare_cores(cores, ndim: int, copy: bool, block: Optional[int] = None):
+    """Validated float64 C-ordered cores: ``ndim``-way each, except the core
+    at ``block``, which carries one extra (block) index before its last rank."""
     out = []
-    for c in cores:
+    for n, c in enumerate(cores):
+        want = ndim + 1 if n == block else ndim
         arr = (
             np.array(c, dtype=np.float64, order="C")
             if copy
             else np.ascontiguousarray(c, dtype=np.float64)
         )
-        if arr.ndim != ndim:
-            raise ValueError(f"core must be {ndim}-way, got shape {arr.shape}")
+        if arr.ndim != want:
+            raise ValueError(f"core {n} must be {want}-way, got shape {arr.shape}")
         out.append(arr)
     if not out:
         raise ValueError("a tensor train needs at least one core")
@@ -166,27 +169,7 @@ class BlockTT:
         position = int(position)
         if not 0 <= position < len(cores):
             raise ValueError(f"block position {position} out of range")
-        prepared = []
-        for n, c in enumerate(cores):
-            want = 4 if n == position else 3
-            arr = (
-                np.array(c, dtype=np.float64, order="C")
-                if copy
-                else np.ascontiguousarray(c, dtype=np.float64)
-            )
-            if arr.ndim != want:
-                raise ValueError(
-                    f"core {n} must be {want}-way, got shape {arr.shape}"
-                )
-            prepared.append(arr)
-        if prepared[0].shape[0] != 1 or prepared[-1].shape[-1] != 1:
-            raise ValueError("boundary ranks must equal 1")
-        for a, b in zip(prepared, prepared[1:]):
-            if a.shape[-1] != b.shape[0]:
-                raise ValueError(
-                    f"rank chain broken: {a.shape} does not link to {b.shape}"
-                )
-        self.cores = prepared
+        self.cores = _prepare_cores(cores, 3, copy, block=position)
         self.position = position
 
     @property
@@ -228,6 +211,21 @@ def fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     signs = np.sign(u[j, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
     return u * signs, vt * signs[:, None]
+
+
+def _nonzero_svd(m: np.ndarray, max_rank: Optional[int] = None):
+    """Thin SVD ``(u, s, vt)`` of ``m`` keeping every singular value above
+    the numerical-noise floor ``1e-14 * s[0]`` (at least one, at most
+    ``max_rank``), with :func:`fix_svd_signs` applied."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        rank = 1
+    else:
+        rank = max(1, int(np.count_nonzero(s > s[0] * 1e-14)))
+    if max_rank is not None:
+        rank = min(rank, max_rank)
+    u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
+    return u, s[:rank], vt
 
 
 def _fix_qr_signs(q: np.ndarray, r: np.ndarray):
@@ -452,15 +450,6 @@ def block_extract(x: BlockTT, k: int) -> TTVector:
     return TTVector(cores)
 
 
-_BLOCK_TRIM = 1e-14  # relative cut for numerically-zero singular values
-
-
-def _split_rank(s: np.ndarray) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 1
-    return max(1, int(np.count_nonzero(s > s[0] * _BLOCK_TRIM)))
-
-
 def block_move(x: BlockTT, new_position: int) -> BlockTT:
     """Relocate the block index core by core via SVD-mediated merge/split.
 
@@ -476,11 +465,9 @@ def block_move(x: BlockTT, new_position: int) -> BlockTT:
         r0, i, k, r1 = b.shape
         merged = np.tensordot(b, g, axes=(3, 0))  # (r0, i, k, j, r2)
         j, r2 = merged.shape[3], merged.shape[4]
-        u, s, vt = np.linalg.svd(merged.reshape(r0 * i, k * j * r2), full_matrices=False)
-        rank = _split_rank(s)
-        u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-        cores[pos] = u.reshape(r0, i, rank)
-        right = (s[:rank, None] * vt).reshape(rank, k, j, r2)
+        u, s, vt = _nonzero_svd(merged.reshape(r0 * i, k * j * r2))
+        cores[pos] = u.reshape(r0, i, -1)
+        right = (s[:, None] * vt).reshape(-1, k, j, r2)
         cores[pos + 1] = np.ascontiguousarray(right.transpose(0, 2, 1, 3))
         pos += 1
     while pos > new_position:
@@ -489,14 +476,46 @@ def block_move(x: BlockTT, new_position: int) -> BlockTT:
         merged = np.tensordot(g, b, axes=(2, 0))  # (r0, j, i, k, r2)
         r0, j = merged.shape[0], merged.shape[1]
         m = merged.transpose(0, 1, 3, 2, 4).reshape(r0 * j * k, i * r2)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        rank = _split_rank(s)
-        u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-        cores[pos] = vt.reshape(rank, i, r2)
-        left = (u * s[:rank]).reshape(r0, j, k, rank)
+        u, s, vt = _nonzero_svd(m)
+        cores[pos] = vt.reshape(-1, i, r2)
+        left = (u * s).reshape(r0, j, k, -1)
         cores[pos - 1] = left
         pos -= 1
     return BlockTT(cores, pos, copy=False)
+
+
+def _block_diag(parts, axes) -> np.ndarray:
+    """Place ``parts`` on the diagonal of a zero array: sizes add along
+    ``axes``, and every other axis is shared (all parts agree on it)."""
+    shape = list(parts[0].shape)
+    for ax in axes:
+        shape[ax] = sum(p.shape[ax] for p in parts)
+    out = np.zeros(shape)
+    start = dict.fromkeys(axes, 0)
+    for p in parts:
+        index = [slice(None)] * p.ndim
+        for ax in axes:
+            index[ax] = slice(start[ax], start[ax] + p.shape[ax])
+            start[ax] += p.shape[ax]
+        out[tuple(index)] = p
+    return out
+
+
+def _direct_sum_cores(chains, block: bool = False) -> list:
+    """Cores of the direct sum of equal-mode TT chains: interior bond ranks
+    add and chain j fills the j-th diagonal block.  The boundary bonds stay
+    shared, so the result represents the sum of the vectors (for chains of
+    two or more cores); with ``block`` the last core instead gains a block
+    index whose column j holds chain j, keeping the vectors apart."""
+    last = len(chains[0]) - 1
+    cores = []
+    for n in range(last + 1):
+        parts = [chain[n] for chain in chains]
+        if block and n == last:
+            parts = [p[:, :, None, :] for p in parts]
+        axes = ((0,) if n > 0 else ()) + ((2,) if n < last or block else ())
+        cores.append(_block_diag(parts, axes))
+    return cores
 
 
 def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
@@ -511,35 +530,8 @@ def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
     for t in tts:
         if t.mode_sizes != modes:
             raise ValueError("all TT vectors must share mode sizes")
-    n_modes = len(modes)
-    k_cols = len(tts)
-    if n_modes == 1:
-        core = np.stack([t.cores[0][:, :, 0] for t in tts], axis=2)[..., None]
-        return BlockTT([core], 0, copy=False)
-    cores = []
-    for n in range(n_modes):
-        parts = [t.cores[n] for t in tts]
-        if n == 0:
-            cores.append(np.concatenate(parts, axis=2))
-        elif n < n_modes - 1:
-            r0 = sum(p.shape[0] for p in parts)
-            r1 = sum(p.shape[2] for p in parts)
-            core = np.zeros((r0, modes[n], r1))
-            a = b = 0
-            for p in parts:
-                core[a : a + p.shape[0], :, b : b + p.shape[2]] = p
-                a += p.shape[0]
-                b += p.shape[2]
-            cores.append(core)
-        else:
-            r0 = sum(p.shape[0] for p in parts)
-            core = np.zeros((r0, modes[n], k_cols, 1))
-            a = 0
-            for col, p in enumerate(parts):
-                core[a : a + p.shape[0], :, col, :] = p
-                a += p.shape[0]
-            cores.append(core)
-    return BlockTT(cores, n_modes - 1, copy=False)
+    cores = _direct_sum_cores([t.cores for t in tts], block=True)
+    return BlockTT(cores, len(modes) - 1, copy=False)
 
 
 # ---------------------------------------------------------------------------

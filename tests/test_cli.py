@@ -261,3 +261,23 @@ def test_deterministic_outputs_across_runs(tmp_path, capsys):
             blob += (tmp_path / tag / ("eig" + suffix)).read_bytes()
         outputs.append(blob)
     assert outputs[0] == outputs[1]
+
+
+def test_info_oversized_header_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "big.tt"
+    header = b"TTK1" + bytes([1, 0]) + (1).to_bytes(4, "little")
+    bad.write_bytes(header + np.asarray([2 ** 40, 1, 1], dtype="<u8").tobytes() + b"\x00" * 64)
+    code, stdout, err = run(capsys, "info", bad)
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_nan_tolerance_is_one_line_error(tmp_path, capsys):
+    op = mpo_svd(laplacian(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13))
+    op_path = tmp_path / "op.tt"
+    container.save(op, op_path)
+    code, stdout, err = run(capsys, "eig", op_path, "--tol", "nan", "-o", tmp_path / "o")
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -86,3 +86,33 @@ def test_save_load_is_deterministic(tmp_path):
     container.save(x, p1)
     container.save(x, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _header(modes, ranks):
+    return (
+        b"TTK1" + bytes([1, 0]) + len(modes).to_bytes(4, "little")
+        + np.asarray(modes + ranks, dtype="<u8").tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "modes, ranks",
+    [
+        ([2 ** 40], [1, 1]),  # declared payload far beyond the file
+        ([2 ** 63 + 2], [1, 1]),  # would wrap negative as int64
+        ([2, 2 ** 62], [1, 2 ** 62, 1]),  # product overflows int64
+    ],
+)
+def test_oversized_header_is_rejected_before_reading(tmp_path, modes, ranks):
+    path = tmp_path / "big.tt"
+    path.write_bytes(_header(modes, ranks) + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated"):
+        container.load(path)
+
+
+@pytest.mark.parametrize("modes, ranks", [([0, 2], [1, 1, 1]), ([2, 2], [1, 0, 1])])
+def test_zero_mode_or_rank_is_rejected(tmp_path, modes, ranks):
+    path = tmp_path / "zero.tt"
+    path.write_bytes(_header(modes, ranks))
+    with pytest.raises(ValueError, match="zero"):
+        container.load(path)

@@ -564,3 +564,45 @@ def test_adaptive_mode_cca():
     )
     assert np.abs(corr - oracle).max() < 1e-6
     assert rep.is_monotone()
+
+
+# ---------------------------------------------------------------------------
+# regularization ladders and non-finite settings
+
+
+def _diag_mpo(d):
+    shapes = (2,) * 4
+    return mpo_svd(np.diag(d), shapes, shapes, OP_TOL)
+
+
+def test_cca_rank_deficient_data_regularizes_gram():
+    rng = np.random.default_rng(0)
+    shapes = (2,) * 4
+    x_op = mpo_svd(np.outer(rng.standard_normal(16), rng.standard_normal(16)), shapes, shapes, OP_TOL)
+    y_op = mpo_svd(rng.standard_normal((16, 16)), shapes, shapes, OP_TOL)
+    _, _, _, rep = cca(x_op, y_op, 1, SweepConfig(max_sweeps=2, rank=4, seed=0))
+    assert rep.regularized > 0
+
+
+def test_gevd_semidefinite_metric_regularizes():
+    shapes = (2,) * 4
+    a_op = _diag_mpo(np.arange(1.0, 17.0))
+    b_op = _diag_mpo(np.tile([1.0, 0.0], 8))
+    vals, _, rep = gevd(eye_mpo(shapes), a_op, b_op, 1, SweepConfig(max_sweeps=4, rank=4, seed=0))
+    assert rep.regularized > 0
+    assert vals[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_gevd_indefinite_metric_reports_last_shift_tried():
+    shapes = (2,) * 4
+    a_op = _diag_mpo(np.arange(1.0, 17.0))
+    b_op = _diag_mpo(np.r_[np.ones(15), -1.0])
+    with pytest.raises(scipy.linalg.LinAlgError, match=r"stayed indefinite .*last shift 1\.000e-08"):
+        gevd(eye_mpo(shapes), a_op, b_op, 1, SweepConfig(max_sweeps=4, rank=4, seed=0))
+
+
+@pytest.mark.parametrize("name", ["objective_tol", "residual_tol", "trunc_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_tolerances(name, value):
+    with pytest.raises(ValueError, match=name):
+        SweepConfig(**{name: value})
