@@ -37,9 +37,7 @@ from .dense import (
 from .frames import (
     EnvStack,
     effective_operator,
-    effective_operator_two,
     effective_rhs,
-    effective_rhs_two,
     env_build,
     frame_matrix,
     frame_matrix_two,

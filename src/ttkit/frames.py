@@ -7,11 +7,15 @@ the Kronecker product of the left interface, an identity of the site's mode
 size, and the right interface.  Explicit frame/interface matrices exist to
 verify contractions at desk scale and are guarded by a row cap; solvers only
 ever touch the cached three-layer environments.
+
+Local problems come from one builder pair, :func:`effective_operator` and
+:func:`effective_rhs`, over a span of one core or two merged cores; both
+refuse problems larger than ``LOCAL_DIM_CAP``, read at call time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
 
 import numpy as np
 
@@ -28,9 +32,7 @@ __all__ = [
     "EnvStack",
     "env_build",
     "effective_operator",
-    "effective_operator_two",
     "effective_rhs",
-    "effective_rhs_two",
 ]
 
 FRAME_ROW_CAP = 1 << 16
@@ -198,61 +200,54 @@ def env_build(bra, op: TTMatrix, ket) -> EnvStack:
     return stack
 
 
-def _check_local_dim(dim: int, cap: Optional[int]):
-    cap = LOCAL_DIM_CAP if cap is None else cap
-    if dim > cap:
+def _check_local_dim(dim: int):
+    if dim > LOCAL_DIM_CAP:
         raise ValueError(
-            f"local problem of size {dim} exceeds the cap {cap}; "
-            "reduce ranks or raise the cap explicitly"
+            f"local problem of size {dim} exceeds the cap {LOCAL_DIM_CAP}; reduce ranks"
         )
 
 
-def effective_operator(stack: EnvStack, site: int, cap: Optional[int] = None) -> np.ndarray:
-    """Dense local operator at ``site``: rows pair with the bra core's
-    vectorization, columns with the ket core's."""
+def _span_frame(stack: EnvStack, site: int, span: int):
+    """Environments around sites ``site .. site+span-1`` and the operator
+    core over them (for ``span=2`` the two cores merged, legs
+    ``(p, i1, i2, j1, j2, q)``)."""
+    if span not in (1, 2):
+        raise ValueError(f"span must be 1 or 2, got {span}")
+    if not 0 <= site <= stack.order - span:
+        raise ValueError(f"site {site} out of range for span {span} on {stack.order} sites")
     env_l = stack.left_env(site)
-    env_r = stack.right_env(site + 1)
+    env_r = stack.right_env(site + span)
     op = stack.op[site]
-    rows = env_l.shape[0] * op.shape[1] * env_r.shape[0]
-    cols = env_l.shape[2] * op.shape[2] * env_r.shape[2]
-    _check_local_dim(max(rows, cols), cap)
-    h = np.einsum("apc,pijq,bqd->aibcjd", env_l, op, env_r, optimize=True)
+    if span == 2:
+        op = np.einsum("pabq,qcdr->pacbdr", op, stack.op[site + 1])
+    return env_l, op, env_r
+
+
+def effective_operator(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
+    """Dense local operator over the ``span`` (1 or 2) cores starting at
+    ``site``: rows pair with the vectorization of the bra core (or merged
+    supercore), columns with the ket's."""
+    env_l, op, env_r = _span_frame(stack, site, span)
+    rows = env_l.shape[0] * math.prod(op.shape[1 : 1 + span]) * env_r.shape[0]
+    cols = env_l.shape[2] * math.prod(op.shape[1 + span : -1]) * env_r.shape[2]
+    _check_local_dim(max(rows, cols))
+    i, j = "ik"[:span], "jl"[:span]
+    h = np.einsum(f"apc,p{i}{j}q,bqd->a{i}bc{j}d", env_l, op, env_r, optimize=True)
     return h.reshape(rows, cols)
 
 
-def effective_operator_two(stack: EnvStack, site: int, cap: Optional[int] = None) -> np.ndarray:
-    """Two-site local operator over the merged supercore at (site, site+1)."""
-    env_l = stack.left_env(site)
-    env_r = stack.right_env(site + 2)
-    op = np.einsum("pabq,qcdr->pacbdr", stack.op[site], stack.op[site + 1])
-    rows = env_l.shape[0] * op.shape[1] * op.shape[2] * env_r.shape[0]
-    cols = env_l.shape[2] * op.shape[3] * op.shape[4] * env_r.shape[2]
-    _check_local_dim(max(rows, cols), cap)
-    h = np.einsum("apc,pikjlq,bqd->aikbcjld", env_l, op, env_r, optimize=True)
-    return h.reshape(rows, cols)
-
-
-def effective_rhs(stack: EnvStack, site: int, cap: Optional[int] = None) -> np.ndarray:
-    """Local right-hand side at ``site``: the stack's ket chain contracted
-    against the bra frame, ``frame(bra)ᵀ · op · ket``."""
-    env_l = stack.left_env(site)
-    env_r = stack.right_env(site + 1)
-    op, ket = stack.op[site], stack.ket[site]
-    dim = env_l.shape[0] * op.shape[1] * env_r.shape[0]
-    _check_local_dim(dim, cap)
-    t = np.einsum("apc,cjd->apjd", env_l, ket)
-    t = np.einsum("apjd,pijq->aidq", t, op)
-    v = np.einsum("aidq,bqd->aib", t, env_r)
-    return v.reshape(dim)
-
-
-def effective_rhs_two(stack: EnvStack, site: int, cap: Optional[int] = None) -> np.ndarray:
-    """Two-site analogue of :func:`effective_rhs`."""
-    env_l = stack.left_env(site)
-    env_r = stack.right_env(site + 2)
-    op = np.einsum("pabq,qcdr->pacbdr", stack.op[site], stack.op[site + 1])
-    ket = np.tensordot(stack.ket[site], stack.ket[site + 1], axes=(2, 0))
-    dim = env_l.shape[0] * op.shape[1] * op.shape[2] * env_r.shape[0]
-    _check_local_dim(dim, cap)
-    v = np.einsum("apc,pikjlq,cjld,bqd->aikb", env_l, op, ket, env_r, optimize=True)
+def effective_rhs(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
+    """Local right-hand side over the ``span`` cores starting at ``site``:
+    the stack's ket chain contracted against the bra frame,
+    ``frame(bra)ᵀ · op · ket``."""
+    env_l, op, env_r = _span_frame(stack, site, span)
+    dim = env_l.shape[0] * math.prod(op.shape[1 : 1 + span]) * env_r.shape[0]
+    _check_local_dim(dim)
+    if span == 2:
+        ket = np.tensordot(stack.ket[site], stack.ket[site + 1], axes=(2, 0))
+        v = np.einsum("apc,pikjlq,cjld,bqd->aikb", env_l, op, ket, env_r, optimize=True)
+    else:
+        t = np.einsum("apc,cjd->apjd", env_l, stack.ket[site])
+        t = np.einsum("apjd,pijq->aidq", t, op)
+        v = np.einsum("aidq,bqd->aib", t, env_r)
     return v.reshape(dim)

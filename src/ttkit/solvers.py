@@ -2,10 +2,12 @@
 
 All solvers share one engine: the iterate is kept mixed-canonical with an
 "active" site holding the current local solution (K columns for the block
-solvers); dense local problems are assembled from cached environments and
-solved exactly.  A sweep is two half-sweeps, left to right and back, over
-one site schedule: each step solves the local problem at a site (or a site
-pair), installs the solution and moves the active site one bond on.
+solvers); dense local problems are assembled from cached environments by
+one builder, ``frames.effective_operator``/``frames.effective_rhs`` over a
+span of one site or a site pair, and solved exactly.  Their size is bounded
+only by ``frames.LOCAL_DIM_CAP``.  A sweep is two half-sweeps, left to
+right and back, over one site schedule: each step solves the local problem
+over its span, installs the solution and moves the active site one bond on.
 Because the frames are orthonormal, every local solve of an eigen-, SVD or
 CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone; ``linsolve`` on ill-conditioned operators is the
@@ -27,14 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import mpo_apply, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
-from .frames import (
-    EnvStack,
-    effective_operator,
-    effective_operator_two,
-    effective_rhs,
-    effective_rhs_two,
-    env_build,
-)
+from .frames import EnvStack, effective_operator, effective_rhs, env_build
 from .train import (
     BlockTT,
     TruncationPolicy,
@@ -74,7 +69,6 @@ class SweepConfig:
     adaptive: bool = False
     trunc_tol: float = 1e-10
     max_rank: Optional[int] = None
-    local_cap: int = 4096
     seed: int = 0
     identity_grams: bool = False  # CCA only: treat the data Grams as identity
 
@@ -89,8 +83,6 @@ class SweepConfig:
             raise ValueError("rank must be positive")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be positive")
-        if self.local_cap < 1:
-            raise ValueError("local_cap must be positive")
 
 
 @dataclass
@@ -153,13 +145,14 @@ class _Chain:
     def __init__(self, modes, rank: int, k: int, rng):
         modes = [int(m) for m in modes]
         n = len(modes)
-        profile = feasible_ranks(modes, [rank] * (n - 1)) if n > 1 else [1, 1]
+        profile = feasible_ranks(modes, [rank] * (n - 1))
         for site in range(n):
             if profile[site] * modes[site] * profile[site + 1] < k:
-                raise ValueError(
-                    f"K={k} exceeds the local dimension at site {site}; "
-                    "increase the rank"
-                )
+                # the largest local dimension any rank allows at this site
+                top = feasible_ranks(modes, [math.prod(modes)] * (n - 1))
+                most = top[site] * modes[site] * top[site + 1]
+                advice = "increase the rank" if most >= k else f"the mode sizes allow at most {most} there"
+                raise ValueError(f"K={k} exceeds the local dimension at site {site}; {advice}")
         cores = [
             rng.standard_normal((profile[j], modes[j], profile[j + 1]))
             for j in range(n)
@@ -250,12 +243,12 @@ class _Chain:
         self.x = np.ascontiguousarray(left.transpose(0, 1, 3, 2))
         self.pos = n
 
-    def install(self, solution, step: int, two_site: bool, policy: TruncationPolicy):
+    def install(self, solution, step: int, span: int, policy: TruncationPolicy):
         """Install a local solution and move the active site one bond in
-        direction ``step`` (+1 right, -1 left).  A two-site solution spans
-        the active site and its neighbour in that direction and is split
-        under ``policy``; a single-site solution stays put at either end."""
-        if two_site:
+        direction ``step`` (+1 right, -1 left).  A solution over span 2
+        covers the active site and its neighbour in that direction and is
+        split under ``policy``; one over span 1 stays put at either end."""
+        if span == 2:
             (self.split_pair_right if step > 0 else self.split_pair_left)(solution, policy)
             return
         ra, i, rb, k = self.x.shape
@@ -283,26 +276,35 @@ def _run_sweeps(
 ):
     """Alternate half-sweeps over one site schedule until convergence.
 
-    ``solve(site, two_site)`` returns the local objective and one local
-    solution per chain.  A step at ``site`` installs that solution and moves
-    the active site one bond in the sweep direction: single-site steps cover
-    every site and the last step of a half-sweep stays put; two-site steps
-    cover the pairs ``(site, site+1)`` and always move.  Whenever the active
-    site moves, the environments across the bond it crossed are refreshed.
-    The objective of a half-sweep is that of its last step.
+    ``solve(site, span)`` returns the local objective and one local solution
+    per chain for the ``span`` sites starting at ``site``.  A step installs
+    that solution and moves the active site one bond in the sweep direction:
+    with span 1 the steps cover every site and the last step of a half-sweep
+    stays put; with span 2 (adaptive) they cover the pairs ``(site, site+1)``
+    and always move.  Whenever the active site moves, the environments across
+    the bond it crossed are refreshed.  The objective of a half-sweep is that
+    of its last step.
+
+    A half-sweep starts where the previous one ended.  That step sees the
+    same environments as the step before it (the install in between touched
+    no environment it reads), so its local problem is solved once and the
+    kept solution is installed again.
     """
     n_sites = chains[0].order
-    two_site = config.adaptive and n_sites > 1
+    span = 2 if config.adaptive and n_sites > 1 else 1
     policy = TruncationPolicy(config.trunc_tol, config.max_rank)
-    last = n_sites - 2 if two_site else n_sites - 1  # last site a step starts at
+    last = n_sites - span  # last site a step starts at
     prev = None
+    solved = None  # (site, objective, solutions) of the latest local solve
     for sweep in range(1, config.max_sweeps + 1):
         for step, sites in ((1, range(last + 1)), (-1, range(last, -1, -1))):
             for site in sites:
-                obj, sols = solve(site, two_site)
+                if solved is None or solved[0] != site:
+                    solved = (site, *solve(site, span))
+                _, obj, sols = solved
                 start = chains[0].pos
                 for chain, sol in zip(chains, sols):
-                    chain.install(sol, step, two_site, policy)
+                    chain.install(sol, step, span, policy)
                 if chains[0].pos != start:
                     bond = min(start, chains[0].pos)  # cores bond and bond+1 changed
                     for stack in stacks:
@@ -385,19 +387,14 @@ def _block_eig(
     report = SolveReport(sense="min")
     state = {"values": np.zeros(k)}
 
-    def local_matrices(site, two_site):
-        build = effective_operator_two if two_site else effective_operator
-        h = _symmetrize(build(stacks[0], site, config.local_cap))
-        b = _symmetrize(build(stacks[1], site, config.local_cap)) if metric is not None else None
-        return h, b
-
-    def solve(site, two_site):
-        h, b = local_matrices(site, two_site)
+    def solve(site, span):
+        h = _symmetrize(effective_operator(stacks[0], site, span))
         if h.shape[0] < k:
             raise ValueError(f"local dimension {h.shape[0]} cannot hold K={k} vectors")
-        if b is None:
+        if metric is None:
             w, v = scipy.linalg.eigh(h)
         else:
+            b = _symmetrize(effective_operator(stacks[1], site, span))
             w, v = _shift_ladder(b, lambda bm: scipy.linalg.eigh(h, bm), report, "local metric")
         state["values"] = w[:k].copy()
         return float(np.sum(w[:k])), [v[:, :k]]
@@ -503,16 +500,12 @@ def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
     report = SolveReport(sense="max")
     state = {"sigma": 0.0}
 
-    def solve(site, two_site):
-        build = effective_operator_two if two_site else effective_operator
-        cross = build(stack, site, config.local_cap)
+    def solve(site, span):
+        cross = effective_operator(stack, site, span)
         uu, ss, vvt = scipy.linalg.svd(cross, full_matrices=False)
-        u1, v1 = uu[:, :1], vvt[:1].T
-        j = int(np.argmax(np.abs(u1)))
-        if u1[j, 0] < 0:
-            u1, v1 = -u1, -v1
+        u1, v1t = fix_svd_signs(uu[:, :1], vvt[:1])
         state["sigma"] = float(ss[0])
-        return float(ss[0]), [u1, v1]
+        return float(ss[0]), [u1, v1t.T]
 
     def residual():
         sigma = state["sigma"]
@@ -563,17 +556,16 @@ def cca(
     report = SolveReport(sense="max")
     state = {"corr": np.zeros(k), "constraint": 0.0}
 
-    def solve(site, two_site):
-        build = effective_operator_two if two_site else effective_operator
-        c_loc = build(s_cross, site, config.local_cap)
+    def solve(site, span):
+        c_loc = effective_operator(s_cross, site, span)
         if min(c_loc.shape) < k:
             raise ValueError(f"local dimension {c_loc.shape} cannot hold K={k}")
         if config.identity_grams:
             uu, ss, vvt = scipy.linalg.svd(c_loc, full_matrices=False)
             wx_loc, wy_loc = uu[:, :k], vvt[:k].T
         else:
-            g_x = _symmetrize(build(s_gx, site, config.local_cap))
-            g_y = _symmetrize(build(s_gy, site, config.local_cap))
+            g_x = _symmetrize(effective_operator(s_gx, site, span))
+            g_y = _symmetrize(effective_operator(s_gy, site, span))
             l_x, l_y = (
                 _shift_ladder(
                     g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
@@ -585,11 +577,8 @@ def cca(
             uu, ss, vvt = scipy.linalg.svd(m, full_matrices=False)
             wx_loc = scipy.linalg.solve_triangular(l_x.T, uu[:, :k], lower=False)
             wy_loc = scipy.linalg.solve_triangular(l_y.T, vvt[:k].T, lower=False)
-        for col in range(k):
-            j = int(np.argmax(np.abs(wx_loc[:, col])))
-            if wx_loc[j, col] < 0:
-                wx_loc[:, col] *= -1.0
-                wy_loc[:, col] *= -1.0
+        wx_loc, wy_t = fix_svd_signs(wx_loc, wy_loc.T)
+        wy_loc = wy_t.T
         state["corr"] = ss[:k].copy()
         if config.identity_grams:
             cons_x = wx_loc.T @ wx_loc - np.eye(k)
@@ -637,13 +626,9 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
     rhs_norm = tt_norm(rhs)
     report = SolveReport(sense="min")
 
-    def solve(site, two_site):
-        if two_site:
-            h = _symmetrize(effective_operator_two(s_gram, site, config.local_cap))
-            b = effective_rhs_two(s_rhs, site, config.local_cap)
-        else:
-            h = _symmetrize(effective_operator(s_gram, site, config.local_cap))
-            b = effective_rhs(s_rhs, site, config.local_cap)
+    def solve(site, span):
+        h = _symmetrize(effective_operator(s_gram, site, span))
+        b = effective_rhs(s_rhs, site, span)
         z = _solve_spd(h, b, report)
         objective = float(z @ (h @ z) - 2.0 * (z @ b))
         return objective, [z[:, None]]

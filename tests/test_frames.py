@@ -5,9 +5,7 @@ from ttkit.algebra import eye_mpo, tt_inner
 from ttkit.frames import (
     EnvStack,
     effective_operator,
-    effective_operator_two,
     effective_rhs,
-    effective_rhs_two,
     env_build,
     frame_matrix,
     frame_matrix_two,
@@ -217,7 +215,7 @@ def test_effective_operator_two_equals_two_core_sandwich():
         stack = env_build(xc.cores, a.cores, xc.cores)
         for k in range(site):
             stack.update_left(k)
-        h2 = effective_operator_two(stack, site)
+        h2 = effective_operator(stack, site, span=2)
         f2 = frame_matrix_two(xc, site)
         want = f2.T @ dense @ f2
         assert np.abs(h2 - want).max() <= 1e-11 * max(np.abs(want).max(), 1.0)
@@ -269,17 +267,18 @@ def test_effective_rhs_consistent_with_operator():
 
     y = mpo_apply(a, x)
     gram = mpo_mul(mpo_transpose(a), a)
-    for site in range(x.order):
-        xc = orthogonalize(x, site)
-        s_rhs = env_build(xc.cores, mpo_transpose(a).cores, y.cores)
-        s_gram = env_build(xc.cores, gram.cores, xc.cores)
-        for k in range(site):
-            s_rhs.update_left(k)
-            s_gram.update_left(k)
-        rhs = effective_rhs(s_rhs, site)
-        h = effective_operator(s_gram, site)
-        core = xc.cores[site].reshape(-1)
-        assert np.linalg.norm(rhs - h @ core) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
+    for span in (1, 2):
+        for site in range(x.order - span + 1):
+            xc = orthogonalize(x, site)
+            s_rhs = env_build(xc.cores, mpo_transpose(a).cores, y.cores)
+            s_gram = env_build(xc.cores, gram.cores, xc.cores)
+            for k in range(site):
+                s_rhs.update_left(k)
+                s_gram.update_left(k)
+            rhs = effective_rhs(s_rhs, site, span)
+            h = effective_operator(s_gram, site, span)
+            core = (xc.cores[site] if span == 1 else merged_core(xc, site)).reshape(-1)
+            assert np.linalg.norm(rhs - h @ core) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
 
 def test_effective_rhs_zero():
@@ -301,7 +300,7 @@ def test_effective_rhs_two_matches_dense():
         stack = env_build(xc.cores, a.cores, y.cores)
         for k in range(site):
             stack.update_left(k)
-        rhs2 = effective_rhs_two(stack, site)
+        rhs2 = effective_rhs(stack, site, span=2)
         want = frame_matrix_two(xc, site).T @ (a.full() @ vec(y))
         assert np.linalg.norm(rhs2 - want) <= 1e-11 * max(np.linalg.norm(want), 1.0)
 
@@ -320,13 +319,26 @@ def test_stale_environment_rejected():
         stack.update_left(1)
 
 
-def test_local_dim_cap():
+def test_local_dim_cap(monkeypatch):
     rng = np.random.default_rng(22)
     x = random_tt((2, 2, 2), 2, rng)
     a = random_mpo((2, 2, 2), (2, 2, 2), 2, rng)
     stack = env_build(x.cores, a.cores, x.cores)
+    monkeypatch.setattr("ttkit.frames.LOCAL_DIM_CAP", 2)
     with pytest.raises(ValueError, match="cap"):
-        effective_operator(stack, 0, cap=2)
+        effective_operator(stack, 0)
+
+
+def test_span_and_site_out_of_range_rejected():
+    rng = np.random.default_rng(24)
+    x = random_tt((2, 2, 2, 2), 2, rng)
+    a = random_mpo((2, 2, 2, 2), (2, 2, 2, 2), 2, rng)
+    stack = env_build(x.cores, a.cores, x.cores)
+    n = stack.order
+    for site, span, match in [(-1, 1, "site -1"), (n, 1, f"site {n}"), (n - 1, 2, f"site {n - 1}"), (0, 3, "span")]:
+        for build in (effective_operator, effective_rhs):
+            with pytest.raises(ValueError, match=match):
+                build(stack, site, span)
 
 
 def test_env_build_accepts_tt_objects():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from ttkit.algebra import diagonal_mpo, eye_mpo, mpo_apply, mpo_mul, mpo_transpose, tt_inner, tt_norm
-from ttkit.quantize import plan_auto, quantize_vector
+from ttkit.quantize import plan_auto, quantize_matrix, quantize_vector
 from ttkit.solvers import (
     SolveReport,
     SweepConfig,
@@ -167,10 +167,28 @@ def test_eig_k_too_large_for_rank():
         eig_block(op, 5, SweepConfig(rank=1))
 
 
-def test_local_cap_enforced():
+def test_local_cap_enforced(monkeypatch):
     op, _ = laplacian_mpo(5)
+    monkeypatch.setattr("ttkit.frames.LOCAL_DIM_CAP", 8)
     with pytest.raises(ValueError, match="cap"):
-        eig_min(op, SweepConfig(rank=8, local_cap=8))
+        eig_min(op, SweepConfig(rank=8))
+
+
+def test_k_error_advises_rank_only_when_it_helps():
+    # the shorter side is padded with a size-1 mode: site 4 holds one column
+    # whatever the rank, so "increase the rank" would be wrong advice
+    rng = np.random.default_rng(5)
+    x_op, y_op = (
+        quantize_matrix(rng.standard_normal((16, 32)), plan_auto(16), plan_auto(32))
+        for _ in range(2)
+    )
+    assert x_op.row_sizes == (2, 2, 2, 2, 1)
+    for rank in (4, 64):
+        with pytest.raises(ValueError, match="site 4; the mode sizes allow at most 1 there"):
+            cca(x_op, y_op, 2, SweepConfig(rank=rank))
+    op, _ = laplacian_mpo(3)
+    with pytest.raises(ValueError, match="site 0; increase the rank"):
+        eig_block(op, 3, SweepConfig(rank=1))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +225,30 @@ def test_mals_two_site_chain_solves_exactly_in_one_sweep():
     w = np.linalg.eigvalsh(dense)
     lam, _, _ = eig_min(op, SweepConfig(max_sweeps=1, rank=1, seed=0, adaptive=True, trunc_tol=1e-14))
     assert abs(lam - w[0]) < 1e-12
+
+
+def test_turning_step_is_solved_once(monkeypatch):
+    # a half-sweep starts where the previous one ended, on the same local
+    # problem; it is assembled and solved once
+    import ttkit.solvers
+
+    op, _ = laplacian_mpo(4)
+    sites = []
+    build = ttkit.solvers.effective_operator
+
+    def recording(stack, site, span=1):
+        sites.append((site, span))
+        return build(stack, site, span)
+
+    monkeypatch.setattr(ttkit.solvers, "effective_operator", recording)
+    for adaptive, want in [
+        (False, [0, 1, 2, 3, 2, 1, 0, 1, 2, 3, 2, 1, 0]),
+        (True, [0, 1, 2, 1, 0, 1, 2, 1, 0]),
+    ]:
+        sites.clear()
+        _, _, rep = eig_min(op, SweepConfig(max_sweeps=2, rank=4, seed=0, adaptive=adaptive))
+        assert sites == [(s, 2 if adaptive else 1) for s in want]
+        assert len(rep.objective) == 4 and rep.is_monotone()
 
 
 def test_mals_respects_max_rank_cap():
