@@ -15,6 +15,7 @@ refuse problems larger than ``LOCAL_DIM_CAP``, read at call time.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -200,6 +201,20 @@ def env_build(bra, op: TTMatrix, ket) -> EnvStack:
     return stack
 
 
+@functools.lru_cache(maxsize=256)
+def _contraction_path(subscripts: str, *shapes) -> tuple:
+    """The contraction order ``einsum(optimize=True)`` picks for operands of
+    these shapes; planning it costs about as much as a small contraction, and
+    a sweep repeats the same few shapes at every site."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+
+
+def _planned_einsum(subscripts: str, *operands) -> np.ndarray:
+    path = _contraction_path(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def _check_local_dim(dim: int):
     if dim > LOCAL_DIM_CAP:
         raise ValueError(
@@ -232,7 +247,7 @@ def effective_operator(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     cols = env_l.shape[2] * math.prod(op.shape[1 + span : -1]) * env_r.shape[2]
     _check_local_dim(max(rows, cols))
     i, j = "ik"[:span], "jl"[:span]
-    h = np.einsum(f"apc,p{i}{j}q,bqd->a{i}bc{j}d", env_l, op, env_r, optimize=True)
+    h = _planned_einsum(f"apc,p{i}{j}q,bqd->a{i}bc{j}d", env_l, op, env_r)
     return h.reshape(rows, cols)
 
 
@@ -245,7 +260,7 @@ def effective_rhs(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     _check_local_dim(dim)
     if span == 2:
         ket = np.tensordot(stack.ket[site], stack.ket[site + 1], axes=(2, 0))
-        v = np.einsum("apc,pikjlq,cjld,bqd->aikb", env_l, op, ket, env_r, optimize=True)
+        v = _planned_einsum("apc,pikjlq,cjld,bqd->aikb", env_l, op, ket, env_r)
     else:
         t = np.einsum("apc,cjd->apjd", env_l, stack.ket[site])
         t = np.einsum("apjd,pijq->aidq", t, op)
