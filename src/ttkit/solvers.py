@@ -5,13 +5,15 @@ All solvers share one engine: the iterate is kept mixed-canonical with an
 solvers); dense local problems are assembled from cached environments by
 one builder, ``frames.effective_operator``/``frames.effective_rhs`` over a
 span of one site or a site pair, and solved exactly.  Their size is bounded
-only by ``frames.LOCAL_DIM_CAP``.  A sweep is two half-sweeps, left to
-right and back, over one site schedule: each step solves the local problem
-over its span, installs the solution and moves the active site one bond on.
-Because the frames are orthonormal, every local solve of an eigen-, SVD or
-CCA problem can only improve the global objective, so its per-half-sweep
-trajectory is monotone; ``linsolve`` on ill-conditioned operators is the
-exception (see its docstring).
+only by ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the
+sweep keeps: the K extreme eigenpairs (``eigh`` with ``subset_by_index``),
+or for ``svd_dominant`` the top singular triplet.  A sweep is two
+half-sweeps, left to right and back, over one site schedule: each step
+solves the local problem over its span, installs the solution and moves the
+active site one bond on.  Because the frames are orthonormal, every local
+solve of an eigen-, SVD or CCA problem can only improve the global
+objective, so its per-half-sweep trajectory is monotone; ``linsolve`` on
+ill-conditioned operators is the exception (see its docstring).
 
 Rank policies: the default is single-site updates at the initial bond ranks
 (the block index carries its exact rank across bonds); ``adaptive=True``
@@ -391,13 +393,16 @@ def _block_eig(
         h = _symmetrize(effective_operator(stacks[0], site, span))
         if h.shape[0] < k:
             raise ValueError(f"local dimension {h.shape[0]} cannot hold K={k} vectors")
+        kept = [0, k - 1]
         if metric is None:
-            w, v = scipy.linalg.eigh(h)
+            w, v = scipy.linalg.eigh(h, subset_by_index=kept)
         else:
             b = _symmetrize(effective_operator(stacks[1], site, span))
-            w, v = _shift_ladder(b, lambda bm: scipy.linalg.eigh(h, bm), report, "local metric")
-        state["values"] = w[:k].copy()
-        return float(np.sum(w[:k])), [v[:, :k]]
+            w, v = _shift_ladder(
+                b, lambda bm: scipy.linalg.eigh(h, bm, subset_by_index=kept), report, "local metric"
+            )
+        state["values"] = w
+        return float(np.sum(w)), [v]
 
     def residual():
         vectors = _block_columns(chain.snapshot())
@@ -489,9 +494,35 @@ def gevd(
 # singular triplets
 
 
+def _top_singular_triplet(c: np.ndarray):
+    """``(sigma, u, v)`` for the largest singular value of ``c``, from the top
+    eigenpair of its smaller Gram matrix (cᵀc when c is tall, c·cᵀ when
+    wide).  This is safe for the top pair only: sigma_1² comes out to a
+    relative error of eps, so sigma_1 = ‖c·v‖ loses nothing, and the vector
+    error is governed by sigma_1 / (sigma_1 - sigma_2) as in a direct SVD.
+    A smaller sigma_k would only be found to an absolute error of about
+    eps·sigma_1²/sigma_k, so the route does not extend to K > 1."""
+    tall = c.shape[0] >= c.shape[1]
+    a = c if tall else c.T
+    n = a.shape[1]
+    _, near = scipy.linalg.eigh(a.T @ a, subset_by_index=[n - 1, n - 1])
+    far = a @ near
+    sigma = float(np.linalg.norm(far))
+    if sigma == 0.0:  # c == 0: every unit vector is a singular vector
+        far[0] = 1.0
+    else:
+        far /= sigma
+    u, v = (far, near) if tall else (near, far)
+    u, vt = fix_svd_signs(u, v.T)
+    return sigma, u, vt.T
+
+
 def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
     """Largest singular triplet via alternating maximization of uᵀ·A·v with
-    unit-norm TT factors; each site solves a dense local top-SVD."""
+    unit-norm TT factors.  Each site takes the top singular triplet of its
+    dense local cross matrix from the top eigenpair of the smaller Gram
+    matrix, which costs no digits for the top pair (see
+    ``_top_singular_triplet``)."""
     rng = np.random.default_rng(config.seed)
     u_chain = _Chain(op.row_sizes, config.rank, 1, rng)
     v_chain = _Chain(op.col_sizes, config.rank, 1, rng)
@@ -501,11 +532,9 @@ def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
     state = {"sigma": 0.0}
 
     def solve(site, span):
-        cross = effective_operator(stack, site, span)
-        uu, ss, vvt = scipy.linalg.svd(cross, full_matrices=False)
-        u1, v1t = fix_svd_signs(uu[:, :1], vvt[:1])
-        state["sigma"] = float(ss[0])
-        return float(ss[0]), [u1, v1t.T]
+        sigma, u1, v1 = _top_singular_triplet(effective_operator(stack, site, span))
+        state["sigma"] = sigma
+        return sigma, [u1, v1]
 
     def residual():
         sigma = state["sigma"]

@@ -15,7 +15,7 @@ from ttkit.solvers import (
     svd_dominant,
     svd_small_k,
 )
-from ttkit.train import TruncationPolicy, TTVector, mpo_svd, random_tt, tt_svd
+from ttkit.train import TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt, tt_svd
 
 OP_TOL = TruncationPolicy(1e-13)
 
@@ -128,6 +128,19 @@ def test_eig_block_laplacian_three_smallest():
     cols = blk.full_matrix()
     assert np.abs(cols.T @ cols - np.eye(3)).max() < 1e-10
     assert rep.is_monotone()
+
+
+@pytest.mark.parametrize("modes, k", [(3, 1), (3, 3), (3, 8), (4, 16)])
+def test_local_eigenpairs_match_eigvalsh(modes, k):
+    # one site: the local matrix is the operator itself, K up to its dimension
+    _, dense = random_sym_mpo(modes, 30 + k)
+    n = dense.shape[0]
+    op = mpo_svd(dense, (n,), (n,), OP_TOL)
+    vals, blk, _ = eig_block(op, k, SweepConfig(max_sweeps=1, rank=1, seed=0))
+    scale = np.linalg.norm(dense, 2)
+    assert np.abs(vals - np.linalg.eigvalsh(dense)[:k]).max() <= 1e-13 * scale
+    cols = blk.full_matrix()
+    assert np.abs(cols.T @ cols - np.eye(k)).max() < 1e-12
 
 
 def test_eig_local_objective_matches_global():
@@ -288,6 +301,25 @@ def test_svd_dominant_random_vs_dense():
     assert u.full().reshape(-1) @ dense @ v.full().reshape(-1) == pytest.approx(sigma, rel=1e-9)
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_svd_dominant_rectangular_matches_dense(adaptive):
+    # wide 8x16: local cross matrices are tall, square and wide
+    dense = np.random.default_rng(0).standard_normal((8, 16))
+    op = quantize_matrix(dense, plan_auto(8), plan_auto(16), OP_TOL)
+    sigma, u, v, _ = svd_dominant(op, SweepConfig(max_sweeps=30, rank=4, seed=0, adaptive=adaptive))
+    assert abs(sigma - np.linalg.svd(dense, compute_uv=False)[0]) <= 1e-12
+    assert u.full().reshape(-1) @ dense @ v.full().reshape(-1) == pytest.approx(sigma, rel=1e-12)
+
+
+def test_svd_dominant_zero_operator():
+    sigma, u, v, _ = svd_dominant(TTMatrix([np.zeros((1, 2, 2, 1))] * 4), SweepConfig(max_sweeps=2, rank=2))
+    assert sigma == 0.0
+    for x in (u, v):
+        f = x.full().reshape(-1)
+        assert np.all(np.isfinite(f))
+        assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_svd_dominant_sign_flip_invariance():
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((8, 8))
@@ -367,6 +399,23 @@ def test_gevd_desk_scale_vs_dense():
     assert np.abs(vals - w[:3]).max() < 1e-6
     vm = vblk.full_matrix()
     assert np.abs(vm.T @ b_dense @ vm - np.eye(3)).max() < 1e-8
+
+
+@pytest.mark.parametrize("modes, k", [(3, 2), (3, 8), (4, 16)])
+def test_local_generalized_eigenpairs_match_eigvalsh(modes, k):
+    # one site with X = I: the local pencil is (A, B) with B SPD
+    _, a_dense = random_sym_mpo(modes, 40 + k)
+    n = a_dense.shape[0]
+    q = np.random.default_rng(50 + k).standard_normal((n, n))
+    b_dense = q @ q.T + n * np.eye(n)
+    ops = [mpo_svd(m, (n,), (n,), OP_TOL) for m in (np.eye(n), a_dense, b_dense)]
+    vals, vblk, _ = gevd(*ops, k, SweepConfig(max_sweeps=1, rank=1, seed=0))
+    chol = np.linalg.cholesky(b_dense)
+    whitened = np.linalg.solve(chol, np.linalg.solve(chol, a_dense).T)
+    want = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[:k]
+    assert np.abs(vals - want).max() <= 1e-13 * np.linalg.norm(whitened, 2)
+    vm = vblk.full_matrix()
+    assert np.abs(vm.T @ b_dense @ vm - np.eye(k)).max() < 1e-12
 
 
 def test_gevd_orthogonal_x_diagonal_a_analytic():

@@ -6,13 +6,18 @@ single-site and ``--adaptive``), and prints one SHA-256 per output file, per
 captured stdout/stderr stream, and a total over all of them.  Two source
 trees that print the same total produce byte-identical outputs.
 
-    PYTHONPATH=src python tools/cli_digest.py
+    PYTHONPATH=src python tools/cli_digest.py [--values]
 
 To compare with another checkout, point ``PYTHONPATH`` at its ``src``.
+``--values`` also prints, after each hash, the numbers of every
+``.values.csv`` and the ``objective=`` line of every report, so that two
+checkouts whose bits differ can be compared number by number; the total
+does not depend on it.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -99,8 +104,19 @@ def _run(name: str, argv: list) -> dict:
     }
 
 
+def _values(label: str, data: bytes) -> str:
+    """The numbers a solver output carries: each value of a ``.values.csv``
+    and the ``objective=`` line of a ``.report.txt``; empty for other files."""
+    if label.endswith(".values.csv"):
+        return " ".join(row.split(",")[1] for row in data.decode().splitlines()[1:])
+    if label.endswith(".report.txt"):
+        return " ".join(row for row in data.decode().splitlines() if row.startswith("objective="))
+    return ""
+
+
 def digests() -> list:
-    """Sorted (label, sha256 hex) pairs for every stream and output file."""
+    """Sorted (label, sha256 hex, values) triples for every stream and
+    output file; ``values`` as in :func:`_values`."""
     blobs = {}
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,12 +137,20 @@ def digests() -> list:
                     blobs[path] = fh.read()
         finally:
             os.chdir(start)
-    return sorted((label, hashlib.sha256(data).hexdigest()) for label, data in blobs.items())
+    return sorted(
+        (label, hashlib.sha256(data).hexdigest(), _values(label, data)) for label, data in blobs.items()
+    )
 
 
-def main() -> int:
-    lines = [f"{digest}  {label}" for label, digest in digests()]
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="SHA-256 digest of seeded CLI outputs")
+    parser.add_argument("--values", action="store_true", help="print solver values next to the hashes")
+    args = parser.parse_args(argv)
+    rows = digests()
+    lines = [f"{digest}  {label}" for label, digest, _ in rows]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    if args.values:
+        lines = [f"{line}  {values}" if values else line for line, (_, _, values) in zip(lines, rows)]
     print("\n".join(lines))
     print(f"{total}  TOTAL ({len(lines)} outputs)")
     return 0
