@@ -501,9 +501,15 @@ def _top_singular_triplet(c: np.ndarray):
     relative error of eps, so sigma_1 = ‖c·v‖ loses nothing, and the vector
     error is governed by sigma_1 / (sigma_1 - sigma_2) as in a direct SVD.
     A smaller sigma_k would only be found to an absolute error of about
-    eps·sigma_1²/sigma_k, so the route does not extend to K > 1."""
+    eps·sigma_1²/sigma_k, so the route does not extend to K > 1.  When
+    the Gram matrix could overflow or underflow (max|c| beyond 2^±400), c is
+    scaled by a power of two, which is exact; not otherwise, because LAPACK's
+    eigensolvers are not bitwise invariant under scaling."""
     tall = c.shape[0] >= c.shape[1]
-    a = c if tall else c.T
+    exp = np.frexp(np.abs(c).max())[1]
+    if abs(exp) <= 400:
+        exp = 0
+    a = np.ldexp(c if tall else c.T, -exp)
     n = a.shape[1]
     _, near = scipy.linalg.eigh(a.T @ a, subset_by_index=[n - 1, n - 1])
     far = a @ near
@@ -514,7 +520,7 @@ def _top_singular_triplet(c: np.ndarray):
         far /= sigma
     u, v = (far, near) if tall else (near, far)
     u, vt = fix_svd_signs(u, v.T)
-    return sigma, u, vt.T
+    return float(np.ldexp(sigma, exp)), u, vt.T
 
 
 def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):

@@ -320,6 +320,18 @@ def test_svd_dominant_zero_operator():
         assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_svd_dominant_extreme_scale(scale):
+    # the local Gram matrices of these operators would overflow / underflow
+    dense = np.random.default_rng(4).standard_normal((8, 8))
+    config = SweepConfig(max_sweeps=10, rank=4, seed=0)
+    op = mpo_svd(dense, (2,) * 3, (2,) * 3, OP_TOL)
+    sigma, _, _, _ = svd_dominant(op, config)
+    scaled, u, v, _ = svd_dominant(TTMatrix([op.cores[0] * scale] + op.cores[1:]), config)
+    assert scaled == pytest.approx(scale * sigma, rel=1e-12)
+    assert np.all(np.isfinite(u.full())) and np.all(np.isfinite(v.full()))
+
+
 def test_svd_dominant_sign_flip_invariance():
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((8, 8))

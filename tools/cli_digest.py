@@ -4,20 +4,18 @@ Builds small dense inputs in a temporary directory, runs ``ttkit.cli.main``
 in-process on every subcommand that writes files (each solver both
 single-site and ``--adaptive``), and prints one SHA-256 per output file, per
 captured stdout/stderr stream, and a total over all of them.  Two source
-trees that print the same total produce byte-identical outputs.
+trees that print the same total produce byte-identical outputs.  After each
+hash it also prints the numbers of every ``.values.csv`` and the
+``objective=`` line of every report, so that two checkouts whose bits differ
+can be compared number by number; the total covers only the hash lines.
 
-    PYTHONPATH=src python tools/cli_digest.py [--values]
+    PYTHONPATH=src python tools/cli_digest.py
 
 To compare with another checkout, point ``PYTHONPATH`` at its ``src``.
-``--values`` also prints, after each hash, the numbers of every
-``.values.csv`` and the ``objective=`` line of every report, so that two
-checkouts whose bits differ can be compared number by number; the total
-does not depend on it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -142,16 +140,12 @@ def digests() -> list:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="SHA-256 digest of seeded CLI outputs")
-    parser.add_argument("--values", action="store_true", help="print solver values next to the hashes")
-    args = parser.parse_args(argv)
+def main() -> int:
     rows = digests()
     lines = [f"{digest}  {label}" for label, digest, _ in rows]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    if args.values:
-        lines = [f"{line}  {values}" if values else line for line, (_, _, values) in zip(lines, rows)]
-    print("\n".join(lines))
+    for line, (_, _, values) in zip(lines, rows):
+        print(f"{line}  {values}" if values else line)
     print(f"{total}  TOTAL ({len(lines)} outputs)")
     return 0
 
