@@ -14,45 +14,22 @@ from .algebra import (
     tt_scale,
 )
 from .container import load, save
-from .dense import (
-    BlockMatrix,
-    ac_product,
-    contract,
-    flat_index,
-    from_fortran_flat,
-    hadamard,
-    khatri_rao,
-    kron,
-    mode_n_product,
-    mode_n_vec_product,
-    multi_from_flat,
-    multilinear_product,
-    outer,
-    refold,
-    strong_kron,
-    to_fortran_flat,
-    unfold,
-    unfold_split,
-)
 from .frames import (
     EnvStack,
     effective_operator,
     effective_rhs,
     env_build,
-    frame_matrix,
-    frame_matrix_two,
-    left_interface,
-    merged_core,
-    right_interface,
 )
 from .quantize import (
     QuantizationPlan,
     dequantize,
     format_report,
+    from_fortran_flat,
     plan_auto,
     quantize_matrix,
     quantize_vector,
     storage_report,
+    to_fortran_flat,
 )
 from .solvers import (
     SolveReport,

@@ -54,12 +54,11 @@ def _parse_shape(text: str) -> tuple:
 
 
 def _read_raw(path: str) -> np.ndarray:
-    try:
-        data = np.fromfile(path, dtype="<f8")
-    except OSError as exc:
-        raise CliError(str(exc))
+    data = np.fromfile(path, dtype="<f8")
     if data.size == 0:
         raise CliError(f"{path} holds no float64 data")
+    if not np.isfinite(data).all():
+        raise CliError(f"{path} holds a non-finite value")
     return data.astype(np.float64)
 
 
@@ -369,10 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

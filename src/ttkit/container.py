@@ -8,9 +8,10 @@ Layout (all integers and floats little-endian):
 * mode sizes as u64 (N values; interleaved pairs I_n, J_n for kind 1);
 * ranks as u64 (N + 1 values);
 * kind 2 only: block position as u32 (1-based), K as u64;
-* core payloads concatenated in chain order as IEEE-754 f64, each laid out
-  with the first rank slowest, then the mode index (then the column mode for
-  a matrix, then the block index for the block core), last rank fastest.
+* core payloads concatenated in chain order as finite IEEE-754 f64, each
+  laid out with the first rank slowest, then the mode index (then the column
+  mode for a matrix, then the block index for the block core), last rank
+  fastest.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def load(path):
                 shape = (ranks[n], modes[n], ranks[n + 1])
             count = math.prod(shape)
             data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise ValueError(f"corrupt TTK1 container: core {n} holds a non-finite value")
             cores.append(data.astype(np.float64).reshape(shape))
         if fh.read(1):
             raise ValueError("trailing bytes after TTK1 payload")

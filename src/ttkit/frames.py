@@ -1,12 +1,10 @@
-"""Chain splitting machinery: interface matrices, frame matrices, and the
-cached environment blocks that all sweep solvers consume.
+"""The cached environment blocks that all sweep solvers consume, and the
+local problems built from them.
 
-For a TT vector x the frame matrix ``G_neq(n)`` maps the vectorized site-n
-core to the full vectorized tensor, ``vec(x) = G_neq(n) @ vec(G[n])``; it is
-the Kronecker product of the left interface, an identity of the site's mode
-size, and the right interface.  Explicit frame/interface matrices exist to
-verify contractions at desk scale and are guarded by a row cap; solvers only
-ever touch the cached three-layer environments.
+An environment is the partial contraction ``<bra| op |ket>`` of the sites
+left or right of a bond.  With the other cores in mixed-canonical form the
+environments act as exact frames, so a solver never forms the frame matrix
+that maps a core to the full vectorized tensor.
 
 Local problems come from one builder pair, :func:`effective_operator` and
 :func:`effective_rhs`, over a span of one core or two merged cores; both
@@ -23,20 +21,13 @@ import numpy as np
 from .train import TTMatrix, TTVector
 
 __all__ = [
-    "FRAME_ROW_CAP",
     "LOCAL_DIM_CAP",
-    "left_interface",
-    "right_interface",
-    "frame_matrix",
-    "frame_matrix_two",
-    "merged_core",
     "EnvStack",
     "env_build",
     "effective_operator",
     "effective_rhs",
 ]
 
-FRAME_ROW_CAP = 1 << 16
 LOCAL_DIM_CAP = 4096
 
 
@@ -46,71 +37,6 @@ def _cores_of(x) -> list:
     if isinstance(x, list):
         return x  # shared on purpose: sweeps mutate cores in place
     return list(x)
-
-
-def left_interface(x: TTVector, site: int) -> np.ndarray:
-    """Unfolding of the subtrain left of ``site``: shape
-    ``(R[site], I[0]*...*I[site-1])``.  For site 0 this is the 1x1 identity."""
-    cores = x.cores
-    if not 0 <= site < len(cores):
-        raise ValueError(f"site {site} out of range")
-    acc = np.ones((1, 1))  # (prod I, rank)
-    for core in cores[:site]:
-        acc = np.tensordot(acc, core, axes=(1, 0))
-        acc = acc.reshape(-1, acc.shape[-1])
-    return np.ascontiguousarray(acc.T)
-
-
-def right_interface(x: TTVector, site: int) -> np.ndarray:
-    """Unfolding of the subtrain right of ``site``: shape
-    ``(R[site+1], I[site+1]*...*I[N-1])``."""
-    cores = x.cores
-    if not 0 <= site < len(cores):
-        raise ValueError(f"site {site} out of range")
-    acc = np.ones((1, 1))  # (rank, prod I)
-    for core in reversed(cores[site + 1 :]):
-        acc = np.tensordot(core, acc, axes=(2, 0))
-        acc = acc.reshape(acc.shape[0], -1)
-    return np.ascontiguousarray(acc)
-
-
-def _check_frame_size(x: TTVector):
-    total = int(np.prod(x.mode_sizes, dtype=np.int64))
-    if total > FRAME_ROW_CAP:
-        raise ValueError(
-            f"dense frame would have {total} rows, above the cap {FRAME_ROW_CAP}"
-        )
-    return total
-
-
-def frame_matrix(x: TTVector, site: int) -> np.ndarray:
-    """Dense frame matrix at ``site``: ``kron(Lᵀ, I_mode, Rᵀ)`` with L, R the
-    interface matrices; satisfies ``vec(x) = frame @ vec(core)``."""
-    _check_frame_size(x)
-    left = left_interface(x, site).T
-    right = right_interface(x, site).T
-    mode = x.mode_sizes[site]
-    return np.kron(np.kron(left, np.eye(mode)), right)
-
-
-def frame_matrix_two(x: TTVector, site: int) -> np.ndarray:
-    """Two-core frame at sites ``(site, site+1)``; satisfies
-    ``vec(x) = frame @ vec(merged_core)``."""
-    if site >= x.order - 1:
-        raise ValueError(f"two-core frame needs site < {x.order - 1}")
-    _check_frame_size(x)
-    left = left_interface(x, site).T
-    right = right_interface(x, site + 1).T
-    i1, i2 = x.mode_sizes[site], x.mode_sizes[site + 1]
-    return np.kron(np.kron(left, np.eye(i1 * i2)), right)
-
-
-def merged_core(x: TTVector, site: int) -> np.ndarray:
-    """Supercore contracting sites ``site`` and ``site+1``; shape
-    ``(R[site], I[site], I[site+1], R[site+2])``."""
-    if site >= x.order - 1:
-        raise ValueError(f"merged core needs site < {x.order - 1}")
-    return np.tensordot(x.cores[site], x.cores[site + 1], axes=(2, 0))
 
 
 # ---------------------------------------------------------------------------

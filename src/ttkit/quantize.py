@@ -32,6 +32,8 @@ __all__ = [
     "dequantize",
     "storage_report",
     "format_report",
+    "from_fortran_flat",
+    "to_fortran_flat",
 ]
 
 
@@ -161,6 +163,22 @@ def dequantize(x, plan: QuantizationPlan = None):
     if isinstance(x, TTMatrix):
         return mpo_to_full(x)
     raise TypeError(f"cannot dequantize {type(x).__name__}")
+
+
+def from_fortran_flat(flat: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """Import utility: reinterpret a flat array linearized with the FIRST
+    index fastest (Fortran style) under this package's convention."""
+    shape = tuple(int(s) for s in shape)
+    if any(s < 1 for s in shape):
+        raise ValueError(f"mode sizes must be positive, got {shape}")
+    return np.ascontiguousarray(
+        np.asarray(flat, dtype=np.float64).reshape(shape, order="F")
+    )
+
+
+def to_fortran_flat(t: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`from_fortran_flat`."""
+    return np.ascontiguousarray(t, dtype=np.float64).reshape(-1, order="F")
 
 
 def storage_report(x) -> dict:

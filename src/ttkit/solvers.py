@@ -38,8 +38,10 @@ from .train import (
     TTMatrix,
     TTVector,
     _nonzero_svd,
+    block_extract,
     feasible_ranks,
     fix_svd_signs,
+    orthogonalize,
     qr_left,
     qr_right,
     select_rank,
@@ -159,10 +161,7 @@ class _Chain:
             rng.standard_normal((profile[j], modes[j], profile[j + 1]))
             for j in range(n)
         ]
-        for j in range(n - 1, 0, -1):
-            l, q = qr_right(cores[j])
-            cores[j] = q
-            cores[j - 1] = np.tensordot(cores[j - 1], l, axes=(2, 0))
+        cores = orthogonalize(TTVector(cores, copy=False), 0).cores
         self.modes = tuple(modes)
         self.k = k
         self.cores = cores
@@ -176,14 +175,7 @@ class _Chain:
         return len(self.cores)
 
     def ranks(self) -> list:
-        out = [1]
-        for j, core in enumerate(self.cores):
-            out.append(self.x.shape[2] if j == self.pos else core.shape[2])
-        # the bond left of the active site comes from the block itself
-        if self.pos > 0:
-            out[self.pos] = self.x.shape[0]
-        out[-1] = 1
-        return out
+        return [1] + [self.x.shape[2] if j == self.pos else c.shape[2] for j, c in enumerate(self.cores)]
 
     def move_right(self, max_rank: Optional[int] = None):
         ra, i, rb, k = self.x.shape
@@ -423,8 +415,6 @@ def _block_eig(
 
 
 def _block_columns(snap):
-    from .train import block_extract
-
     if isinstance(snap, TTVector):
         return [snap]
     return [block_extract(snap, j) for j in range(snap.num_vectors)]

@@ -402,14 +402,10 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
     truncated-SVD sweep with per-bond threshold ``tol * ||x|| / sqrt(N-1)``.
     The result is left-canonical.
     """
-    cores = [c.copy() for c in x.cores]
+    cores = orthogonalize(x, 0).cores
     n_modes = len(cores)
     if n_modes == 1:
         return TTVector(cores, copy=False)
-    for k in range(n_modes - 1, 0, -1):
-        l, q = qr_right(cores[k])
-        cores[k] = q
-        cores[k - 1] = np.tensordot(cores[k - 1], l, axes=(2, 0))
     norm = np.linalg.norm(cores[0])
     threshold = policy.tol * norm / math.sqrt(n_modes - 1)
     for k in range(n_modes - 1):

@@ -1,6 +1,12 @@
-"""Dense N-way tensors and the basic multilinear operations.
+"""Reference operations the tests check the library against.
 
-Conventions used throughout the package:
+Dense N-way tensors and the basic multilinear operations, block matrices
+with the strong Kronecker and AC products, and the explicit interface and
+frame matrices of a TT vector.  None of this lies on a library path: the
+library works on cores and cached environments and never forms a dense
+N-way tensor or a frame.
+
+Conventions:
 
 * a dense tensor is a C-contiguous float64 ``numpy.ndarray``;
 * linearization is big-endian (the last index runs fastest), which is
@@ -8,6 +14,11 @@ Conventions used throughout the package:
 * unfoldings keep the grouped modes in their original order, again with
   big-endian layout, so every reshape below is a pure view/permute;
 * mode numbers are 0-based everywhere in code.
+
+For a TT vector x the frame matrix ``G_neq(n)`` maps the vectorized site-n
+core to the full vectorized tensor, ``vec(x) = G_neq(n) @ vec(G[n])``; it is
+the Kronecker product of the left interface, an identity of the site's mode
+size, and the right interface.  Frames are guarded by a row cap.
 
 All functions are pure and never mutate their inputs.
 """
@@ -18,26 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "flat_index",
-    "multi_from_flat",
-    "unfold",
-    "refold",
-    "unfold_split",
-    "mode_n_product",
-    "mode_n_vec_product",
-    "multilinear_product",
-    "contract",
-    "outer",
-    "kron",
-    "khatri_rao",
-    "hadamard",
-    "from_fortran_flat",
-    "to_fortran_flat",
-    "BlockMatrix",
-    "strong_kron",
-    "ac_product",
-]
+from ttkit.train import TTVector
+
+FRAME_ROW_CAP = 1 << 16
 
 
 def _check_shape(shape: Sequence[int]) -> tuple:
@@ -213,20 +207,6 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def from_fortran_flat(flat: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Import utility: reinterpret a flat array linearized with the FIRST
-    index fastest (Fortran style) under this package's convention."""
-    shape = _check_shape(shape)
-    return np.ascontiguousarray(
-        np.asarray(flat, dtype=np.float64).reshape(shape, order="F")
-    )
-
-
-def to_fortran_flat(t: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`from_fortran_flat`."""
-    return _as_tensor(t).reshape(-1, order="F")
-
-
 class BlockMatrix:
     """A matrix partitioned into an R1 x R2 grid of equally shaped blocks.
 
@@ -303,3 +283,72 @@ def ac_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
         raise ValueError(f"block inner dims differ: {j} vs {jb}")
     c = np.einsum("abij,cdjk->acbdik", a.blocks, b.blocks)
     return BlockMatrix(c.reshape(pa1 * rb1, pa2 * rb2, i, k), copy=False)
+
+
+# ---------------------------------------------------------------------------
+# interface and frame matrices
+
+
+def left_interface(x: TTVector, site: int) -> np.ndarray:
+    """Unfolding of the subtrain left of ``site``: shape
+    ``(R[site], I[0]*...*I[site-1])``.  For site 0 this is the 1x1 identity."""
+    cores = x.cores
+    if not 0 <= site < len(cores):
+        raise ValueError(f"site {site} out of range")
+    acc = np.ones((1, 1))  # (prod I, rank)
+    for core in cores[:site]:
+        acc = np.tensordot(acc, core, axes=(1, 0))
+        acc = acc.reshape(-1, acc.shape[-1])
+    return np.ascontiguousarray(acc.T)
+
+
+def right_interface(x: TTVector, site: int) -> np.ndarray:
+    """Unfolding of the subtrain right of ``site``: shape
+    ``(R[site+1], I[site+1]*...*I[N-1])``."""
+    cores = x.cores
+    if not 0 <= site < len(cores):
+        raise ValueError(f"site {site} out of range")
+    acc = np.ones((1, 1))  # (rank, prod I)
+    for core in reversed(cores[site + 1 :]):
+        acc = np.tensordot(core, acc, axes=(2, 0))
+        acc = acc.reshape(acc.shape[0], -1)
+    return np.ascontiguousarray(acc)
+
+
+def _check_frame_size(x: TTVector):
+    total = int(np.prod(x.mode_sizes, dtype=np.int64))
+    if total > FRAME_ROW_CAP:
+        raise ValueError(
+            f"dense frame would have {total} rows, above the cap {FRAME_ROW_CAP}"
+        )
+    return total
+
+
+def frame_matrix(x: TTVector, site: int) -> np.ndarray:
+    """Dense frame matrix at ``site``: ``kron(Lᵀ, I_mode, Rᵀ)`` with L, R the
+    interface matrices; satisfies ``vec(x) = frame @ vec(core)``."""
+    _check_frame_size(x)
+    left = left_interface(x, site).T
+    right = right_interface(x, site).T
+    mode = x.mode_sizes[site]
+    return np.kron(np.kron(left, np.eye(mode)), right)
+
+
+def frame_matrix_two(x: TTVector, site: int) -> np.ndarray:
+    """Two-core frame at sites ``(site, site+1)``; satisfies
+    ``vec(x) = frame @ vec(merged_core)``."""
+    if site >= x.order - 1:
+        raise ValueError(f"two-core frame needs site < {x.order - 1}")
+    _check_frame_size(x)
+    left = left_interface(x, site).T
+    right = right_interface(x, site + 1).T
+    i1, i2 = x.mode_sizes[site], x.mode_sizes[site + 1]
+    return np.kron(np.kron(left, np.eye(i1 * i2)), right)
+
+
+def merged_core(x: TTVector, site: int) -> np.ndarray:
+    """Supercore contracting sites ``site`` and ``site+1``; shape
+    ``(R[site], I[site], I[site+1], R[site+2])``."""
+    if site >= x.order - 1:
+        raise ValueError(f"merged core needs site < {x.order - 1}")
+    return np.tensordot(x.cores[site], x.cores[site + 1], axes=(2, 0))

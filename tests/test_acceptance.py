@@ -7,6 +7,7 @@ import time
 import numpy as np
 import scipy.linalg
 
+from oracles import frame_matrix, frame_matrix_two, merged_core
 from ttkit import container
 from ttkit.algebra import (
     mpo_apply,
@@ -17,7 +18,7 @@ from ttkit.algebra import (
     tt_scale,
 )
 from ttkit.cli import main as cli_main
-from ttkit.frames import effective_operator, env_build, frame_matrix, frame_matrix_two, merged_core
+from ttkit.frames import effective_operator, env_build
 from ttkit.quantize import plan_auto, quantize_vector
 from ttkit.solvers import SweepConfig, cca, eig_block, eig_min, gevd, linsolve, svd_dominant, svd_small_k
 from ttkit.train import (

@@ -281,3 +281,40 @@ def test_nan_tolerance_is_one_line_error(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_missing_output_directory_is_one_line_error(tmp_path, capsys):
+    raw = tmp_path / "ok.raw"
+    write_raw(raw, np.arange(8.0))
+    out = tmp_path / "missing_dir" / "x.tt"
+    code, stdout, err = run(capsys, "compress", raw, "--shape", "8", "-o", out)
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["compress", "quantize"])
+def test_non_finite_raw_data_names_the_file(tmp_path, capsys, command):
+    raw = tmp_path / "bad.raw"
+    data = np.arange(16.0)
+    data[5] = np.nan
+    write_raw(raw, data)
+    shape = ["--shape", "16"] if command == "compress" else []
+    code, stdout, err = run(capsys, command, raw, *shape, "-o", tmp_path / "x.tt")
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert str(raw) in err and "non-finite" in err
+    assert not (tmp_path / "x.tt").exists()
+
+
+def test_non_finite_container_names_the_file(tmp_path, capsys):
+    op = mpo_svd(laplacian(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13))
+    op.cores[2][0, 0, 0, 0] = np.inf
+    op_path = tmp_path / "op.tt"
+    container.save(op, op_path)
+    code, stdout, err = run(capsys, "eig", op_path, "-o", tmp_path / "o")
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert str(op_path) in err and "non-finite" in err

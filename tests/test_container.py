@@ -116,3 +116,13 @@ def test_zero_mode_or_rank_is_rejected(tmp_path, modes, ranks):
     path.write_bytes(_header(modes, ranks))
     with pytest.raises(ValueError, match="zero"):
         container.load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_core_is_rejected(tmp_path, bad):
+    x = random_tt((2, 3, 2), 2, np.random.default_rng(5))
+    x.cores[1][0, 1, 0] = bad
+    path = tmp_path / "x.tt"
+    container.save(x, path)
+    with pytest.raises(ValueError, match="core 1 holds a non-finite value"):
+        container.load(path)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ttkit.dense import (
+from oracles import (
     BlockMatrix,
     ac_product,
     contract,
@@ -357,7 +357,7 @@ def test_ac_product_chain_reproduces_operator_vector_product():
 
 
 def test_fortran_flat_conversion_round_trip():
-    from ttkit.dense import from_fortran_flat, to_fortran_flat
+    from ttkit import from_fortran_flat, to_fortran_flat
 
     rng = np.random.default_rng(24)
     t = rng.standard_normal((2, 3, 4))

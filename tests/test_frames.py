@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import frame_matrix, frame_matrix_two, left_interface, merged_core, right_interface
 from ttkit.algebra import eye_mpo, tt_inner
 from ttkit.frames import (
     EnvStack,
     effective_operator,
     effective_rhs,
     env_build,
-    frame_matrix,
-    frame_matrix_two,
-    left_interface,
-    merged_core,
-    right_interface,
 )
 from ttkit.train import TTVector, orthogonalize, random_mpo, random_tt
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttkit.dense import BlockMatrix, strong_kron
+from oracles import BlockMatrix, strong_kron
 from ttkit.train import (
     BlockTT,
     TruncationPolicy,
