@@ -12,6 +12,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -54,6 +55,9 @@ def _parse_shape(text: str) -> tuple:
 
 
 def _read_raw(path: str) -> np.ndarray:
+    size = os.path.getsize(path)
+    if size % 8:
+        raise CliError(f"{path} holds {size} bytes, not a whole number of float64 values")
     data = np.fromfile(path, dtype="<f8")
     if data.size == 0:
         raise CliError(f"{path} holds no float64 data")
@@ -353,7 +357,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_cca)
 
-    p = sub.add_parser("solve", help="least-squares solve of A x = y")
+    p = sub.add_parser(
+        "solve",
+        help="solve A x = y: energy sweeps for symmetric positive definite A, "
+        "least squares through the normal equations otherwise",
+    )
     p.add_argument("operator")
     p.add_argument("--rhs", required=True, help="TT container holding the right-hand side")
     _add_solver_flags(p)

@@ -12,8 +12,10 @@ half-sweeps, left to right and back, over one site schedule: each step
 solves the local problem over its span, installs the solution and moves the
 active site one bond on.  Because the frames are orthonormal, every local
 solve of an eigen-, SVD or CCA problem can only improve the global
-objective, so its per-half-sweep trajectory is monotone; ``linsolve`` on
-ill-conditioned operators is the exception (see its docstring).
+objective, so its per-half-sweep trajectory is monotone.  The same holds
+for ``linsolve`` on symmetric positive definite operators, which it sweeps
+through the energy ½xᵀAx − bᵀx; other operators go through the normal
+equations, where it need not (see its docstring).
 
 Rank policies: the default is single-site updates at the initial bond ranks
 (the block index carries its exact rank across bonds); ``adaptive=True``
@@ -30,7 +32,7 @@ from typing import Callable, List, Optional
 import numpy as np
 import scipy.linalg
 
-from .algebra import mpo_apply, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
+from .algebra import eye_mpo, mpo_apply, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
 from .frames import EnvStack, effective_operator, effective_rhs, env_build
 from .train import (
     BlockTT,
@@ -449,13 +451,22 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
 
 
 def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
-    """K smallest singular values via the Gram route: block eigenproblem on
-    transpose(A)·A (kept in TT form, never dense); singular values are the
-    nonnegative square roots of the Ritz values."""
+    """K smallest singular values (ascending) via the Gram route: block
+    eigenproblem on transpose(A)·A (kept in TT form, never dense).
+
+    The sweeps, their trajectory and the convergence test run on the Ritz
+    values of AᵀA, whose small ones carry an absolute error of about
+    eps·σ₁²/σ_k.  The returned values are therefore taken from A itself,
+    σ_k = ‖A·v_k‖ / ‖v_k‖ for each returned right singular vector v_k; the
+    block columns are reordered with them."""
     gram = mpo_mul(mpo_transpose(op), op, _OP_ROUND)
-    values, snap, report = _block_eig(gram, k, config)
-    sigmas = np.sqrt(np.clip(np.asarray(values), 0.0, None))
-    return sigmas, _as_block(snap), report
+    _, snap, report = _block_eig(gram, k, config)
+    block = _as_block(snap)
+    sigmas = np.array([tt_norm(mpo_apply(op, v)) / tt_norm(v) for v in _block_columns(snap)])
+    order = np.argsort(sigmas, kind="stable")
+    cores = list(block.cores)
+    cores[block.position] = cores[block.position][:, :, order, :]
+    return sigmas[order], BlockTT(cores, block.position, copy=False), report
 
 
 def gevd(
@@ -627,34 +638,43 @@ def cca(
 # linear systems
 
 
-def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
-    """Least-squares solve of op·x ≅ rhs through the normal equations.
+_SYMMETRY_TOL = 1e-12  # relative ‖A − Aᵀ‖_F below which A takes the energy route
 
-    Local systems use the Gram operator transpose(A)·A (composed in TT form)
-    and the projected right-hand side; singular local systems fall back to a
-    regularized solve, counted in the report.  Squaring the condition number
-    costs accuracy: on ill-conditioned operators the trajectory need not be
-    monotone and the residual can stall above ``residual_tol`` (the 2^10 QTT
-    Laplacian with a ones right-hand side does both, single-site and
-    adaptive alike).
-    """
-    if op.row_sizes != rhs.mode_sizes:
-        raise ValueError(
-            f"operator rows {op.row_sizes} do not match rhs modes {rhs.mode_sizes}"
-        )
-    op_t = mpo_transpose(op)
-    gram = mpo_mul(op_t, op, _OP_ROUND)
+
+def _is_symmetric(op: TTMatrix) -> bool:
+    """‖A − Aᵀ‖_F ≤ 1e-12·‖A‖_F, measured in TT form: each operator core
+    ``(p, i, j, q)`` is read as a TT vector core ``(p, i·j, q)``."""
+    if op.row_sizes != op.col_sizes:
+        return False
+
+    def flat(m: TTMatrix) -> TTVector:
+        return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores], copy=False)
+
+    a = flat(op)
+    skew = tt_add(a, tt_scale(flat(mpo_transpose(op)), -1.0))
+    return tt_norm(skew) <= _SYMMETRY_TOL * tt_norm(a)
+
+
+def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: bool):
+    """Sweep the local systems of op·x = rhs: on the energy route those of A
+    itself, where a local system without a Cholesky factor raises
+    ``LinAlgError``; otherwise those of the normal equations."""
     rng = np.random.default_rng(config.seed)
     chain = _Chain(op.col_sizes, config.rank, 1, rng)
-    s_gram = env_build(chain.cores, gram, chain.cores)
-    s_rhs = env_build(chain.cores, op_t, rhs.cores)
+    if energy:
+        lhs_op, rhs_op = op, eye_mpo(op.row_sizes)
+    else:
+        rhs_op = mpo_transpose(op)
+        lhs_op = mpo_mul(rhs_op, op, _OP_ROUND)
+    stacks = [env_build(chain.cores, lhs_op, chain.cores), env_build(chain.cores, rhs_op, rhs.cores)]
+    s_op, s_rhs = stacks
     rhs_norm = tt_norm(rhs)
     report = SolveReport(sense="min")
 
     def solve(site, span):
-        h = _symmetrize(effective_operator(s_gram, site, span))
+        h = _symmetrize(effective_operator(s_op, site, span))
         b = effective_rhs(s_rhs, site, span)
-        z = _solve_spd(h, b, report)
+        z = scipy.linalg.solve(h, b, assume_a="pos") if energy else _solve_spd(h, b, report)
         objective = float(z @ (h @ z) - 2.0 * (z @ b))
         return objective, [z[:, None]]
 
@@ -662,5 +682,37 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
         x = chain.snapshot()
         return [_residual_norm(mpo_apply(op, x), rhs) / max(rhs_norm, 1e-300)]
 
-    _run_sweeps([chain], [s_gram, s_rhs], solve, residual, config, report)
+    _run_sweeps([chain], stacks, solve, residual, config, report)
     return chain.snapshot(), report
+
+
+def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
+    """Solve op·x = rhs, or op·x ≅ rhs in the least-squares sense.
+
+    A symmetric operator (‖A − Aᵀ‖_F ≤ 1e-12·‖A‖_F, checked in TT form)
+    takes the energy route: sweeps minimize ½xᵀAx − bᵀx, each local system
+    is the projection FᵀAF of A onto the frame F, solved by Cholesky.  For
+    symmetric positive definite A every such projection is positive
+    definite, so the trajectory is monotone and the accuracy is that of
+    cond(A), not cond(A)².  The first local system without a Cholesky factor
+    proves A indefinite or singular; the run then starts again from the same
+    seed on the normal-equation route.
+
+    The normal-equation route serves every other operator, rectangular ones
+    included: local systems use the Gram operator transpose(A)·A (composed
+    in TT form) and the projected right-hand side; singular local systems
+    fall back to a regularized solve, counted in the report.  Squaring the
+    condition number costs accuracy: on ill-conditioned operators the
+    trajectory need not be monotone and the residual can stall above
+    ``residual_tol``.
+    """
+    if op.row_sizes != rhs.mode_sizes:
+        raise ValueError(
+            f"operator rows {op.row_sizes} do not match rhs modes {rhs.mode_sizes}"
+        )
+    if _is_symmetric(op):
+        try:
+            return _linear_sweeps(op, rhs, config, energy=True)
+        except scipy.linalg.LinAlgError:
+            pass  # A is not positive definite
+    return _linear_sweeps(op, rhs, config, energy=False)

@@ -1,8 +1,8 @@
 """Reference operations the tests check the library against.
 
 Dense N-way tensors and the basic multilinear operations, block matrices
-with the strong Kronecker and AC products, and the explicit interface and
-frame matrices of a TT vector.  None of this lies on a library path: the
+with the strong Kronecker and AC products, the explicit interface and
+frame matrices of a TT vector, and a QTT operator whose cores are exact.  None of this lies on a library path: the
 library works on cores and cached environments and never forms a dense
 N-way tensor or a frame.
 
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ttkit.train import TTVector
+from ttkit.train import TTMatrix, TTVector
 
 FRAME_ROW_CAP = 1 << 16
 
@@ -352,3 +352,24 @@ def merged_core(x: TTVector, site: int) -> np.ndarray:
     if site >= x.order - 1:
         raise ValueError(f"merged core needs site < {x.order - 1}")
     return np.tensordot(x.cores[site], x.cores[site + 1], axes=(2, 0))
+
+
+# ---------------------------------------------------------------------------
+# an operator with exact cores
+
+
+def qtt_laplacian(d: int) -> TTMatrix:
+    """``tridiag(-1, 2, -1)`` of size ``2**d`` (``d >= 2``) from explicit
+    bond-rank-3 QTT cores (Kazeev & Khoromskij, SIMAX 33(3), 2012).  Every
+    entry is exact, unlike an ``mpo_svd`` of the dense matrix, so solutions
+    can be checked against closed forms to the last digits.  Site 0 holds
+    the most significant bit of the index."""
+    eye, up, zero = np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))
+
+    def core(blocks):  # grid (P0, P1) of 2x2 blocks -> core (P0, 2, 2, P1)
+        return np.asarray(blocks).transpose(0, 2, 3, 1)
+
+    first = core([[eye, up.T, up]])
+    middle = core([[eye, up.T, up], [zero, up, zero], [zero, zero, up.T]])
+    last = core([[2 * eye - up - up.T], [-up], [-up.T]])
+    return TTMatrix([first] + [middle] * (d - 2) + [last])

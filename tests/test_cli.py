@@ -318,3 +318,16 @@ def test_non_finite_container_names_the_file(tmp_path, capsys):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert str(op_path) in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["compress", "quantize"])
+def test_raw_size_not_a_multiple_of_eight_names_the_file(tmp_path, capsys, command):
+    raw = tmp_path / "odd.raw"
+    raw.write_bytes(np.arange(8.0).astype("<f8").tobytes() + b"\x01\x02\x03")
+    shape = ["--shape", "8"] if command == "compress" else []
+    code, stdout, err = run(capsys, command, raw, *shape, "-o", tmp_path / "x.tt")
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert str(raw) in err and "67 bytes" in err
+    assert not (tmp_path / "x.tt").exists()

@@ -709,3 +709,109 @@ def test_gevd_indefinite_metric_reports_last_shift_tried():
 def test_config_rejects_non_finite_tolerances(name, value):
     with pytest.raises(ValueError, match=name):
         SweepConfig(**{name: value})
+
+
+# ---------------------------------------------------------------------------
+# linear systems: the energy route for symmetric operators
+
+
+from oracles import qtt_laplacian  # noqa: E402
+from ttkit import solvers  # noqa: E402
+
+
+def _force_normal_route(monkeypatch):
+    monkeypatch.setattr(solvers, "_is_symmetric", lambda op: False)
+
+
+def test_qtt_laplacian_oracle_is_exact():
+    assert np.array_equal(qtt_laplacian(5).full(), laplacian_mpo(5)[1])
+
+
+@pytest.mark.parametrize("seed", [7, 11, 123])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_linsolve_laplacian_energy_route(seed, adaptive):
+    # x_j = j (n + 1 - j) / 2 solves tridiag(-1, 2, -1) x = ones; cond ~ 4e5,
+    # so the normal equations (cond ~ 2e11) stall at 5-6 digits
+    d = 10
+    n = 2**d
+    ones = TTVector([np.ones((1, 2, 1))] * d)
+    x, rep = linsolve(
+        qtt_laplacian(d), ones, SweepConfig(seed=seed, rank=8, max_rank=8, adaptive=adaptive)
+    )
+    j = np.arange(1, n + 1, dtype=float)
+    exact = j * (n + 1 - j) / 2
+    err = np.linalg.norm(x.full().reshape(-1) - exact) / np.linalg.norm(exact)
+    assert err < 1e-10
+    assert rep.converged and rep.sweeps <= 3
+    assert rep.is_monotone()
+    assert rep.regularized == 0
+
+
+def test_linsolve_2d_laplacian_energy_route():
+    # L (x) I + I (x) L on a 32 x 32 grid; the normal equations reach ~9.7 digits
+    lap = laplacian_mpo(5)[1]
+    dense = np.kron(lap, np.eye(32)) + np.kron(np.eye(32), lap)
+    op = mpo_svd(dense, (2,) * 10, (2,) * 10, OP_TOL)
+    ones = TTVector([np.ones((1, 2, 1))] * 10)
+    x, rep = linsolve(
+        op, ones, SweepConfig(seed=0, rank=8, adaptive=True, max_rank=16, trunc_tol=1e-12)
+    )
+    ref = np.linalg.solve(dense, np.ones(1024))
+    assert np.linalg.norm(x.full().reshape(-1) - ref) < 1e-11 * np.linalg.norm(ref)
+    assert rep.converged and rep.is_monotone()
+
+
+def test_symmetry_check_in_tt_form():
+    from ttkit.train import random_mpo
+
+    lap = qtt_laplacian(10)
+    assert solvers._is_symmetric(lap)
+    assert solvers._is_symmetric(laplacian_mpo(6)[0])
+    assert solvers._is_symmetric(mpo_mul(lap, mpo_transpose(lap)))
+    rng = np.random.default_rng(21)
+    assert not solvers._is_symmetric(random_mpo((2,) * 4, (2,) * 4, 3, rng))
+    assert not solvers._is_symmetric(random_mpo((2, 2), (2, 4), 2, rng))
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_linsolve_singular_symmetric_falls_back_to_normal_route(monkeypatch, adaptive):
+    diag = np.zeros((16, 16))
+    diag[0, 0] = 1.0
+    op = mpo_svd(diag, (2,) * 4, (2,) * 4, OP_TOL)
+    assert solvers._is_symmetric(op)
+    y = random_tt((2,) * 4, 2, np.random.default_rng(22))
+    config = SweepConfig(max_sweeps=3, rank=3, seed=0, adaptive=adaptive)
+    x, rep = linsolve(op, y, config)
+    _force_normal_route(monkeypatch)
+    x_normal, rep_normal = linsolve(op, y, config)
+    assert all(np.array_equal(a, b) for a, b in zip(x.cores, x_normal.cores))
+    assert rep == rep_normal
+    assert rep.regularized > 0
+
+
+def test_linsolve_nonsymmetric_square_system():
+    rng = np.random.default_rng(23)
+    dense = 3.0 * np.eye(32) + rng.standard_normal((32, 32)) / np.sqrt(32)
+    op = mpo_svd(dense, (2,) * 5, (2,) * 5, OP_TOL)
+    assert not solvers._is_symmetric(op)
+    x_star = random_tt((2,) * 5, 2, rng)
+    y = mpo_apply(op, x_star)
+    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=6, seed=0, residual_tol=1e-10))
+    assert tt_norm_diff(x, x_star) / tt_norm(x_star) < 1e-8
+    assert rep.converged
+
+
+def test_svd_small_k_one_site_matches_numpy():
+    # sigma_1 = 1 down to sigma_min = 1e-4: square roots of the Gram
+    # eigenvalues lose about eps·sigma_1²/sigma_min ~ 1e-12 on the smallest
+    rng = np.random.default_rng(24)
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    v, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    dense = (u * np.logspace(0, -4, 16)) @ v.T
+    op = TTMatrix([dense[None, :, :, None]])
+    sigmas, vblk, _ = svd_small_k(op, 3, SweepConfig(max_sweeps=2, rank=1, seed=0))
+    ref = np.sort(np.linalg.svd(dense, compute_uv=False))[:3]
+    assert np.all(np.diff(sigmas) > 0)
+    assert np.abs(sigmas - ref).max() < 1e-14
+    cols = vblk.full_matrix()
+    assert np.abs(np.linalg.norm(dense @ cols, axis=0) - sigmas).max() < 1e-14

@@ -88,6 +88,7 @@ SOLVER_JOBS = [
     ("cca-rank-one", ["cca", "rank_one.tt", "data_y.tt", "--k", "1"]),
     ("solve", ["solve", "shifted.tt", "--rhs", "ones.tt"]),
     ("solve-singular", ["solve", "semidef.tt", "--rhs", "ones16.tt"]),
+    ("solve-nonsymmetric", ["solve", "square.tt", "--rhs", "ones16.tt"]),
 ]
 
 
