@@ -331,3 +331,22 @@ def test_raw_size_not_a_multiple_of_eight_names_the_file(tmp_path, capsys, comma
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert str(raw) in err and "67 bytes" in err
     assert not (tmp_path / "x.tt").exists()
+
+
+@pytest.mark.parametrize("position", ["eig", "gevd-inner", "gevd-metric"])
+def test_nonsymmetric_operator_is_one_line_error(tmp_path, capsys, position):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for name, dense in [("square", rng.standard_normal((16, 16))), ("eye", np.eye(16))]:
+        paths[name] = tmp_path / f"{name}.tt"
+        container.save(mpo_svd(dense, (2,) * 4, (2,) * 4, TruncationPolicy(1e-12)), paths[name])
+    argv = {
+        "eig": ["eig", paths["square"], "--k", 1],
+        "gevd-inner": ["gevd", paths["eye"], paths["square"], paths["eye"], "--k", 1],
+        "gevd-metric": ["gevd", paths["eye"], paths["eye"], paths["square"], "--k", 1],
+    }[position]
+    code, stdout, err = run(capsys, *argv, "-o", tmp_path / "out")
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "not symmetric" in err
+    assert not list(tmp_path.glob("out*"))

@@ -815,3 +815,88 @@ def test_svd_small_k_one_site_matches_numpy():
     assert np.abs(sigmas - ref).max() < 1e-14
     cols = vblk.full_matrix()
     assert np.abs(np.linalg.norm(dense @ cols, axis=0) - sigmas).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the warm-started lowest eigenpair and the symmetry boundary
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ttkit.train import random_mpo  # noqa: E402
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def warm_problems(draw):
+    """``(h, start)``: a random symmetric, possibly indefinite matrix and a
+    warm start that is random, its second eigenvector as ``eigh`` computes
+    it, or one of a near-degenerate lowest pair."""
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.sort(rng.standard_normal(n)) * 10.0 ** draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["random", "second", "near-degenerate"]))
+    if kind == "near-degenerate":
+        w[1] = w[0] + np.abs(w).max() * 10.0 ** draw(st.integers(-16, -6))
+        w.sort()
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = (q * w) @ q.T
+    h = 0.5 * (h + h.T)
+    start = rng.standard_normal(n) if kind == "random" else np.linalg.eigh(h)[1][:, 1].copy()
+    return h, start
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(warm_problems())
+def test_lowest_pair_matches_dense_oracle(problem):
+    h, start = problem
+    n = h.shape[0]
+    bound = 4 * n * EPS * np.linalg.norm(h)
+    w, v = solvers._lowest_pair(h, start)
+    assert w.shape == (1,) and v.shape == (n, 1)
+    assert abs(w[0] - np.linalg.eigvalsh(h)[0]) <= bound
+    assert abs(np.linalg.norm(v) - 1.0) <= 4 * n * EPS
+    assert np.linalg.norm(h @ v[:, 0] - w[0] * v[:, 0]) <= bound
+
+
+def test_eig_min_warm_steps_skip_eigh(monkeypatch):
+    # eigh runs on each site's first visit, which starts from the random
+    # core; every later visit starts from the site's own core and, at this
+    # seed, is settled by Cholesky factorizations without falling back, so a
+    # fast path that stops running shows as extra calls
+    op = qtt_laplacian(10)
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    lam, _, rep = eig_min(op, SweepConfig(rank=16, max_sweeps=2, seed=0))
+    assert len(calls) <= op.order
+    assert rep.is_monotone()
+    assert lam == pytest.approx(4 * np.sin(np.pi / (2 * (2**10 + 1))) ** 2, abs=1e-14)
+
+
+def test_symmetric_solvers_reject_nonsymmetric_operators(monkeypatch):
+    rng = np.random.default_rng(0)
+    op = random_mpo((2,) * 4, (2,) * 4, 3, rng)
+    dense = op.full()
+    assert np.linalg.norm(dense - dense.T) > 0.1 * np.linalg.norm(dense)
+    eye = eye_mpo((2,) * 4)
+    cfg = SweepConfig(max_sweeps=2, rank=2, seed=0)
+    for call, name in [
+        (lambda: eig_min(op, cfg), "operator"),
+        (lambda: eig_block(op, 2, cfg), "operator"),
+        (lambda: gevd(eye, op, eye, 1, cfg), "inner operator"),
+        (lambda: gevd(eye, eye, op, 1, cfg), "metric operator"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} is not symmetric") as info:
+            call()
+        assert "\n" not in str(info.value)
+    # the Gram operator of svd_small_k is symmetric by construction and is
+    # not checked again
+    monkeypatch.setattr(solvers, "_is_symmetric", None)
+    svd_small_k(op, 1, cfg)

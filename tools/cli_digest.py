@@ -79,6 +79,7 @@ def _prepare_jobs() -> list:
 SOLVER_JOBS = [
     ("eig-k1", ["eig", "lap.tt", "--k", "1"]),
     ("eig-k3", ["eig", "lap.tt", "--k", "3"]),
+    ("eig-nonsymmetric", ["eig", "square.tt", "--k", "1"]),
     ("svd-dominant", ["svd", "square.tt"]),
     ("svd-smallest", ["svd", "square.tt", "--k", "2", "--smallest"]),
     ("gevd", ["gevd", "square.tt", "eye.tt", "spd.tt", "--k", "2"]),
