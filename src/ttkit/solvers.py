@@ -22,10 +22,16 @@ for ``linsolve`` on symmetric positive definite operators, which it sweeps
 through the energy ½xᵀAx − bᵀx; other operators go through the normal
 equations, where it need not (see its docstring).
 
-Rank policies: the default is single-site updates at the initial bond ranks
-(the block index carries its exact rank across bonds); ``adaptive=True``
-switches to two-site updates where the merged supercore is solved and split
-by a truncated SVD, letting ranks grow or shrink as needed.
+Rank policies: the default is single-site updates.  With K = 1 a move
+splits the active core by QR and keeps the initial bond ranks.  With K > 1
+the block index travels with the active site, and a move splits by an SVD
+that keeps every singular value above the noise floor, so bond ranks can
+grow, but only up to ``max_rank``: a cap below the ranks the block needs
+discards nonzero weight at every move, and the objective can then cycle
+instead of converging.  ``adaptive=True`` switches to two-site updates
+where the merged supercore is solved and split by a truncated SVD under
+``trunc_tol``/``max_rank``, letting ranks grow or shrink as needed.  Every
+split goes through ``train.qr_split`` or ``train.svd_split``.
 """
 
 from __future__ import annotations
@@ -44,14 +50,14 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
-    _nonzero_svd,
     block_extract,
     feasible_ranks,
     fix_svd_signs,
+    nonzero_rank,
     orthogonalize,
-    qr_left,
-    qr_right,
-    select_rank,
+    policy_rank,
+    qr_split,
+    svd_split,
 )
 
 __all__ = [
@@ -184,78 +190,48 @@ class _Chain:
     def ranks(self) -> list:
         return [1] + [self.x.shape[2] if j == self.pos else c.shape[2] for j, c in enumerate(self.cores)]
 
-    def move_right(self, max_rank: Optional[int] = None):
-        ra, i, rb, k = self.x.shape
-        if k == 1:
-            q, carry = qr_left(self.x[:, :, :, 0])
-        else:
-            m = self.x.transpose(0, 1, 3, 2).reshape(ra * i, k * rb)
-            u, s, vt = _nonzero_svd(m, max_rank)
-            q, carry = u.reshape(ra, i, -1), s[:, None] * vt
-        self.cores[self.pos] = np.ascontiguousarray(q)
-        s3 = carry.reshape(-1, k, rb)
-        nxt = self.cores[self.pos + 1]
-        self.x = np.einsum("skb,bjc->sjck", s3, nxt)
-        self.pos += 1
-
-    def move_left(self, max_rank: Optional[int] = None):
-        ra, i, rb, k = self.x.shape
-        if k == 1:
-            carry, q = qr_right(self.x[:, :, :, 0])
-        else:
-            m = self.x.transpose(0, 3, 1, 2).reshape(ra * k, i * rb)
-            u, s, vt = _nonzero_svd(m, max_rank)
-            q, carry = np.ascontiguousarray(vt).reshape(-1, i, rb), u * s
-        self.cores[self.pos] = q
-        s3 = carry.reshape(ra, k, -1)
-        prev = self.cores[self.pos - 1]
-        self.x = np.einsum("zja,aks->zjsk", prev, s3)
-        self.pos -= 1
-
-    def split_pair_right(self, solution: np.ndarray, policy: TruncationPolicy):
-        """Install a two-site solution for (pos, pos+1), active moving right."""
-        n = self.pos
-        ra = self.x.shape[0]
-        i1, i2 = self.modes[n], self.modes[n + 1]
-        rc = self.cores[n + 1].shape[2]
-        x5 = solution.reshape(ra, i1, i2, rc, self.k)
-        m = x5.transpose(0, 1, 4, 2, 3).reshape(ra * i1, self.k * i2 * rc)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        rank = select_rank(s, policy.tol * float(np.linalg.norm(s)), policy.max_rank)
-        u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-        self.cores[n] = np.ascontiguousarray(u).reshape(ra, i1, rank)
-        rest = (s[:rank, None] * vt).reshape(rank, self.k, i2, rc)
-        self.x = np.ascontiguousarray(rest.transpose(0, 2, 3, 1))
-        self.pos = n + 1
-
-    def split_pair_left(self, solution: np.ndarray, policy: TruncationPolicy):
-        """Install a two-site solution for (pos-1, pos), active moving left."""
-        n = self.pos - 1
-        rc = self.x.shape[2]
-        ra = self.cores[n].shape[0]
-        i1, i2 = self.modes[n], self.modes[n + 1]
-        x5 = solution.reshape(ra, i1, i2, rc, self.k)
-        m = x5.transpose(0, 1, 4, 2, 3).reshape(ra * i1 * self.k, i2 * rc)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        rank = select_rank(s, policy.tol * float(np.linalg.norm(s)), policy.max_rank)
-        u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-        self.cores[n + 1] = np.ascontiguousarray(vt).reshape(rank, i2, rc)
-        left = (u * s[:rank]).reshape(ra, i1, self.k, rank)
-        self.x = np.ascontiguousarray(left.transpose(0, 1, 3, 2))
-        self.pos = n
-
     def install(self, solution, step: int, span: int, policy: TruncationPolicy):
         """Install a local solution and move the active site one bond in
-        direction ``step`` (+1 right, -1 left).  A solution over span 2
+        direction ``step`` (+1 right, -1 left).  A solution over span 1 stays
+        put at either end; otherwise it is split across the bond it leaves,
+        by QR for K = 1 (the rank is kept) and by an SVD at the noise floor,
+        capped at ``policy.max_rank``, for K > 1.  A solution over span 2
         covers the active site and its neighbour in that direction and is
-        split under ``policy``; one over span 1 stays put at either end."""
-        if span == 2:
-            (self.split_pair_right if step > 0 else self.split_pair_left)(solution, policy)
+        split by an SVD under ``policy``.  The orthonormal factor becomes the
+        core left behind, and the carry the new active block."""
+        k, modes = self.k, self.modes
+        first = self.pos if step > 0 else self.pos - span + 1
+        last = first + span - 1
+        ra = (self.x if first == self.pos else self.cores[first]).shape[0]
+        rc = (self.x if last == self.pos else self.cores[last]).shape[2]
+        if span == 1 and not 0 <= self.pos + step < self.order:
+            self.x = np.ascontiguousarray(solution).reshape(ra, modes[first], rc, k)
             return
-        ra, i, rb, k = self.x.shape
-        self.x = np.ascontiguousarray(solution).reshape(ra, i, rb, k)
-        if 0 <= self.pos + step < self.order:
-            (self.move_right if step > 0 else self.move_left)(policy.max_rank)
+        # rows | columns of the split: (ra, i_first) | (k, rest) moving right,
+        # (ra, ..., k) | (i_last, rc) moving left
+        rows = ra * modes[first] if step > 0 else ra * math.prod(modes[first:last])
+        t = solution.reshape(rows, -1, k).transpose(0, 2, 1)
+        m = t.reshape(rows, -1) if step > 0 else t.reshape(rows * k, -1)
+        if span == 2:
+            left, right = svd_split(m, step, policy_rank(policy))
+        elif k > 1:
+            left, right = svd_split(m, step, lambda s: nonzero_rank(s, policy.max_rank))
+        else:
+            left, right = qr_split(m, step)
+        if step > 0:
+            self.cores[first] = left.reshape(ra, modes[first], -1)
+            if span == 1:
+                self.x = np.einsum("skb,bjc->sjck", right.reshape(-1, k, rc), self.cores[first + 1])
+            else:
+                self.x = np.ascontiguousarray(right.reshape(-1, k, modes[last], rc).transpose(0, 2, 3, 1))
+            self.pos = first + 1
+        else:
+            self.cores[last] = right.reshape(-1, modes[last], rc)
+            if span == 1:
+                self.x = np.einsum("zja,aks->zjsk", self.cores[last - 1], left.reshape(ra, k, -1))
+            else:
+                self.x = np.ascontiguousarray(left.reshape(ra, modes[first], k, -1).transpose(0, 1, 3, 2))
+            self.pos = last - 1
 
     def snapshot(self):
         """Freeze the current iterate as a TTVector (K=1) or BlockTT."""
@@ -681,27 +657,27 @@ def cca(
     if x_op.order != y_op.order:
         raise ValueError("the two operators must have the same chain length")
     cross = mpo_mul(x_op, mpo_transpose(y_op), _OP_ROUND)
-    gram_x = mpo_mul(x_op, mpo_transpose(x_op), _OP_ROUND)
-    gram_y = mpo_mul(y_op, mpo_transpose(y_op), _OP_ROUND)
     rng = np.random.default_rng(config.seed)
     wx = _Chain(x_op.row_sizes, config.rank, k, rng)
     wy = _Chain(y_op.row_sizes, config.rank, k, rng)
-    s_cross = env_build(wx.cores, cross, wy.cores)
-    s_gx = env_build(wx.cores, gram_x, wx.cores)
-    s_gy = env_build(wy.cores, gram_y, wy.cores)
+    stacks = [env_build(wx.cores, cross, wy.cores)]
+    if not config.identity_grams:  # the Grams are read only when whitening
+        stacks += [
+            env_build(w.cores, mpo_mul(op, mpo_transpose(op), _OP_ROUND), w.cores)
+            for w, op in ((wx, x_op), (wy, y_op))
+        ]
     report = SolveReport(sense="max")
     state = {"corr": np.zeros(k), "constraint": 0.0}
 
     def solve(site, span):
-        c_loc = effective_operator(s_cross, site, span)
+        c_loc = effective_operator(stacks[0], site, span)
         if min(c_loc.shape) < k:
             raise ValueError(f"local dimension {c_loc.shape} cannot hold K={k}")
         if config.identity_grams:
             uu, ss, vvt = scipy.linalg.svd(c_loc, full_matrices=False)
             wx_loc, wy_loc = uu[:, :k], vvt[:k].T
         else:
-            g_x = _symmetrize(effective_operator(s_gx, site, span))
-            g_y = _symmetrize(effective_operator(s_gy, site, span))
+            g_x, g_y = (_symmetrize(effective_operator(st, site, span)) for st in stacks[1:])
             l_x, l_y = (
                 _shift_ladder(
                     g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
@@ -730,7 +706,7 @@ def cca(
     def residual():
         return [state["constraint"]]
 
-    _run_sweeps([wx, wy], [s_cross, s_gx, s_gy], solve, residual, config, report)
+    _run_sweeps([wx, wy], stacks, solve, residual, config, report)
     return state["corr"], _as_block(wx.snapshot()), _as_block(wy.snapshot()), report
 
 

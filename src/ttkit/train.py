@@ -3,6 +3,12 @@
 Construction from dense data by successive truncated SVDs, entry evaluation,
 dense reconstruction, orthogonalization and rounding (recompression).
 
+Construction, orthogonalization, rounding, block moves and the sweep
+solvers' moves rest on one bond split: a core unfolding is factored into an
+orthonormal factor, kept as the core, and a carry for the neighbour.  :func:`qr_split` keeps the rank; :func:`svd_split`
+takes it from the caller's rule, the noise floor of an exact split
+(:func:`nonzero_rank`) or a tail budget (:func:`select_rank`).
+
 A TT vector is a chain of order-3 cores ``G[n]`` of shape
 ``(R[n], I[n], R[n+1])`` with boundary ranks ``R[0] = R[N] = 1``; the
 represented entry is the product of the slice matrices ``G[n][:, i_n, :]``.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -213,27 +219,6 @@ def fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     return u * signs, vt * signs[:, None]
 
 
-def _nonzero_svd(m: np.ndarray, max_rank: Optional[int] = None):
-    """Thin SVD ``(u, s, vt)`` of ``m`` keeping every singular value above
-    the numerical-noise floor ``1e-14 * s[0]`` (at least one, at most
-    ``max_rank``), with :func:`fix_svd_signs` applied."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 1
-    else:
-        rank = max(1, int(np.count_nonzero(s > s[0] * 1e-14)))
-    if max_rank is not None:
-        rank = min(rank, max_rank)
-    u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-    return u, s[:rank], vt
-
-
-def _fix_qr_signs(q: np.ndarray, r: np.ndarray):
-    d = np.sign(np.diagonal(r)).copy()
-    d[d == 0] = 1.0
-    return q * d, r * d[:, None]
-
-
 def select_rank(s: np.ndarray, threshold: float, max_rank: Optional[int]) -> int:
     """Smallest rank whose discarded tail has 2-norm <= threshold (>= 1)."""
     if s.size == 0:
@@ -246,26 +231,48 @@ def select_rank(s: np.ndarray, threshold: float, max_rank: Optional[int]) -> int
     return rank
 
 
-def qr_left(core: np.ndarray):
-    """QR-factor a 3-way core so its left unfolding has orthonormal columns.
+def nonzero_rank(s: np.ndarray, max_rank: Optional[int] = None) -> int:
+    """Number of singular values above the noise floor ``1e-14 * s[0]``
+    (at least one, at most ``max_rank``): the rank of an exact split."""
+    if s.size == 0 or s[0] == 0.0:
+        rank = 1
+    else:
+        rank = max(1, int(np.count_nonzero(s > s[0] * 1e-14)))
+    if max_rank is not None:
+        rank = min(rank, max_rank)
+    return rank
 
-    Returns ``(q_core, r)`` with ``core == q_core . r`` contracted over the
-    last axis; the diagonal of ``r`` is forced nonnegative.
-    """
-    r0, i, r1 = core.shape
-    q, r = np.linalg.qr(core.reshape(r0 * i, r1))
-    q, r = _fix_qr_signs(q, r)
-    return q.reshape(r0, i, -1), r
+
+def policy_rank(policy: TruncationPolicy) -> Callable[[np.ndarray], int]:
+    """Rank rule of a split judged on its own: the discarded tail stays
+    within ``policy.tol`` of the norm of the split matrix, and the rank at
+    most ``policy.max_rank``."""
+    return lambda s: select_rank(s, policy.tol * float(np.linalg.norm(s)), policy.max_rank)
 
 
-def qr_right(core: np.ndarray):
-    """Mirror of :func:`qr_left`: returns ``(l, q_core)`` with
-    ``core == l . q_core`` contracted over the first axis and the right
-    unfolding of ``q_core`` having orthonormal rows."""
-    r0, i, r1 = core.shape
-    q, r = np.linalg.qr(core.reshape(r0, i * r1).T)
-    q, r = _fix_qr_signs(q, r)
-    return r.T, np.ascontiguousarray(q.T).reshape(-1, i, r1)
+def qr_split(m: np.ndarray, step: int):
+    """Split the unfolding ``m`` of a core across its bond by QR, keeping the
+    rank: returns ``(a, b)`` with ``m == a @ b``.  For ``step > 0`` (moving
+    right) ``a`` has orthonormal columns and ``b`` is the carry; for
+    ``step < 0`` ``b`` has orthonormal rows and ``a`` is the carry.  The
+    diagonal of the triangular factor is made nonnegative."""
+    q, r = np.linalg.qr(m if step > 0 else m.T)
+    d = np.sign(np.diagonal(r)).copy()
+    d[d == 0] = 1.0
+    q, r = q * d, r * d[:, None]
+    return (q, r) if step > 0 else (r.T, np.ascontiguousarray(q.T))
+
+
+def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
+    """Split the unfolding ``m`` of a core across its bond by a truncated SVD:
+    returns ``(a, b)`` with ``a @ b`` the best approximation of ``m`` at the
+    rank ``rank(s)`` chosen from the singular values ``s``.  For ``step > 0``
+    ``a = u`` and the carry is ``b = s·vᵀ``; for ``step < 0`` ``b = vᵀ`` and
+    the carry is ``a = u·s``.  Signs follow :func:`fix_svd_signs`."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = rank(s)
+    u, vt = fix_svd_signs(u[:, :keep], vt[:keep])
+    return (u, s[:keep, None] * vt) if step > 0 else (u * s[:keep], vt)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +297,12 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
         return TTVector([t.reshape(1, shape[0], 1)], copy=False)
     threshold = policy.tol * np.linalg.norm(t) / math.sqrt(n_modes - 1)
     cores = []
-    rank = 1
-    rest = t.reshape(-1)
+    rest = t.reshape(1, -1)
     for n in range(n_modes - 1):
-        mat = rest.reshape(rank * shape[n], -1)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        new_rank = select_rank(s, threshold, policy.max_rank)
-        u, vt = fix_svd_signs(u[:, :new_rank], vt[:new_rank])
-        cores.append(u.reshape(rank, shape[n], new_rank))
-        rest = s[:new_rank, None] * vt
-        rank = new_rank
-    cores.append(rest.reshape(rank, shape[-1], 1))
+        mat = rest.reshape(rest.shape[0] * shape[n], -1)
+        u, rest = svd_split(mat, 1, lambda s: select_rank(s, threshold, policy.max_rank))
+        cores.append(u.reshape(-1, shape[n], u.shape[1]))
+    cores.append(rest.reshape(-1, shape[-1], 1))
     return TTVector(cores, copy=False)
 
 
@@ -384,12 +386,14 @@ def orthogonalize(x: TTVector, site: int) -> TTVector:
         raise ValueError(f"site {site} out of range for order {x.order}")
     cores = [c.copy() for c in x.cores]
     for k in range(site):
-        q, r = qr_left(cores[k])
-        cores[k] = q
+        r0, i, r1 = cores[k].shape
+        q, r = qr_split(cores[k].reshape(r0 * i, r1), 1)
+        cores[k] = q.reshape(r0, i, -1)
         cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
     for k in range(len(cores) - 1, site, -1):
-        l, q = qr_right(cores[k])
-        cores[k] = q
+        r0, i, r1 = cores[k].shape
+        l, q = qr_split(cores[k].reshape(r0, i * r1), -1)
+        cores[k] = q.reshape(-1, i, r1)
         cores[k - 1] = np.tensordot(cores[k - 1], l, axes=(2, 0))
     return TTVector(cores, copy=False)
 
@@ -410,11 +414,11 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
     threshold = policy.tol * norm / math.sqrt(n_modes - 1)
     for k in range(n_modes - 1):
         r0, i, r1 = cores[k].shape
-        u, s, vt = np.linalg.svd(cores[k].reshape(r0 * i, r1), full_matrices=False)
-        rank = select_rank(s, threshold, policy.max_rank)
-        u, vt = fix_svd_signs(u[:, :rank], vt[:rank])
-        cores[k] = u.reshape(r0, i, rank)
-        cores[k + 1] = np.tensordot(s[:rank, None] * vt, cores[k + 1], axes=(1, 0))
+        u, carry = svd_split(
+            cores[k].reshape(r0 * i, r1), 1, lambda s: select_rank(s, threshold, policy.max_rank)
+        )
+        cores[k] = u.reshape(r0, i, -1)
+        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(1, 0))
     return TTVector(cores, copy=False)
 
 
@@ -461,10 +465,9 @@ def block_move(x: BlockTT, new_position: int) -> BlockTT:
         r0, i, k, r1 = b.shape
         merged = np.tensordot(b, g, axes=(3, 0))  # (r0, i, k, j, r2)
         j, r2 = merged.shape[3], merged.shape[4]
-        u, s, vt = _nonzero_svd(merged.reshape(r0 * i, k * j * r2))
+        u, right = svd_split(merged.reshape(r0 * i, k * j * r2), 1, nonzero_rank)
         cores[pos] = u.reshape(r0, i, -1)
-        right = (s[:, None] * vt).reshape(-1, k, j, r2)
-        cores[pos + 1] = np.ascontiguousarray(right.transpose(0, 2, 1, 3))
+        cores[pos + 1] = np.ascontiguousarray(right.reshape(-1, k, j, r2).transpose(0, 2, 1, 3))
         pos += 1
     while pos > new_position:
         b, g = cores[pos], cores[pos - 1]
@@ -472,10 +475,9 @@ def block_move(x: BlockTT, new_position: int) -> BlockTT:
         merged = np.tensordot(g, b, axes=(2, 0))  # (r0, j, i, k, r2)
         r0, j = merged.shape[0], merged.shape[1]
         m = merged.transpose(0, 1, 3, 2, 4).reshape(r0 * j * k, i * r2)
-        u, s, vt = _nonzero_svd(m)
+        left, vt = svd_split(m, -1, nonzero_rank)
         cores[pos] = vt.reshape(-1, i, r2)
-        left = (u * s).reshape(r0, j, k, -1)
-        cores[pos - 1] = left
+        cores[pos - 1] = left.reshape(r0, j, k, -1)
         pos -= 1
     return BlockTT(cores, pos, copy=False)
 

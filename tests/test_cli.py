@@ -172,6 +172,33 @@ def test_eig_cli_matches_dense(tmp_path, capsys):
     assert container.load(tmp_path / "eig.tt").num_vectors == 3
 
 
+def test_info_and_reconstruct_block_container(tmp_path, capsys):
+    # eig --k 3 writes a block TT: info reports it as one, and reconstruct
+    # writes its 32 x 3 dense matrix of orthonormal eigenvectors
+    dense = laplacian(32)
+    op_path = tmp_path / "lap.tt"
+    container.save(mpo_svd(dense, (2,) * 5, (2,) * 5, TruncationPolicy(1e-13)), op_path)
+    out = tmp_path / "eig"
+    code, _, _ = run(capsys, "eig", op_path, "--k", 3, "--rank", 4, "--seed", 0, "-o", out)
+    assert code == 0
+    block = container.load(tmp_path / "eig.tt")
+    code, stdout, _ = run(capsys, "info", tmp_path / "eig.tt")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert "kind=block" in lines
+    assert "num_vectors=3" in lines
+    assert f"block_position={block.position}" in lines
+    assert "raw_count=96" in lines
+    back = tmp_path / "eig.raw"
+    code, stdout, _ = run(capsys, "reconstruct", tmp_path / "eig.tt", "-o", back)
+    assert code == 0
+    assert stdout == f"wrote 96 float64 values to {back}\n"
+    v = np.fromfile(back, dtype="<f8").reshape(32, 3)
+    assert np.abs(v.T @ v - np.eye(3)).max() < 1e-12
+    ritz = np.linalg.eigvalsh(v.T @ dense @ v)
+    assert np.abs(ritz - np.linalg.eigvalsh(dense)[:3]).max() < 1e-10
+
+
 def test_solve_cli(tmp_path, capsys):
     dense = laplacian(16) + np.eye(16)
     op = mpo_svd(dense, (2,) * 4, (2,) * 4, TruncationPolicy(1e-13))

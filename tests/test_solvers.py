@@ -277,6 +277,20 @@ def test_mals_respects_max_rank_cap():
     assert max(rep.ranks) <= 3
 
 
+def test_max_rank_caps_single_site_block_moves():
+    # with K > 1 a single-site move splits by an SVD at the noise floor, so
+    # the block index can raise bond ranks; max_rank caps them there too
+    op, dense = laplacian_mpo(6)
+    target = np.linalg.eigvalsh(dense)[:3].sum()
+    for seed in range(3):
+        _, capped, rep = eig_block(op, 3, SweepConfig(rank=4, max_sweeps=6, seed=seed, max_rank=4))
+        assert max(capped.ranks) <= 4 and max(rep.ranks) <= 4
+        _, free, rep = eig_block(op, 3, SweepConfig(rank=4, max_sweeps=6, seed=seed))
+        assert max(free.ranks) > 4
+        assert rep.converged and rep.is_monotone()
+        assert rep.objective[-1] == pytest.approx(target, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # singular triplets
 
@@ -861,21 +875,36 @@ def test_lowest_pair_matches_dense_oracle(problem):
 
 
 def test_eig_min_warm_steps_skip_eigh(monkeypatch):
-    # eigh runs on each site's first visit, which starts from the random
-    # core; every later visit starts from the site's own core and, at this
-    # seed, is settled by Cholesky factorizations without falling back, so a
-    # fast path that stops running shows as extra calls
+    # eigh runs once on each site's first visit, which starts from the random
+    # core; the other 27 visits start from the site's own core and are
+    # settled by Cholesky factorizations.  A hard 512-dimensional step may
+    # fall back to eigh once, depending on rounding (at seed 0 it does with
+    # one BLAS thread and not with two), so fallbacks are counted apart from
+    # first visits: a fast path that stops running shows as extra first-visit
+    # calls, one that always falls back as extra fallbacks
     op = qtt_laplacian(10)
-    calls = []
-    eigh = scipy.linalg.eigh
+    count = {"warm": 0, "cold": 0, "fallback": 0}
+    inside = []
+    eigh, lowest_pair = scipy.linalg.eigh, solvers._lowest_pair
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape[0])
+    def counting_eigh(*args, **kwargs):
+        count["fallback" if inside else "cold"] += 1
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    def counting_pair(h, start):
+        count["warm"] += 1
+        inside.append(True)
+        try:
+            return lowest_pair(h, start)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solvers, "_lowest_pair", counting_pair)
     lam, _, rep = eig_min(op, SweepConfig(rank=16, max_sweeps=2, seed=0))
-    assert len(calls) <= op.order
+    assert count["cold"] == op.order
+    assert count["warm"] == 27
+    assert count["fallback"] <= 1
     assert rep.is_monotone()
     assert lam == pytest.approx(4 * np.sin(np.pi / (2 * (2**10 + 1))) ** 2, abs=1e-14)
 

@@ -2,12 +2,14 @@
 
 Builds small dense inputs in a temporary directory, runs ``ttkit.cli.main``
 in-process on every subcommand that writes files (each solver both
-single-site and ``--adaptive``), and prints one SHA-256 per output file, per
-captured stdout/stderr stream, and a total over all of them.  Two source
-trees that print the same total produce byte-identical outputs.  After each
-hash it also prints the numbers of every ``.values.csv`` and the
-``objective=`` line of every report, so that two checkouts whose bits differ
-can be compared number by number; the total covers only the hash lines.
+single-site and ``--adaptive``), reads the block containers that
+``eig --k 3`` writes back through ``info`` and ``reconstruct``, and prints
+one SHA-256 per output file, per captured stdout/stderr stream, and a total
+over all of them.  Two source trees that print the same total produce
+byte-identical outputs.  After each hash it also prints the numbers of every
+``.values.csv`` and the ``objective=`` line of every report, so that two
+checkouts whose bits differ can be compared number by number; the total
+covers only the hash lines.
 
     PYTHONPATH=src python tools/cli_digest.py
 
@@ -130,6 +132,9 @@ def digests() -> list:
                 for mode in ("single", "adaptive"):
                     extra = ["--adaptive"] if mode == "adaptive" else []
                     jobs.append((f"{name}-{mode}", argv + SOLVER_FLAGS + extra + ["-o", f"{name}-{mode}"]))
+            for block in ("eig-k3-single", "eig-k3-adaptive"):
+                jobs.append((f"info-{block}", ["info", f"{block}.tt"]))
+                jobs.append((f"reconstruct-{block}", ["reconstruct", f"{block}.tt", "-o", f"{block}.raw"]))
             for name, argv in jobs:
                 blobs.update(_run(name, argv))
             for path in sorted(set(os.listdir(".")) - inputs):
