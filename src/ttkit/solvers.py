@@ -260,7 +260,9 @@ def _run_sweeps(
     stays put; with span 2 (adaptive) they cover the pairs ``(site, site+1)``
     and always move.  Whenever the active site moves, the environments across
     the bond it crossed are refreshed.  The objective of a half-sweep is that
-    of its last step.
+    of its last step.  The residuals are computed only where they are
+    read: after a sweep whose objective is stable (the convergence test
+    needs them) and after the last sweep (the report keeps them).
 
     A half-sweep starts where the previous one ended.  That step sees the
     same environments as the step before it (the install in between touched
@@ -293,14 +295,12 @@ def _run_sweeps(
                             stack.update_right(bond + 1)
             report.objective.append(obj)
         report.sweeps = sweep
-        report.residuals = residual_fn()
         current = report.objective[-1]
-        if prev is not None:
-            stable = abs(current - prev) <= config.objective_tol * max(1.0, abs(current))
-            small = max(report.residuals) <= config.residual_tol
-            if stable and small:
-                report.converged = True
+        stable = prev is not None and abs(current - prev) <= config.objective_tol * max(1.0, abs(current))
         prev = current
+        if stable or sweep == config.max_sweeps:
+            report.residuals = residual_fn()
+            report.converged = stable and max(report.residuals) <= config.residual_tol
         if report.converged:
             break
     report.ranks = chains[0].ranks()

@@ -2,9 +2,10 @@
 
 Dense N-way tensors and the basic multilinear operations, block matrices
 with the strong Kronecker and AC products, the explicit interface and
-frame matrices of a TT vector, and a QTT operator whose cores are exact.  None of this lies on a library path: the
-library works on cores and cached environments and never forms a dense
-N-way tensor or a frame.
+frame matrices of a TT vector, a QTT operator whose cores are exact, and a
+TT-SVD by plain SVDs of every unfolding.  None of this lies on a library
+path: the library works on cores and cached environments and never forms a
+dense N-way tensor or a frame.
 
 Conventions:
 
@@ -373,3 +374,25 @@ def qtt_laplacian(d: int) -> TTMatrix:
     middle = core([[eye, up.T, up], [zero, up, zero], [zero, zero, up.T]])
     last = core([[2 * eye - up - up.T], [-up], [-up.T]])
     return TTMatrix([first] + [middle] * (d - 2) + [last])
+
+
+# ---------------------------------------------------------------------------
+# TT-SVD by plain SVDs
+
+
+def tt_svd_plain(t: np.ndarray, tol: float) -> TTVector:
+    """TT-SVD with ``numpy.linalg.svd`` of every unfolding (Oseledets, SISC
+    33(5), 2011, Algorithm 1).  Each bond keeps the fewest singular values
+    whose discarded tail has 2-norm at most ``tol·‖t‖_F / √(N−1)``, so the
+    relative reconstruction error is at most ``tol``."""
+    shape = t.shape
+    threshold = tol * np.linalg.norm(t) / np.sqrt(len(shape) - 1)
+    cores, rest = [], t.reshape(1, -1)
+    for n in shape[:-1]:
+        u, s, vt = np.linalg.svd(rest.reshape(rest.shape[0] * n, -1), full_matrices=False)
+        tail = np.cumsum(s[::-1] ** 2)[::-1]
+        rank = max(1, int(np.count_nonzero(tail > threshold**2)))
+        cores.append(u[:, :rank].reshape(-1, n, rank))
+        rest = s[:rank, None] * vt[:rank]
+    cores.append(rest.reshape(-1, shape[-1], 1))
+    return TTVector(cores)

@@ -264,6 +264,30 @@ def test_turning_step_is_solved_once(monkeypatch):
         assert len(rep.objective) == 4 and rep.is_monotone()
 
 
+def test_residuals_are_computed_only_where_read(monkeypatch):
+    # the residuals feed the convergence test, after a sweep whose objective
+    # is stable, and the report, after the last sweep: a 2-sweep run checks
+    # them once, and a 1-sweep run still reports them
+    import ttkit.solvers
+
+    op, dense = laplacian_mpo(4)
+    calls = []
+    norm = ttkit.solvers._residual_norm
+
+    def counting(lhs, rhs):
+        calls.append(1)
+        return norm(lhs, rhs)
+
+    monkeypatch.setattr(ttkit.solvers, "_residual_norm", counting)
+    for max_sweeps in (1, 2):
+        calls.clear()
+        lam, x, rep = eig_min(op, SweepConfig(max_sweeps=max_sweeps, rank=2, seed=0))
+        assert len(calls) == 1 and rep.sweeps == max_sweeps
+        v = x.full().reshape(-1)
+        want = np.linalg.norm(dense @ v - lam * v) / max(1.0, abs(lam))
+        assert rep.residuals == [pytest.approx(want, rel=1e-6, abs=1e-14)]
+
+
 def test_mals_respects_max_rank_cap():
     op, _ = laplacian_mpo(5)
     rng = np.random.default_rng(1)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from oracles import BlockMatrix, strong_kron
+from oracles import BlockMatrix, strong_kron, tt_svd_plain
 from ttkit.train import (
+    _QR_FIRST_SIZE,
     BlockTT,
     TruncationPolicy,
     TTMatrix,
@@ -11,11 +13,16 @@ from ttkit.train import (
     block_from_tts,
     block_move,
     feasible_ranks,
+    fix_svd_signs,
     mpo_round,
     mpo_svd,
+    nonzero_rank,
     orthogonalize,
+    policy_rank,
     random_mpo,
     random_tt,
+    select_rank,
+    svd_split,
     tt_entry,
     tt_round,
     tt_svd,
@@ -96,6 +103,122 @@ def test_exact_rank_recovery_synthetic():
         x = random_tt(modes, ranks, rng)
         y = tt_svd(x.full(), TIGHT)
         assert list(y.ranks) == profile
+
+
+# ---------------------------------------------------------------------------
+# svd_split: the QR-first route for wide unfoldings
+
+# wide shapes just below and at/above the crossover of the QR-first route
+BELOW = [(2, _QR_FIRST_SIZE // 2 - 1), (8, _QR_FIRST_SIZE // 8 - 1)]
+ABOVE = [(2, _QR_FIRST_SIZE // 2), (8, _QR_FIRST_SIZE // 8 + 1), (16, 4 * _QR_FIRST_SIZE // 16)]
+
+
+def _spectrum_matrix(shape, s, seed):
+    """A matrix of the given shape with singular values ``s``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (u * s) @ v.T
+
+
+def _counting_qr(monkeypatch):
+    calls = []
+    qr = scipy.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    return calls
+
+
+def _plain_split(m, step, rank):
+    """``svd_split`` as it reads with ``numpy.linalg.svd`` of ``m`` itself."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = rank(s)
+    u, vt = fix_svd_signs(u[:, :keep], vt[:keep])
+    return (u, s[:keep, None] * vt) if step > 0 else (u * s[:keep], vt)
+
+
+RULES = {
+    "nonzero": nonzero_rank,
+    "select": lambda s: select_rank(s, 1e-3 * s[0], None),
+    "policy": policy_rank(TruncationPolicy(1e-2)),
+    "capped": lambda s: nonzero_rank(s, 3),
+}
+
+
+@pytest.mark.parametrize("shape", BELOW + ABOVE)
+@pytest.mark.parametrize("step", [1, -1])
+def test_svd_split_route_matches_plain_svd(monkeypatch, shape, step):
+    # singular values 2^-j: the gaps keep every kept singular vector well
+    # defined, so the factors themselves can be compared
+    s = 2.0 ** -np.arange(shape[0])
+    m = _spectrum_matrix(shape, s, seed=shape[1])
+    calls = _counting_qr(monkeypatch)
+    n = max(shape)
+    for name, rule in RULES.items():
+        seen = []
+        a, b = svd_split(m, step, lambda s, rule=rule: seen.append(s) or rule(s))
+        ref_a, ref_b = _plain_split(m, step, rule)
+        want = np.linalg.svd(m, compute_uv=False)
+        assert np.abs(seen[0] - want).max() <= n * np.finfo(float).eps * want[0], name
+        assert a.shape == ref_a.shape and b.shape == ref_b.shape, name
+        assert np.abs(a @ b - ref_a @ ref_b).max() <= 1e-12, name
+        ortho = a if step > 0 else b.T
+        assert np.abs(ortho.T @ ortho - np.eye(ortho.shape[1])).max() <= 1e-13, name
+        # the same signs as fix_svd_signs gives the plain factors
+        assert np.abs(a - ref_a).max() <= 1e-10 and np.abs(b - ref_b).max() <= 1e-10, name
+    assert len(calls) == (len(RULES) if shape in ABOVE else 0)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_svd_split_route_exact_low_rank(monkeypatch, step):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 1024))
+    calls = _counting_qr(monkeypatch)
+    a, b = svd_split(m, step, nonzero_rank)
+    assert calls and a.shape == (8, 3) and b.shape == (3, 1024)
+    assert np.abs(a @ b - m).max() <= 1e-12 * np.abs(m).max()
+    assert nonzero_rank(np.linalg.svd(m, compute_uv=False)) == 3
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_svd_split_route_zero_matrix(monkeypatch, step):
+    calls = _counting_qr(monkeypatch)
+    a, b = svd_split(np.zeros((4, 1024)), step, nonzero_rank)
+    assert calls and a.shape == (4, 1) and b.shape == (1, 1024)
+    assert not np.any(a @ b)
+    ortho = a if step > 0 else b.T
+    assert np.allclose(ortho.T @ ortho, 1.0)
+
+
+@pytest.mark.parametrize("shape", [BELOW[0], ABOVE[0]])
+def test_svd_split_nan_raises(shape):
+    m = np.ones(shape)
+    m[1, 7] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        svd_split(m, 1, nonzero_rank)
+
+
+def test_tt_svd_long_smooth_sample_matches_plain_svds(monkeypatch):
+    # a 2^16 sample: its first unfoldings are wide and take the QR-first route
+    x = np.arange(2**16) / 2**16
+    t = (np.exp(-(((x - 0.4) / 0.15) ** 2)) + np.sin(7.0 * x) / (1.0 + x)).reshape((2,) * 16)
+    calls = _counting_qr(monkeypatch)
+    for tol in (1e-6, 1e-10):
+        y = tt_svd(t, TruncationPolicy(tol))
+        assert y.ranks == tt_svd_plain(t, tol).ranks
+        assert np.linalg.norm(y.full() - t) <= tol * np.linalg.norm(t)
+    assert calls
+
+
+def test_tt_svd_nan_raises():
+    t = np.ones(2**13)
+    t[100] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        tt_svd(t.reshape((2,) * 13))
 
 
 # ---------------------------------------------------------------------------

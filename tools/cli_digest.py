@@ -3,7 +3,9 @@
 Builds small dense inputs in a temporary directory, runs ``ttkit.cli.main``
 in-process on every subcommand that writes files (each solver both
 single-site and ``--adaptive``), reads the block containers that
-``eig --k 3`` writes back through ``info`` and ``reconstruct``, and prints
+``eig --k 3`` writes and two containers whose TT-SVD takes the QR-first
+route of ``train.svd_split`` (a 2^14 signal and a 64 × 64 kernel) back
+through ``info`` and ``reconstruct``, and prints
 one SHA-256 per output file, per captured stdout/stderr stream, and a total
 over all of them.  Two source trees that print the same total produce
 byte-identical outputs.  After each hash it also prints the numbers of every
@@ -40,10 +42,14 @@ def _inputs() -> dict:
     """Raw float64 arrays by file stem, all deterministic."""
     rng = np.random.default_rng(0)
     t = np.linspace(0.0, 1.0, 2**10)
+    t_long = np.linspace(0.0, 1.0, 2**14)
+    k = np.arange(64) / 64
     grid = np.add.outer(np.add.outer(np.arange(4), np.arange(4)), np.arange(4))
     return {
         "smooth": np.sin(np.add.outer(grid, np.arange(4)) / 5.0),
         "signal": np.exp(-t) * np.sin(12.0 * t),
+        "long_signal": 1.0 / (1.0 + 25.0 * (t_long - 0.4) ** 2),
+        "kernel": np.exp(-(((k[:, None] - k[None, :]) / 0.25) ** 2)),
         "lap": _laplacian(32),
         "shifted": _laplacian(32) + np.eye(32),
         "ones": np.ones(32),
@@ -64,6 +70,9 @@ def _prepare_jobs() -> list:
     jobs = [
         ("compress", ["compress", "smooth.raw", "--shape", "4,4,4,4", "-o", "smooth.tt"]),
         ("quantize", ["quantize", "signal.raw", "--tol", "1e-10", "-o", "signal.tt"]),
+        ("quantize-long", ["quantize", "long_signal.raw", "--tol", "1e-10", "-o", "long.tt"]),
+        ("quantize-kernel", ["quantize", "kernel.raw", "--row-shape", "64", "--col-shape", "64",
+                             "--tol", "1e-12", "-o", "kernel-q.tt"]),
         ("quantize-ones", ["quantize", "ones.raw", "-o", "ones.tt"]),
         ("quantize-ones16", ["quantize", "ones16.raw", "-o", "ones16.tt"]),
     ]
@@ -132,9 +141,9 @@ def digests() -> list:
                 for mode in ("single", "adaptive"):
                     extra = ["--adaptive"] if mode == "adaptive" else []
                     jobs.append((f"{name}-{mode}", argv + SOLVER_FLAGS + extra + ["-o", f"{name}-{mode}"]))
-            for block in ("eig-k3-single", "eig-k3-adaptive"):
-                jobs.append((f"info-{block}", ["info", f"{block}.tt"]))
-                jobs.append((f"reconstruct-{block}", ["reconstruct", f"{block}.tt", "-o", f"{block}.raw"]))
+            for stem in ("eig-k3-single", "eig-k3-adaptive", "long", "kernel-q"):
+                jobs.append((f"info-{stem}", ["info", f"{stem}.tt"]))
+                jobs.append((f"reconstruct-{stem}", ["reconstruct", f"{stem}.tt", "-o", f"{stem}.raw"]))
             for name, argv in jobs:
                 blobs.update(_run(name, argv))
             for path in sorted(set(os.listdir(".")) - inputs):
