@@ -377,3 +377,25 @@ def test_nonsymmetric_operator_is_one_line_error(tmp_path, capsys, position):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "not symmetric" in err
     assert not list(tmp_path.glob("out*"))
+
+
+def test_ill_conditioned_solve_is_one_line_error(tmp_path, capsys):
+    # the 2^30 Laplacian: cond ~ 4^30, so the energy route's local Cholesky
+    # fails and the run restarts on the normal equations, which do not
+    # converge.  The local solves make no condition estimate, so no
+    # LinAlgWarning joins the one error line on stderr
+    import warnings
+
+    from oracles import qtt_laplacian
+    from ttkit.train import TTVector
+
+    d = 30
+    op_path, rhs_path = tmp_path / "lap.tt", tmp_path / "ones.tt"
+    container.save(qtt_laplacian(d), op_path)
+    container.save(TTVector([np.ones((1, 2, 1))] * d), rhs_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "solve", op_path, "--rhs", rhs_path, "-o", tmp_path / "sol")
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert err.splitlines() == ["error: solver did not converge (use --allow-nonconverged to accept)"]

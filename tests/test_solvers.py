@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ttkit.algebra import diagonal_mpo, eye_mpo, mpo_apply, mpo_mul, mpo_transpose, tt_inner, tt_norm
+from ttkit.algebra import (
+    diagonal_mpo,
+    eye_mpo,
+    mpo_apply,
+    mpo_mul,
+    mpo_transpose,
+    tt_add,
+    tt_inner,
+    tt_norm,
+    tt_scale,
+)
 from ttkit.quantize import plan_auto, quantize_matrix, quantize_vector
 from ttkit.solvers import (
     SolveReport,
@@ -15,7 +25,7 @@ from ttkit.solvers import (
     svd_dominant,
     svd_small_k,
 )
-from ttkit.train import TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt, tt_svd
+from ttkit.train import TruncationPolicy, TTMatrix, TTVector, feasible_ranks, mpo_svd, random_tt, tt_svd
 
 OP_TOL = TruncationPolicy(1e-13)
 
@@ -242,7 +252,9 @@ def test_mals_two_site_chain_solves_exactly_in_one_sweep():
 
 def test_turning_step_is_solved_once(monkeypatch):
     # a half-sweep starts where the previous one ended, on the same local
-    # problem; it is assembled and solved once
+    # problem; it is assembled and solved once.  Single-site eig_min first
+    # sweeps once at half the rank (0..3..0) to build its start; the rank-4
+    # sweeps then begin at site 0 again, on a new (padded) local problem
     import ttkit.solvers
 
     op, _ = laplacian_mpo(4)
@@ -255,7 +267,7 @@ def test_turning_step_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(ttkit.solvers, "effective_operator", recording)
     for adaptive, want in [
-        (False, [0, 1, 2, 3, 2, 1, 0, 1, 2, 3, 2, 1, 0]),
+        (False, [0, 1, 2, 3, 2, 1, 0] + [0, 1, 2, 3, 2, 1, 0, 1, 2, 3, 2, 1, 0]),
         (True, [0, 1, 2, 1, 0, 1, 2, 1, 0]),
     ]:
         sites.clear()
@@ -899,38 +911,164 @@ def test_lowest_pair_matches_dense_oracle(problem):
 
 
 def test_eig_min_warm_steps_skip_eigh(monkeypatch):
-    # eigh runs once on each site's first visit, which starts from the random
-    # core; the other 27 visits start from the site's own core and are
-    # settled by Cholesky factorizations.  A hard 512-dimensional step may
-    # fall back to eigh once, depending on rounding (at seed 0 it does with
-    # one BLAS thread and not with two), so fallbacks are counted apart from
-    # first visits: a fast path that stops running shows as extra first-visit
-    # calls, one that always falls back as extra fallbacks
+    # eigh runs once on each site's first visit, in the warm-up sweep at
+    # rank 8, which starts from the random core; the other 46 visits (9 in
+    # the warm-up, 37 at rank 16) start from the site's own core and are
+    # settled by Cholesky factorizations.  A hard step may fall back to eigh
+    # instead: at seed 0 two 128-dimensional warm-up steps do, whose warm
+    # residuals (5e-3 and 1e-2) exceed the local gap; a 512-dimensional
+    # rank-16 step may, depending on rounding.  So fallbacks are counted
+    # apart from first visits and per phase: a fast path that stops running
+    # shows as extra first-visit calls, one that always falls back as extra
+    # fallbacks
     op = qtt_laplacian(10)
-    count = {"warm": 0, "cold": 0, "fallback": 0}
+    phase = ["warm-up"]
+    count = {(p, kind): 0 for p in ("warm-up", "rank 16") for kind in ("warm", "cold", "fallback")}
     inside = []
-    eigh, lowest_pair = scipy.linalg.eigh, solvers._lowest_pair
+    eigh, lowest_pair, pad = scipy.linalg.eigh, solvers._lowest_pair, solvers._Chain.pad
 
     def counting_eigh(*args, **kwargs):
-        count["fallback" if inside else "cold"] += 1
+        count[phase[0], "fallback" if inside else "cold"] += 1
         return eigh(*args, **kwargs)
 
     def counting_pair(h, start):
-        count["warm"] += 1
+        count[phase[0], "warm"] += 1
         inside.append(True)
         try:
             return lowest_pair(h, start)
         finally:
             inside.pop()
 
+    def padding(chain, rank, rng):
+        pad(chain, rank, rng)
+        phase[0] = "rank 16"
+
     monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(solvers, "_lowest_pair", counting_pair)
+    monkeypatch.setattr(solvers._Chain, "pad", padding)
     lam, _, rep = eig_min(op, SweepConfig(rank=16, max_sweeps=2, seed=0))
-    assert count["cold"] == op.order
-    assert count["warm"] == 27
-    assert count["fallback"] <= 1
+    assert count["warm-up", "cold"] == op.order
+    assert count["warm-up", "warm"] == 9
+    assert count["warm-up", "fallback"] <= 2
+    assert count["rank 16", "cold"] == 0
+    assert count["rank 16", "warm"] == 37
+    assert count["rank 16", "fallback"] <= 1
     assert rep.is_monotone()
     assert lam == pytest.approx(4 * np.sin(np.pi / (2 * (2**10 + 1))) ** 2, abs=1e-14)
+
+
+def _right_orthogonal(core):
+    m = core.reshape(core.shape[0], -1)
+    return np.abs(m @ m.T - np.eye(m.shape[0])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("pos", [0, 3])
+def test_chain_pad_keeps_the_vector(pos):
+    modes = (2, 3, 2, 4, 2, 2)
+    rng = np.random.default_rng(4)
+    chain = solvers._Chain(modes, 2, 1, rng)
+    policy = TruncationPolicy(1e-10)
+    for _ in range(pos):  # move the active block right by random local solutions
+        chain.install(rng.standard_normal(chain.x.size), 1, 1, policy)
+    before = chain.snapshot()
+    chain.pad(5, rng)
+    after = chain.snapshot()
+    assert chain.ranks() == feasible_ranks(modes, [5] * 5) == list(after.ranks)
+    assert chain.pos == 0 and chain.x.shape == (1, 2, after.ranks[1], 1)
+    diff = tt_add(after, tt_scale(before, -1.0))
+    assert tt_norm(diff) <= 1e-14 * tt_norm(before)
+    # right-orthogonal frame: the active block holds the whole vector
+    assert all(_right_orthogonal(c) for c in chain.cores[1:])
+    assert np.linalg.norm(chain.x) == pytest.approx(tt_norm(before), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        eig_min,
+        lambda op, cfg: eig_block(op, 1, cfg),
+        lambda op, cfg: svd_small_k(op, 1, cfg),
+    ],
+    ids=["eig_min", "eig_block", "svd_small_k"],
+)
+def test_warm_up_runs_every_cold_eigh_at_half_rank(monkeypatch, solve):
+    # rank 5 -> warm-up at rank 3: every dense eigh outside _lowest_pair
+    # (first visits) sees bond ranks <= 3, and every step at rank 5 starts warm
+    op = qtt_laplacian(6)
+    rank = [0]
+    events = []
+    build, eigh, lowest_pair = solvers.effective_operator, scipy.linalg.eigh, solvers._lowest_pair
+
+    def recording(stack, site, span=1):
+        rank[0] = max(c.shape[2] for c in stack.bra)
+        return build(stack, site, span)
+
+    def counting_eigh(*args, **kwargs):
+        events.append(("cold", rank[0]))
+        return eigh(*args, **kwargs)
+
+    def counting_pair(h, start):
+        events.append(("warm", rank[0]))
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)  # fallbacks are not first visits
+        try:
+            return lowest_pair(h, start)
+        finally:
+            monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+
+    monkeypatch.setattr(solvers, "effective_operator", recording)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solvers, "_lowest_pair", counting_pair)
+    solve(op, SweepConfig(rank=5, max_sweeps=2, seed=3))
+    assert events.count(("cold", 3)) == op.order
+    assert [e for e in events if e[1] == 5] == [("warm", 5)] * 21  # 6 + 5, then 5 + 5 visits
+    assert {e[1] for e in events} == {3, 5}
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 6])
+def test_warm_up_is_not_a_reported_sweep(max_sweeps):
+    op = qtt_laplacian(8)
+    lam, x, rep = eig_min(op, SweepConfig(rank=6, max_sweeps=max_sweeps, seed=1))
+    assert len(rep.objective) == 2 * rep.sweeps <= 2 * max_sweeps
+    assert rep.is_monotone()
+    assert len(rep.residuals) == 1
+    assert max(x.ranks) == 6
+    lam1 = 4 * np.sin(np.pi / (2 * (2**8 + 1))) ** 2
+    assert lam == pytest.approx(lam1, abs=1e-13)
+
+
+def test_warm_up_is_seeded():
+    op = qtt_laplacian(7)
+    runs = [eig_min(op, SweepConfig(rank=7, max_sweeps=2, seed=5)) for _ in range(2)]
+    (lam_a, x_a, rep_a), (lam_b, x_b, rep_b) = runs
+    assert lam_a == lam_b
+    assert all(np.array_equal(a, b) for a, b in zip(x_a.cores, x_b.cores))
+    assert rep_a.to_keyvalue() == rep_b.to_keyvalue()
+    assert rep_a.trajectory_csv() == rep_b.trajectory_csv()
+
+
+def test_warm_up_only_where_lowest_pair_serves(monkeypatch):
+    op = qtt_laplacian(5)
+    ranks = []
+    init, pads = solvers._Chain.__init__, []
+
+    def recording(chain, modes, rank, k, rng):
+        ranks.append(rank)
+        init(chain, modes, rank, k, rng)
+
+    monkeypatch.setattr(solvers._Chain, "__init__", recording)
+    monkeypatch.setattr(solvers._Chain, "pad", lambda chain, rank, rng: pads.append(rank))
+    eye = eye_mpo((2,) * 5)
+    for call, want in [
+        (lambda: eig_min(op, SweepConfig(rank=1, max_sweeps=2)), ([1], [])),
+        (lambda: eig_min(op, SweepConfig(rank=4, max_sweeps=2, adaptive=True)), ([4], [])),
+        (lambda: eig_block(op, 2, SweepConfig(rank=4, max_sweeps=2)), ([4], [])),
+        (lambda: gevd(eye, op, eye, 1, SweepConfig(rank=4, max_sweeps=2)), ([4], [])),
+        (lambda: eig_min(op, SweepConfig(rank=2, max_sweeps=1)), ([1], [2])),
+    ]:
+        ranks.clear()
+        pads.clear()
+        call()
+        assert (ranks, pads) == want
 
 
 def test_symmetric_solvers_reject_nonsymmetric_operators(monkeypatch):
