@@ -3,13 +3,11 @@ alternating-sweep solvers for eigenproblems, singular triplets, generalized
 eigenproblems, canonical correlations and linear systems."""
 
 from .algebra import (
-    diagonal_mpo,
     eye_mpo,
     mpo_apply,
     mpo_mul,
     mpo_transpose,
     tt_add,
-    tt_inner,
     tt_norm,
     tt_scale,
 )
@@ -48,15 +46,11 @@ from .train import (
     TTMatrix,
     TTVector,
     block_extract,
-    block_from_tts,
-    block_move,
     mpo_round,
     mpo_svd,
     mpo_to_full,
     orthogonalize,
-    random_mpo,
     random_tt,
-    tt_entry,
     tt_round,
     tt_svd,
     tt_to_full,

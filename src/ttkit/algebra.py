@@ -1,5 +1,5 @@
-"""Arithmetic in TT formats: addition, scaling, inner products and norms,
-operator-vector and operator-operator products.
+"""Arithmetic in TT formats: addition, scaling and norms, operator-vector
+and operator-operator products.
 
 Products are exact (bond ranks multiply); recompression is explicit via the
 ``policy`` argument and never happens behind the caller's back.
@@ -24,13 +24,11 @@ from .train import (
 __all__ = [
     "tt_add",
     "tt_scale",
-    "tt_inner",
     "tt_norm",
     "mpo_apply",
     "mpo_mul",
     "mpo_transpose",
     "eye_mpo",
-    "diagonal_mpo",
 ]
 
 
@@ -47,18 +45,6 @@ def tt_scale(x: TTVector, alpha: float) -> TTVector:
     """Scale by multiplying the first core; ranks are unchanged."""
     cores = [x.cores[0] * float(alpha)] + [c.copy() for c in x.cores[1:]]
     return TTVector(cores, copy=False)
-
-
-def tt_inner(x: TTVector, y: TTVector) -> float:
-    """Euclidean inner product of the represented vectors, evaluated by a
-    left-to-right zip contraction (cost O(N I R^3); no dense intermediate)."""
-    if x.mode_sizes != y.mode_sizes:
-        raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
-    v = np.ones((1, 1))
-    for a, b in zip(x.cores, y.cores):
-        t = np.tensordot(v, a, axes=(0, 0))  # (rb, i, ra')
-        v = np.tensordot(t, b, axes=((0, 1), (0, 1)))  # (ra', rb')
-    return float(v[0, 0])
 
 
 def tt_norm(x: TTVector) -> float:
@@ -110,17 +96,4 @@ def mpo_transpose(a: TTMatrix) -> TTMatrix:
 def eye_mpo(mode_sizes) -> TTMatrix:
     """Identity operator with all bond ranks 1."""
     cores = [np.eye(int(i))[None, :, :, None] for i in mode_sizes]
-    return TTMatrix(cores, copy=False)
-
-
-def diagonal_mpo(x: TTVector) -> TTMatrix:
-    """Diagonal operator whose diagonal is the vector represented by ``x``;
-    ranks are inherited."""
-    cores = []
-    for g in x.cores:
-        r0, i, r1 = g.shape
-        c = np.zeros((r0, i, i, r1))
-        idx = np.arange(i)
-        c[:, idx, idx, :] = g
-        cores.append(c)
     return TTMatrix(cores, copy=False)

@@ -12,6 +12,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -139,7 +140,7 @@ def _solver_outputs(args, report, values=None, header=None) -> int:
 def _cmd_compress(args) -> int:
     shape = _parse_shape(args.shape)
     data = _read_raw(args.input)
-    total = int(np.prod(shape, dtype=np.int64))
+    total = math.prod(shape)
     if data.size != total:
         raise CliError(f"file holds {data.size} values but shape {shape} needs {total}")
     vec = tt_svd(data.reshape(shape), TruncationPolicy(args.tol))
@@ -150,10 +151,9 @@ def _cmd_compress(args) -> int:
     return 0
 
 
-def _matrix_plan(text: str, base: int, mixed_radix: bool):
-    """A single integer is factorized by the base; a comma-separated list is
-    taken as explicit virtual mode sizes."""
-    shape = _parse_shape(text)
+def _matrix_plan(shape: tuple, base: int, mixed_radix: bool):
+    """A single size is factorized by the base; several sizes are taken as
+    explicit virtual mode sizes."""
     if len(shape) == 1:
         return plan_auto(shape[0], base, mixed_radix)
     return QuantizationPlan(base, (shape,))
@@ -165,14 +165,15 @@ def _cmd_quantize(args) -> int:
     if args.row_shape is not None or args.col_shape is not None:
         if args.row_shape is None or args.col_shape is None:
             raise CliError("matrix mode needs both --row-shape and --col-shape")
-        row_plan = _matrix_plan(args.row_shape, args.base, args.mixed_radix)
-        col_plan = _matrix_plan(args.col_shape, args.base, args.mixed_radix)
-        rows = int(np.prod(row_plan.virtual_shape))
-        cols = int(np.prod(col_plan.virtual_shape))
+        row_shape = _parse_shape(args.row_shape)
+        col_shape = _parse_shape(args.col_shape)
+        rows, cols = math.prod(row_shape), math.prod(col_shape)
         if data.size != rows * cols:
             raise CliError(
                 f"file holds {data.size} values but {rows}x{cols} needs {rows * cols}"
             )
+        row_plan = _matrix_plan(row_shape, args.base, args.mixed_radix)
+        col_plan = _matrix_plan(col_shape, args.base, args.mixed_radix)
         obj = quantize_matrix(data.reshape(rows, cols), row_plan, col_plan, policy)
     else:
         plan = plan_auto(data.size, args.base, args.mixed_radix)

@@ -98,6 +98,8 @@ def plan_auto(
     possible; any remainder is either an error (strict mode) or factored
     into ascending primes (``mixed_radix=True``).
     """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
     shape = tuple(int(s) for s in shape)

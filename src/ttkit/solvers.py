@@ -61,6 +61,7 @@ from .train import (
     orthogonalize,
     policy_rank,
     qr_split,
+    random_tt,
     svd_split,
 )
 
@@ -174,11 +175,7 @@ class _Chain:
                 most = top[site] * modes[site] * top[site + 1]
                 advice = "increase the rank" if most >= k else f"the mode sizes allow at most {most} there"
                 raise ValueError(f"K={k} exceeds the local dimension at site {site}; {advice}")
-        cores = [
-            rng.standard_normal((profile[j], modes[j], profile[j + 1]))
-            for j in range(n)
-        ]
-        cores = orthogonalize(TTVector(cores, copy=False), 0).cores
+        cores = orthogonalize(random_tt(modes, [rank] * (n - 1), rng), 0).cores
         self.modes = tuple(modes)
         self.k = k
         self.cores = cores
@@ -473,6 +470,8 @@ def _block_eig(
     config: SweepConfig,
     metric: Optional[TTMatrix] = None,
 ):
+    if k < 1:
+        raise ValueError("k must be at least 1")
     rng = np.random.default_rng(config.seed)
     # the steps _lowest_pair serves start from one sweep at half the rank
     warm_up = k == 1 and metric is None and not config.adaptive and config.rank >= 2
@@ -573,8 +572,6 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     orthonormal, which transfers to the global vectors.  At k = 1 the start
     is built as in :func:`eig_min`, by one uncounted sweep at half the rank.
     A non-symmetric operator raises ``ValueError``, as in :func:`eig_min`."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
     _require_symmetric(op, "operator")
     values, snap, report = _block_eig(op, k, config)
     return np.asarray(values), _as_block(snap), report

@@ -1,11 +1,11 @@
 """Tensor trains: TT/MPS vectors, TT/MPO matrices and block TT.
 
-Construction from dense data by successive truncated SVDs, entry evaluation,
-dense reconstruction, orthogonalization and rounding (recompression).
+Construction from dense data by successive truncated SVDs, dense
+reconstruction, orthogonalization and rounding (recompression).
 
-Construction, orthogonalization, rounding, block moves and the sweep
-solvers' moves rest on one bond split: a core unfolding is factored into an
-orthonormal factor, kept as the core, and a carry for the neighbour.
+Construction, orthogonalization, rounding and the sweep solvers' moves rest
+on one bond split: a core unfolding is factored into an orthonormal
+factor, kept as the core, and a carry for the neighbour.
 :func:`qr_split` keeps the rank; :func:`svd_split` takes it from the
 caller's rule, the noise floor of an exact split (:func:`nonzero_rank`) or a
 tail budget (:func:`select_rank`).  A wide unfolding of at least 4096
@@ -39,17 +39,13 @@ __all__ = [
     "BlockTT",
     "tt_svd",
     "tt_to_full",
-    "tt_entry",
     "mpo_svd",
     "mpo_to_full",
     "orthogonalize",
     "tt_round",
     "mpo_round",
     "block_extract",
-    "block_move",
-    "block_from_tts",
     "random_tt",
-    "random_mpo",
     "feasible_ranks",
 ]
 
@@ -119,9 +115,6 @@ class TTVector:
 
     def full(self) -> np.ndarray:
         return tt_to_full(self)
-
-    def entry(self, multi_index) -> float:
-        return tt_entry(self, multi_index)
 
     def __repr__(self):
         return f"TTVector(modes={self.mode_sizes}, ranks={self.ranks})"
@@ -348,20 +341,6 @@ def tt_to_full(x: TTVector) -> np.ndarray:
     return np.ascontiguousarray(res[..., 0])
 
 
-def tt_entry(x: TTVector, multi_index) -> float:
-    """Single entry as a product of slice matrices; cost O(sum R R')."""
-    idx = tuple(int(i) for i in multi_index)
-    if len(idx) != x.order:
-        raise ValueError(f"index {idx} does not match order {x.order}")
-    v = None
-    for core, i in zip(x.cores, idx):
-        if not 0 <= i < core.shape[1]:
-            raise IndexError(f"index {idx} out of bounds")
-        s = core[:, i, :]
-        v = s if v is None else v @ s
-    return float(v[0, 0])
-
-
 def mpo_svd(
     mat: np.ndarray,
     row_shape: Sequence[int],
@@ -484,38 +463,6 @@ def block_extract(x: BlockTT, k: int) -> TTVector:
     return TTVector(cores)
 
 
-def block_move(x: BlockTT, new_position: int) -> BlockTT:
-    """Relocate the block index core by core via SVD-mediated merge/split.
-
-    The block index is fused with the bond being split, so the K represented
-    vectors are preserved (up to numerically-zero singular values).
-    """
-    if not 0 <= new_position < x.order:
-        raise ValueError(f"position {new_position} out of range")
-    cores = [c.copy() for c in x.cores]
-    pos = x.position
-    while pos < new_position:
-        b, g = cores[pos], cores[pos + 1]
-        r0, i, k, r1 = b.shape
-        merged = np.tensordot(b, g, axes=(3, 0))  # (r0, i, k, j, r2)
-        j, r2 = merged.shape[3], merged.shape[4]
-        u, right = svd_split(merged.reshape(r0 * i, k * j * r2), 1, nonzero_rank)
-        cores[pos] = u.reshape(r0, i, -1)
-        cores[pos + 1] = np.ascontiguousarray(right.reshape(-1, k, j, r2).transpose(0, 2, 1, 3))
-        pos += 1
-    while pos > new_position:
-        b, g = cores[pos], cores[pos - 1]
-        r1, i, k, r2 = b.shape
-        merged = np.tensordot(g, b, axes=(2, 0))  # (r0, j, i, k, r2)
-        r0, j = merged.shape[0], merged.shape[1]
-        m = merged.transpose(0, 1, 3, 2, 4).reshape(r0 * j * k, i * r2)
-        left, vt = svd_split(m, -1, nonzero_rank)
-        cores[pos] = vt.reshape(-1, i, r2)
-        cores[pos - 1] = left.reshape(r0, j, k, -1)
-        pos -= 1
-    return BlockTT(cores, pos, copy=False)
-
-
 def _block_diag(parts, axes) -> np.ndarray:
     """Place ``parts`` on the diagonal of a zero array: sizes add along
     ``axes``, and every other axis is shared (all parts agree on it)."""
@@ -533,37 +480,17 @@ def _block_diag(parts, axes) -> np.ndarray:
     return out
 
 
-def _direct_sum_cores(chains, block: bool = False) -> list:
+def _direct_sum_cores(chains) -> list:
     """Cores of the direct sum of equal-mode TT chains: interior bond ranks
     add and chain j fills the j-th diagonal block.  The boundary bonds stay
     shared, so the result represents the sum of the vectors (for chains of
-    two or more cores); with ``block`` the last core instead gains a block
-    index whose column j holds chain j, keeping the vectors apart."""
+    two or more cores)."""
     last = len(chains[0]) - 1
     cores = []
     for n in range(last + 1):
-        parts = [chain[n] for chain in chains]
-        if block and n == last:
-            parts = [p[:, :, None, :] for p in parts]
-        axes = ((0,) if n > 0 else ()) + ((2,) if n < last or block else ())
-        cores.append(_block_diag(parts, axes))
+        axes = ((0,) if n > 0 else ()) + ((2,) if n < last else ())
+        cores.append(_block_diag([chain[n] for chain in chains], axes))
     return cores
-
-
-def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
-    """Join K TT vectors of identical mode sizes into one block TT.
-
-    Uses a direct-sum construction (bond ranks add); the block index sits on
-    the last core.
-    """
-    if not tts:
-        raise ValueError("need at least one TT vector")
-    modes = tts[0].mode_sizes
-    for t in tts:
-        if t.mode_sizes != modes:
-            raise ValueError("all TT vectors must share mode sizes")
-    cores = _direct_sum_cores([t.cores for t in tts], block=True)
-    return BlockTT(cores, len(modes) - 1, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -601,20 +528,3 @@ def random_tt(mode_sizes, rank, rng) -> TTVector:
     r = feasible_ranks(modes, rank)
     cores = [rng.standard_normal((r[n], modes[n], r[n + 1])) for n in range(len(modes))]
     return TTVector(cores, copy=False)
-
-
-def random_mpo(row_sizes, col_sizes, rank, rng) -> TTMatrix:
-    """Random TT matrix; ranks are clipped against the fused (i, j) modes."""
-    rows = [int(m) for m in row_sizes]
-    cols = [int(m) for m in col_sizes]
-    if len(rows) != len(cols):
-        raise ValueError("row and column shapes must have the same length")
-    fused = [i * j for i, j in zip(rows, cols)]
-    if isinstance(rank, int):
-        rank = [rank] * (len(fused) - 1)
-    r = feasible_ranks(fused, rank)
-    cores = [
-        rng.standard_normal((r[n], rows[n], cols[n], r[n + 1]))
-        for n in range(len(fused))
-    ]
-    return TTMatrix(cores, copy=False)

@@ -2,10 +2,12 @@
 
 Dense N-way tensors and the basic multilinear operations, block matrices
 with the strong Kronecker and AC products, the explicit interface and
-frame matrices of a TT vector, a QTT operator whose cores are exact, and a
-TT-SVD by plain SVDs of every unfolding.  None of this lies on a library
-path: the library works on cores and cached environments and never forms a
-dense N-way tensor or a frame.
+frame matrices of a TT vector, a QTT operator whose cores are exact, a
+TT-SVD by plain SVDs of every unfolding, and the TT-format helpers only
+tests need: random TT matrices, inner products, diagonal operators and
+block TTs joined from TT vectors.  None of this lies on a library path: the
+library works on cores and cached environments and never forms a dense
+N-way tensor or a frame.
 
 Conventions:
 
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ttkit.train import TTMatrix, TTVector
+from ttkit.train import BlockTT, TTMatrix, TTVector, _block_diag, feasible_ranks
 
 FRAME_ROW_CAP = 1 << 16
 
@@ -396,3 +398,70 @@ def tt_svd_plain(t: np.ndarray, tol: float) -> TTVector:
         rest = s[:rank, None] * vt[:rank]
     cores.append(rest.reshape(-1, shape[-1], 1))
     return TTVector(cores)
+
+
+# ---------------------------------------------------------------------------
+# generators and helpers in TT format
+
+
+def random_mpo(row_sizes, col_sizes, rank, rng) -> TTMatrix:
+    """Random TT matrix; ranks are clipped against the fused (i, j) modes."""
+    rows = [int(m) for m in row_sizes]
+    cols = [int(m) for m in col_sizes]
+    if len(rows) != len(cols):
+        raise ValueError("row and column shapes must have the same length")
+    fused = [i * j for i, j in zip(rows, cols)]
+    if isinstance(rank, int):
+        rank = [rank] * (len(fused) - 1)
+    r = feasible_ranks(fused, rank)
+    cores = [
+        rng.standard_normal((r[n], rows[n], cols[n], r[n + 1]))
+        for n in range(len(fused))
+    ]
+    return TTMatrix(cores, copy=False)
+
+
+def tt_inner(x: TTVector, y: TTVector) -> float:
+    """Euclidean inner product of the represented vectors, evaluated by a
+    left-to-right zip contraction (cost O(N I R^3); no dense intermediate)."""
+    if x.mode_sizes != y.mode_sizes:
+        raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
+    v = np.ones((1, 1))
+    for a, b in zip(x.cores, y.cores):
+        t = np.tensordot(v, a, axes=(0, 0))  # (rb, i, ra')
+        v = np.tensordot(t, b, axes=((0, 1), (0, 1)))  # (ra', rb')
+    return float(v[0, 0])
+
+
+def diagonal_mpo(x: TTVector) -> TTMatrix:
+    """Diagonal operator whose diagonal is the vector represented by ``x``;
+    ranks are inherited."""
+    cores = []
+    for g in x.cores:
+        r0, i, r1 = g.shape
+        c = np.zeros((r0, i, i, r1))
+        idx = np.arange(i)
+        c[:, idx, idx, :] = g
+        cores.append(c)
+    return TTMatrix(cores, copy=False)
+
+
+def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
+    """Join K TT vectors of identical mode sizes into one block TT by a
+    direct sum: interior bond ranks add, chain j fills the j-th diagonal
+    block, and the last core gains the block index, whose column j holds
+    vector j."""
+    if not tts:
+        raise ValueError("need at least one TT vector")
+    modes = tts[0].mode_sizes
+    for t in tts:
+        if t.mode_sizes != modes:
+            raise ValueError("all TT vectors must share mode sizes")
+    last = len(modes) - 1
+    cores = []
+    for n in range(last + 1):
+        parts = [t.cores[n] for t in tts]
+        if n == last:
+            parts = [p[:, :, None, :] for p in parts]
+        cores.append(_block_diag(parts, ((0,) if n > 0 else ()) + (2,)))
+    return BlockTT(cores, last, copy=False)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from oracles import frame_matrix, frame_matrix_two, merged_core
+from oracles import frame_matrix, frame_matrix_two, merged_core, random_mpo
 from ttkit import container
 from ttkit.algebra import (
     mpo_apply,
@@ -26,7 +26,6 @@ from ttkit.train import (
     feasible_ranks,
     mpo_svd,
     orthogonalize,
-    random_mpo,
     random_tt,
     tt_svd,
 )

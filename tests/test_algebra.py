@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import diagonal_mpo, random_mpo, tt_inner
 from ttkit.algebra import (
-    diagonal_mpo,
     eye_mpo,
     mpo_apply,
     mpo_mul,
     mpo_transpose,
     tt_add,
-    tt_inner,
     tt_norm,
     tt_scale,
 )
 from ttkit.train import (
     TruncationPolicy,
     TTVector,
-    random_mpo,
     random_tt,
     tt_round,
     tt_svd,

@@ -399,3 +399,62 @@ def test_ill_conditioned_solve_is_one_line_error(tmp_path, capsys):
     assert code == 1
     assert [str(w.message) for w in caught] == []
     assert err.splitlines() == ["error: solver did not converge (use --allow-nonconverged to accept)"]
+
+
+@pytest.mark.parametrize("command", ["svd", "gevd"])
+def test_k_zero_is_one_line_error(tmp_path, capsys, command):
+    op_path, eye_path = tmp_path / "op.tt", tmp_path / "eye.tt"
+    container.save(mpo_svd(laplacian(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13)), op_path)
+    container.save(mpo_svd(np.eye(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13)), eye_path)
+    argv = {"svd": ["svd", op_path, "--smallest"], "gevd": ["gevd", eye_path, op_path, eye_path]}[command]
+    code, stdout, err = run(capsys, *argv, "--k", 0, "-o", tmp_path / "out")
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: k must be at least 1\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("base", [0, 1])
+def test_quantize_base_below_two_is_one_line_error(tmp_path, capsys, base):
+    raw = tmp_path / "v.raw"
+    write_raw(raw, np.arange(16.0))
+    code, stdout, err = run(capsys, "quantize", raw, "--base", base, "-o", tmp_path / "v.tt")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: base must be >= 2, got {base}\n"
+    assert not (tmp_path / "v.tt").exists()
+
+
+def test_compress_shape_product_is_exact(tmp_path, capsys):
+    raw = tmp_path / "x.raw"
+    write_raw(raw, np.zeros(16))
+    code, stdout, err = run(capsys, "compress", raw, "--shape", "4294967296,4294967296", "-o", tmp_path / "x.tt")
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        "error: file holds 16 values but shape (4294967296, 4294967296) "
+        "needs 18446744073709551616\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "row_shape, rows",
+    [("999999999999999989", "999999999999999989"), ("4294967296,4294967296", "18446744073709551616")],
+)
+def test_quantize_size_mismatch_is_exact_and_checked_before_planning(
+    tmp_path, capsys, monkeypatch, row_shape, rows
+):
+    def no_planning(*args):
+        raise AssertionError("plan_auto ran before the size check")
+
+    monkeypatch.setattr("ttkit.cli.plan_auto", no_planning)
+    raw = tmp_path / "m.raw"
+    write_raw(raw, np.arange(16.0))
+    code, stdout, err = run(
+        capsys, "quantize", raw, "--row-shape", row_shape, "--col-shape", 1, "--mixed-radix",
+        "-o", tmp_path / "m.tt",
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: file holds 16 values but {rows}x1 needs {rows}\n"
+    assert not (tmp_path / "m.tt").exists()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import block_from_tts, random_mpo
 from ttkit import container
-from ttkit.train import BlockTT, TTMatrix, TTVector, block_from_tts, random_mpo, random_tt
+from ttkit.train import BlockTT, TTMatrix, TTVector, random_tt
 
 
 def test_vector_round_trip(tmp_path):

@@ -339,7 +339,8 @@ def test_ac_product_chain_reproduces_operator_vector_product():
     # site-wise AC products of operator/vector block matrices, chained with
     # strong Kronecker products, assemble the dense matrix-vector product
     from ttkit.algebra import mpo_apply
-    from ttkit.train import random_mpo, random_tt
+    from oracles import random_mpo
+    from ttkit.train import random_tt
 
     rng = np.random.default_rng(23)
     a = random_mpo((2, 3, 2), (2, 2, 3), 2, rng)

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from oracles import frame_matrix, frame_matrix_two, left_interface, merged_core, right_interface
-from ttkit.algebra import eye_mpo, tt_inner
+from oracles import (
+    frame_matrix,
+    frame_matrix_two,
+    left_interface,
+    merged_core,
+    random_mpo,
+    right_interface,
+    tt_inner,
+)
+from ttkit.algebra import eye_mpo
 from ttkit.frames import (
     EnvStack,
     effective_operator,
     effective_rhs,
     env_build,
 )
-from ttkit.train import TTVector, orthogonalize, random_mpo, random_tt
+from ttkit.train import TTVector, orthogonalize, random_tt
 
 
 def vec(x):

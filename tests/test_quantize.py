@@ -35,6 +35,12 @@ def test_plan_auto_minimal_and_strict():
         plan_auto(12, 2)
 
 
+@pytest.mark.parametrize("base", [1, 0])
+def test_plan_auto_rejects_base_below_two(base):
+    with pytest.raises(ValueError, match=f"^base must be >= 2, got {base}$"):
+        plan_auto(16, base, mixed_radix=True)
+
+
 def test_plan_determinism():
     assert plan_auto(64, 2) == plan_auto(64, 2)
     assert plan_auto((4, 8), 2) == QuantizationPlan(2, ((2, 2), (2, 2, 2)))

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import diagonal_mpo, tt_inner
 from ttkit.algebra import (
-    diagonal_mpo,
     eye_mpo,
     mpo_apply,
     mpo_mul,
     mpo_transpose,
     tt_add,
-    tt_inner,
     tt_norm,
     tt_scale,
 )
@@ -177,7 +176,7 @@ def test_eig_gauge_invariance():
 
 def test_eig_requires_square_operator():
     rng = np.random.default_rng(0)
-    from ttkit.train import random_mpo
+    from oracles import random_mpo
 
     op = random_mpo((2, 2), (2, 3), 2, rng)
     with pytest.raises(ValueError, match="square"):
@@ -188,6 +187,20 @@ def test_eig_k_too_large_for_rank():
     op, _ = laplacian_mpo(3)
     with pytest.raises(ValueError, match="K="):
         eig_block(op, 5, SweepConfig(rank=1))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("solver", ["eig_block", "svd_small_k", "gevd"])
+def test_k_below_one_is_rejected(solver, k):
+    op, _ = laplacian_mpo(4)
+    eye = eye_mpo(op.row_sizes)
+    call = {
+        "eig_block": lambda: eig_block(op, k, SweepConfig()),
+        "svd_small_k": lambda: svd_small_k(op, k, SweepConfig()),
+        "gevd": lambda: gevd(eye, op, eye, k, SweepConfig()),
+    }[solver]
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        call()
 
 
 def test_local_cap_enforced(monkeypatch):
@@ -566,7 +579,7 @@ def _first_column(blk):
 
 def test_cca_shape_validation():
     rng = np.random.default_rng(14)
-    from ttkit.train import random_mpo
+    from oracles import random_mpo
 
     x_op = random_mpo((2, 2), (2, 2), 2, rng)
     y_op = random_mpo((2, 2), (2, 3), 2, rng)
@@ -643,7 +656,7 @@ def test_linsolve_singular_system_regularizes():
 
 def test_linsolve_shape_mismatch():
     rng = np.random.default_rng(20)
-    from ttkit.train import random_mpo
+    from oracles import random_mpo
 
     op = random_mpo((2, 2), (2, 2), 2, rng)
     with pytest.raises(ValueError, match="rhs"):
@@ -812,7 +825,7 @@ def test_linsolve_2d_laplacian_energy_route():
 
 
 def test_symmetry_check_in_tt_form():
-    from ttkit.train import random_mpo
+    from oracles import random_mpo
 
     lap = qtt_laplacian(10)
     assert solvers._is_symmetric(lap)
@@ -873,7 +886,7 @@ def test_svd_small_k_one_site_matches_numpy():
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ttkit.train import random_mpo  # noqa: E402
+from oracles import random_mpo  # noqa: E402
 
 EPS = np.finfo(float).eps
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import BlockMatrix, strong_kron, tt_svd_plain
+from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd_plain
 from ttkit.train import (
     _QR_FIRST_SIZE,
     BlockTT,
@@ -10,8 +10,6 @@ from ttkit.train import (
     TTMatrix,
     TTVector,
     block_extract,
-    block_from_tts,
-    block_move,
     feasible_ranks,
     fix_svd_signs,
     mpo_round,
@@ -19,11 +17,9 @@ from ttkit.train import (
     nonzero_rank,
     orthogonalize,
     policy_rank,
-    random_mpo,
     random_tt,
     select_rank,
     svd_split,
-    tt_entry,
     tt_round,
     tt_svd,
 )
@@ -254,28 +250,6 @@ def test_tt_to_full_matches_strong_kron_chain():
     assert np.linalg.norm(_strong_kron_chain(x) - x.full().reshape(-1)) < 1e-12
 
 
-def test_tt_entry_matches_full():
-    rng = np.random.default_rng(7)
-    x = random_tt((2, 3, 4), 3, rng)
-    full = x.full()
-    for idx in [(0, 0, 0), (1, 2, 3), (0, 1, 2)]:
-        assert tt_entry(x, idx) == pytest.approx(full[idx])
-
-
-def test_tt_entry_rank_one_and_constant():
-    fibers = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    x = TTVector([f.reshape(1, -1, 1) for f in fibers])
-    assert tt_entry(x, (1, 0)) == pytest.approx(2.0 * 3.0)
-    const = TTVector([np.full((1, 4, 1), 2.5)])
-    assert tt_entry(const, (3,)) == pytest.approx(2.5)
-
-
-def test_tt_entry_bounds():
-    x = random_tt((2, 2), 1, np.random.default_rng(8))
-    with pytest.raises(IndexError):
-        tt_entry(x, (2, 0))
-
-
 # ---------------------------------------------------------------------------
 # TT matrices
 
@@ -453,27 +427,6 @@ def test_block_from_tts_extracts_originals():
     assert blk.num_vectors == 3
     for k, t in enumerate(tts):
         assert rel_err(block_extract(blk, k).full(), t.full()) < 1e-12
-
-
-def test_block_move_preserves_all_columns():
-    rng = np.random.default_rng(22)
-    tts = [random_tt((2, 2, 3, 2), 2, rng) for _ in range(2)]
-    blk = block_from_tts(tts)
-    fulls = [block_extract(blk, k).full() for k in range(2)]
-    for target in [0, 2, 3, 1]:
-        blk = block_move(blk, target)
-        assert blk.position == target
-        for k in range(2):
-            assert rel_err(block_extract(blk, k).full(), fulls[k]) < 1e-12
-
-
-def test_block_move_round_trip():
-    rng = np.random.default_rng(23)
-    blk = block_from_tts([random_tt((2, 3, 2), 2, rng) for _ in range(2)])
-    fulls = blk.full_matrix()
-    fwd = block_move(blk, blk.position - 1)
-    back = block_move(fwd, blk.position)
-    assert np.linalg.norm(back.full_matrix() - fulls) < 1e-12 * np.linalg.norm(fulls)
 
 
 def test_block_extract_out_of_range():
