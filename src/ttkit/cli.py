@@ -234,6 +234,8 @@ def _cmd_eig(args) -> int:
 def _cmd_svd(args) -> int:
     op = _expect_matrix(_load(args.operator), args.operator)
     config = _sweep_config(args)
+    if args.k < 1:
+        raise CliError("k must be at least 1")
     if args.smallest:
         values, block, report = svd_small_k(op, args.k, config)
         container.save(block, args.out + ".tt")

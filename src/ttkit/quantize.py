@@ -8,6 +8,7 @@ scales like O(K * q * max_rank^2) instead of O(q**K).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -53,7 +54,7 @@ class QuantizationPlan:
 
     @property
     def physical_shape(self) -> tuple:
-        return tuple(int(np.prod(g, dtype=np.int64)) for g in self.factors)
+        return tuple(math.prod(g) for g in self.factors)
 
     @property
     def virtual_shape(self) -> tuple:
@@ -113,7 +114,7 @@ def quantize_vector(
 ) -> TTVector:
     """Reshape a flat vector to the plan's virtual modes and run TT-SVD."""
     v = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
-    total = int(np.prod(plan.virtual_shape, dtype=np.int64))
+    total = math.prod(plan.virtual_shape)
     if v.size != total:
         raise ValueError(f"length {v.size} does not match plan total {total}")
     return tt_svd(v.reshape(plan.virtual_shape), policy)
@@ -155,7 +156,7 @@ def dequantize(x, plan: QuantizationPlan = None):
         full = tt_to_full(x)
         if plan is None:
             return full.reshape(-1)
-        total = int(np.prod(plan.physical_shape, dtype=np.int64))
+        total = math.prod(plan.physical_shape)
         if full.size != total:
             raise ValueError(
                 f"plan total {total} does not match represented size {full.size}"
@@ -193,15 +194,13 @@ def storage_report(x) -> dict:
     """
     if isinstance(x, TTVector):
         kind = "vector"
-        raw = int(np.prod(x.mode_sizes, dtype=np.int64))
+        raw = math.prod(x.mode_sizes)
     elif isinstance(x, TTMatrix):
         kind = "matrix"
-        raw = int(np.prod(x.row_sizes, dtype=np.int64)) * int(
-            np.prod(x.col_sizes, dtype=np.int64)
-        )
+        raw = math.prod(x.row_sizes) * math.prod(x.col_sizes)
     elif isinstance(x, BlockTT):
         kind = "block"
-        raw = int(np.prod(x.mode_sizes, dtype=np.int64)) * x.num_vectors
+        raw = math.prod(x.mode_sizes) * x.num_vectors
     else:
         raise TypeError(f"cannot report on {type(x).__name__}")
     params = sum(c.size for c in x.cores)

@@ -6,8 +6,8 @@ solvers); dense local problems are assembled from cached environments by
 one builder, ``frames.effective_operator``/``frames.effective_rhs`` over a
 span of one site or a site pair, and solved exactly.  Their size is bounded
 only by ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the
-sweep keeps: the K extreme eigenpairs (``eigh`` with ``subset_by_index``),
-or for ``svd_dominant`` the top singular triplet.  A single-site step of a
+sweep keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``);
+``svd_dominant`` takes the lowest of −AᵀA.  A single-site step of a
 K = 1 eigenproblem without a metric at a site solved before starts from the
 site's current core instead: Cholesky factors of shifted local matrices
 certify its Rayleigh quotient as the lowest eigenvalue, or drive inverse
@@ -63,6 +63,7 @@ from .train import (
     qr_split,
     random_tt,
     svd_split,
+    tt_round,
 )
 
 __all__ = [
@@ -383,17 +384,18 @@ def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
 _SYMMETRY_TOL = 1e-12  # relative ‖A − Aᵀ‖_F up to which A counts as symmetric
 
 
+def _flat(m: TTMatrix) -> TTVector:
+    """The operator as a TT vector: each core ``(p, i, j, q)`` is read as a
+    vector core ``(p, i·j, q)``, so ``tt_norm`` gives ‖m‖_F."""
+    return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores], copy=False)
+
+
 def _is_symmetric(op: TTMatrix) -> bool:
-    """‖A − Aᵀ‖_F ≤ 1e-12·‖A‖_F, measured in TT form: each operator core
-    ``(p, i, j, q)`` is read as a TT vector core ``(p, i·j, q)``."""
+    """‖A − Aᵀ‖_F ≤ 1e-12·‖A‖_F, measured in TT form (see ``_flat``)."""
     if op.row_sizes != op.col_sizes:
         return False
-
-    def flat(m: TTMatrix) -> TTVector:
-        return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores], copy=False)
-
-    a = flat(op)
-    skew = tt_add(a, tt_scale(flat(mpo_transpose(op)), -1.0))
+    a = _flat(op)
+    skew = tt_add(a, tt_scale(_flat(mpo_transpose(op)), -1.0))
     return tt_norm(skew) <= _SYMMETRY_TOL * tt_norm(a)
 
 
@@ -577,6 +579,23 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     return np.asarray(values), _as_block(snap), report
 
 
+def _gram(op: TTMatrix):
+    """``(B, BᵀB, e)``: B = 2^-e·A and its Gram operator, composed in TT form.
+
+    e is 0 unless ‖A‖_F lies beyond 2^±400, where the Gram operator of A
+    itself could overflow or underflow.  Then e is the binary exponent of
+    the largest entry of the last core of A's left-orthogonal form, whose
+    norm is ‖A‖_F, and B is A with its first core scaled by 2^-e, which is
+    exact.  Not otherwise, because the sweeps' LAPACK calls are not bitwise
+    invariant under scaling."""
+    last = orthogonalize(_flat(op), op.order - 1).cores[-1]
+    exp = int(np.frexp(np.abs(last).max())[1])
+    if abs(exp) <= 400:
+        exp = 0
+    scaled = op if exp == 0 else TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
+    return scaled, mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND), exp
+
+
 def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     """K smallest singular values (ascending) via the Gram route: block
     eigenproblem on transpose(A)·A (kept in TT form, never dense).
@@ -585,16 +604,52 @@ def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     values of AᵀA, whose small ones carry an absolute error of about
     eps·σ₁²/σ_k.  The returned values are therefore taken from A itself,
     σ_k = ‖A·v_k‖ / ‖v_k‖ for each returned right singular vector v_k; the
-    block columns are reordered with them.  At k = 1 the start is built as
-    in :func:`eig_min`, by one uncounted sweep at half the rank."""
-    gram = mpo_mul(mpo_transpose(op), op, _OP_ROUND)
+    block columns are reordered with them.  An operator with ‖A‖_F beyond
+    2^±400 is first scaled by a power of two (see ``_gram``); the report
+    then holds the Ritz values of the scaled Gram operator, and σ_k has the
+    scale restored.  At k = 1 the start is built as in :func:`eig_min`, by
+    one uncounted sweep at half the rank."""
+    scaled, gram, exp = _gram(op)
     _, snap, report = _block_eig(gram, k, config)
     block = _as_block(snap)
-    sigmas = np.array([tt_norm(mpo_apply(op, v)) / tt_norm(v) for v in _block_columns(snap)])
+    sigmas = np.array(
+        [np.ldexp(tt_norm(mpo_apply(scaled, v)) / tt_norm(v), exp) for v in _block_columns(snap)]
+    )
     order = np.argsort(sigmas, kind="stable")
     cores = list(block.cores)
     cores[block.position] = cores[block.position][:, :, order, :]
     return sigmas[order], BlockTT(cores, block.position, copy=False), report
+
+
+def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
+    """Largest singular triplet ``(sigma, u, v)`` via the Gram route: the
+    lowest eigenpair of −AᵀA (composed in TT form; negating its first core
+    is exact), swept as in :func:`eig_min`, with its half-rank start and
+    its certified warm steps.  For the top pair this costs no digits:
+    sigma_1² comes out to a relative error of eps.
+
+    sigma = ‖A·v‖ / ‖v‖ is taken from A itself, and u = A·v / sigma,
+    rounded at a relative 1e-14 with no rank cap, so its ranks can reach
+    P·R for an operator of rank P.  For A = 0, sigma = 0 and u is the first
+    unit vector.  The report's objective per half-sweep is sigma, the square
+    root of the Ritz value of AᵀA (``sense="max"``, so it rises
+    monotonically); its one residual and the convergence test are those of
+    the Gram eigenproblem, as in :func:`svd_small_k`, and its ranks are
+    those of v, the swept chain.  An operator with ‖A‖_F
+    beyond 2^±400 is scaled as there; sigma and the objective have the
+    scale restored."""
+    scaled, gram, exp = _gram(op)
+    negated = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
+    _, v, report = _block_eig(negated, 1, config)
+    report.sense = "max"
+    report.objective = [float(np.ldexp(math.sqrt(max(-w, 0.0)), exp)) for w in report.objective]
+    av = mpo_apply(scaled, v)
+    sigma = tt_norm(av) / tt_norm(v)
+    if sigma > 0.0:
+        u = tt_scale(tt_round(av, _OP_ROUND), 1.0 / sigma)
+    else:  # A = 0: every unit vector is a left singular vector
+        u = TTVector([np.eye(m, 1).reshape(1, m, 1) for m in op.row_sizes])
+    return float(np.ldexp(sigma, exp)), u, v, report
 
 
 def gevd(
@@ -620,71 +675,6 @@ def gevd(
     m_op = mpo_mul(mpo_mul(x_op, a_op, _OP_ROUND), mpo_transpose(x_op), _OP_ROUND)
     values, snap, report = _block_eig(m_op, k, config, metric=b_op)
     return np.asarray(values), _as_block(snap), report
-
-
-# ---------------------------------------------------------------------------
-# singular triplets
-
-
-def _top_singular_triplet(c: np.ndarray):
-    """``(sigma, u, v)`` for the largest singular value of ``c``, from the top
-    eigenpair of its smaller Gram matrix (cᵀc when c is tall, c·cᵀ when
-    wide).  This is safe for the top pair only: sigma_1² comes out to a
-    relative error of eps, so sigma_1 = ‖c·v‖ loses nothing, and the vector
-    error is governed by sigma_1 / (sigma_1 - sigma_2) as in a direct SVD.
-    A smaller sigma_k would only be found to an absolute error of about
-    eps·sigma_1²/sigma_k, so the route does not extend to K > 1.  When
-    the Gram matrix could overflow or underflow (max|c| beyond 2^±400), c is
-    scaled by a power of two, which is exact; not otherwise, because LAPACK's
-    eigensolvers are not bitwise invariant under scaling."""
-    tall = c.shape[0] >= c.shape[1]
-    exp = np.frexp(np.abs(c).max())[1]
-    if abs(exp) <= 400:
-        exp = 0
-    a = np.ldexp(c if tall else c.T, -exp)
-    n = a.shape[1]
-    _, near = scipy.linalg.eigh(a.T @ a, subset_by_index=[n - 1, n - 1])
-    far = a @ near
-    sigma = float(np.linalg.norm(far))
-    if sigma == 0.0:  # c == 0: every unit vector is a singular vector
-        far[0] = 1.0
-    else:
-        far /= sigma
-    u, v = (far, near) if tall else (near, far)
-    u, vt = fix_svd_signs(u, v.T)
-    return float(np.ldexp(sigma, exp)), u, vt.T
-
-
-def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
-    """Largest singular triplet via alternating maximization of uᵀ·A·v with
-    unit-norm TT factors.  Each site takes the top singular triplet of its
-    dense local cross matrix from the top eigenpair of the smaller Gram
-    matrix, which costs no digits for the top pair (see
-    ``_top_singular_triplet``)."""
-    rng = np.random.default_rng(config.seed)
-    u_chain = _Chain(op.row_sizes, config.rank, 1, rng)
-    v_chain = _Chain(op.col_sizes, config.rank, 1, rng)
-    stack = env_build(u_chain.cores, op, v_chain.cores)
-    op_t = mpo_transpose(op)
-    report = SolveReport(sense="max")
-    state = {"sigma": 0.0}
-
-    def solve(site, span):
-        sigma, u1, v1 = _top_singular_triplet(effective_operator(stack, site, span))
-        state["sigma"] = sigma
-        return sigma, [u1, v1]
-
-    def residual():
-        sigma = state["sigma"]
-        u = u_chain.snapshot()
-        v = v_chain.snapshot()
-        scale = max(1.0, sigma)
-        r1 = _residual_norm(mpo_apply(op, v), tt_scale(u, sigma)) / scale
-        r2 = _residual_norm(mpo_apply(op_t, u), tt_scale(v, sigma)) / scale
-        return [r1, r2]
-
-    _run_sweeps([u_chain, v_chain], [stack], solve, residual, config, report)
-    return state["sigma"], u_chain.snapshot(), v_chain.snapshot(), report
 
 
 # ---------------------------------------------------------------------------

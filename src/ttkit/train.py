@@ -146,10 +146,7 @@ class TTMatrix:
 
     @property
     def shape(self) -> tuple:
-        return (
-            int(np.prod(self.row_sizes, dtype=np.int64)),
-            int(np.prod(self.col_sizes, dtype=np.int64)),
-        )
+        return math.prod(self.row_sizes), math.prod(self.col_sizes)
 
     def full(self) -> np.ndarray:
         return mpo_to_full(self)
@@ -358,10 +355,7 @@ def mpo_svd(
     cols = tuple(int(s) for s in col_shape)
     if len(rows) != len(cols):
         raise ValueError("row and column shapes must have the same length")
-    if mat.ndim != 2 or mat.shape != (
-        int(np.prod(rows, dtype=np.int64)),
-        int(np.prod(cols, dtype=np.int64)),
-    ):
+    if mat.ndim != 2 or mat.shape != (math.prod(rows), math.prod(cols)):
         raise ValueError(
             f"matrix {mat.shape} does not factor as {rows} x {cols}"
         )
@@ -510,8 +504,8 @@ def feasible_ranks(mode_sizes: Sequence[int], bond_ranks: Sequence[int]) -> list
         raise ValueError(f"need {n_modes - 1} interior ranks, got {len(bond_ranks)}")
     r = [1] + [int(v) for v in bond_ranks] + [1]
     for n in range(1, n_modes):
-        left = int(np.prod(modes[:n], dtype=np.int64))
-        right = int(np.prod(modes[n:], dtype=np.int64))
+        left = math.prod(modes[:n])
+        right = math.prod(modes[n:])
         r[n] = max(1, min(r[n], left, right))
     for n in range(1, n_modes):
         r[n] = min(r[n], r[n - 1] * modes[n - 1])

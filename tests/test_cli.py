@@ -4,7 +4,7 @@ import pytest
 from ttkit import container
 from ttkit.cli import main
 from ttkit.quantize import storage_report
-from ttkit.train import TruncationPolicy, mpo_svd, random_tt
+from ttkit.train import TruncationPolicy, TTVector, mpo_svd, random_tt
 
 
 def write_raw(path, data):
@@ -78,6 +78,17 @@ def test_info_identity_operator(tmp_path, capsys):
     code, stdout, _ = run(capsys, "info", path)
     assert code == 0
     assert "ranks=1,1,1,1" in stdout
+
+
+def test_info_counts_entries_exactly(tmp_path, capsys):
+    # 2^64 entries: a 64-bit count would wrap to 0
+    path = tmp_path / "ones.tt"
+    container.save(TTVector([np.ones((1, 2, 1))] * 64), path)
+    code, stdout, err = run(capsys, "info", path)
+    assert (code, err) == (0, "")
+    assert f"raw_count={2**64}" in stdout.splitlines()
+    ratio = float(next(l for l in stdout.splitlines() if l.startswith("compression_ratio=")).split("=")[1])
+    assert ratio * 2**64 == pytest.approx(128, rel=1e-11)
 
 
 def test_info_corrupt_magic(tmp_path, capsys):
@@ -387,7 +398,6 @@ def test_ill_conditioned_solve_is_one_line_error(tmp_path, capsys):
     import warnings
 
     from oracles import qtt_laplacian
-    from ttkit.train import TTVector
 
     d = 30
     op_path, rhs_path = tmp_path / "lap.tt", tmp_path / "ones.tt"
@@ -401,12 +411,16 @@ def test_ill_conditioned_solve_is_one_line_error(tmp_path, capsys):
     assert err.splitlines() == ["error: solver did not converge (use --allow-nonconverged to accept)"]
 
 
-@pytest.mark.parametrize("command", ["svd", "gevd"])
+@pytest.mark.parametrize("command", ["svd", "svd-dominant", "gevd"])
 def test_k_zero_is_one_line_error(tmp_path, capsys, command):
     op_path, eye_path = tmp_path / "op.tt", tmp_path / "eye.tt"
     container.save(mpo_svd(laplacian(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13)), op_path)
     container.save(mpo_svd(np.eye(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13)), eye_path)
-    argv = {"svd": ["svd", op_path, "--smallest"], "gevd": ["gevd", eye_path, op_path, eye_path]}[command]
+    argv = {
+        "svd": ["svd", op_path, "--smallest"],
+        "svd-dominant": ["svd", op_path],
+        "gevd": ["gevd", eye_path, op_path, eye_path],
+    }[command]
     code, stdout, err = run(capsys, *argv, "--k", 0, "-o", tmp_path / "out")
     assert code == 1
     assert stdout == ""

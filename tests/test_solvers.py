@@ -360,8 +360,10 @@ def test_svd_dominant_random_vs_dense():
     sigma, u, v, rep = svd_dominant(op, SweepConfig(max_sweeps=30, rank=6, seed=0))
     assert abs(sigma - s[0]) < 1e-7
     assert rep.is_monotone()
-    # triplet consistency: sigma = u^T A v
-    assert u.full().reshape(-1) @ dense @ v.full().reshape(-1) == pytest.approx(sigma, rel=1e-9)
+    # triplet consistency: A v = sigma u and sigma = u^T A v
+    u, v = u.full().reshape(-1), v.full().reshape(-1)
+    assert np.linalg.norm(dense @ v - sigma * u) <= 1e-13 * sigma
+    assert u @ dense @ v == pytest.approx(sigma, rel=1e-12)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -371,7 +373,10 @@ def test_svd_dominant_rectangular_matches_dense(adaptive):
     op = quantize_matrix(dense, plan_auto(8), plan_auto(16), OP_TOL)
     sigma, u, v, _ = svd_dominant(op, SweepConfig(max_sweeps=30, rank=4, seed=0, adaptive=adaptive))
     assert abs(sigma - np.linalg.svd(dense, compute_uv=False)[0]) <= 1e-12
-    assert u.full().reshape(-1) @ dense @ v.full().reshape(-1) == pytest.approx(sigma, rel=1e-12)
+    u, v = u.full().reshape(-1), v.full().reshape(-1)
+    assert u.shape == (8,) and v.shape == (16,)
+    assert np.linalg.norm(dense @ v - sigma * u) <= 1e-13 * sigma
+    assert u @ dense @ v == pytest.approx(sigma, rel=1e-12)
 
 
 def test_svd_dominant_zero_operator():
@@ -384,15 +389,20 @@ def test_svd_dominant_zero_operator():
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
-def test_svd_dominant_extreme_scale(scale):
-    # the local Gram matrices of these operators would overflow / underflow
+@pytest.mark.parametrize(
+    "solve", [svd_dominant, lambda op, cfg: svd_small_k(op, 1, cfg)], ids=["svd_dominant", "svd_small_k"]
+)
+def test_svd_extreme_scale(solve, scale):
+    # the Gram operators of these would overflow / underflow unscaled
     dense = np.random.default_rng(4).standard_normal((8, 8))
     config = SweepConfig(max_sweeps=10, rank=4, seed=0)
     op = mpo_svd(dense, (2,) * 3, (2,) * 3, OP_TOL)
-    sigma, _, _, _ = svd_dominant(op, config)
-    scaled, u, v, _ = svd_dominant(TTMatrix([op.cores[0] * scale] + op.cores[1:]), config)
-    assert scaled == pytest.approx(scale * sigma, rel=1e-12)
-    assert np.all(np.isfinite(u.full())) and np.all(np.isfinite(v.full()))
+    sigma = np.ravel(solve(op, config)[0])[0]
+    scaled, *vectors, _ = solve(TTMatrix([op.cores[0] * scale] + op.cores[1:]), config)
+    # relative to 1 (pytest.approx's absolute 1e-12 would pass any 1e-160 value)
+    assert np.ravel(scaled)[0] / scale == pytest.approx(sigma, rel=1e-12)
+    for x in vectors:
+        assert np.all(np.isfinite(x.full() if isinstance(x, TTVector) else x.full_matrix()))
 
 
 def test_svd_dominant_sign_flip_invariance():
@@ -1001,8 +1011,9 @@ def test_chain_pad_keeps_the_vector(pos):
         eig_min,
         lambda op, cfg: eig_block(op, 1, cfg),
         lambda op, cfg: svd_small_k(op, 1, cfg),
+        svd_dominant,
     ],
-    ids=["eig_min", "eig_block", "svd_small_k"],
+    ids=["eig_min", "eig_block", "svd_small_k", "svd_dominant"],
 )
 def test_warm_up_runs_every_cold_eigh_at_half_rank(monkeypatch, solve):
     # rank 5 -> warm-up at rank 3: every dense eigh outside _lowest_pair
@@ -1077,6 +1088,8 @@ def test_warm_up_only_where_lowest_pair_serves(monkeypatch):
         (lambda: eig_block(op, 2, SweepConfig(rank=4, max_sweeps=2)), ([4], [])),
         (lambda: gevd(eye, op, eye, 1, SweepConfig(rank=4, max_sweeps=2)), ([4], [])),
         (lambda: eig_min(op, SweepConfig(rank=2, max_sweeps=1)), ([1], [2])),
+        (lambda: svd_dominant(op, SweepConfig(rank=4, max_sweeps=2, adaptive=True)), ([4], [])),
+        (lambda: svd_dominant(op, SweepConfig(rank=2, max_sweeps=1)), ([1], [2])),
     ]:
         ranks.clear()
         pads.clear()

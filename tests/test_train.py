@@ -460,6 +460,11 @@ def test_feasible_ranks_clipping():
     assert feasible_ranks([2, 2, 2], [1, 4]) == [1, 1, 2, 1]
 
 
+def test_feasible_ranks_past_64_bit_products():
+    # the bond before the last site has 2^63 modes on its left
+    assert feasible_ranks((2,) * 64, [4] * 63)[-4:] == [4, 4, 2, 1]
+
+
 def test_mpo_to_full_matches_strong_kron_chain():
     # independent evaluation path for the matrix case: chain the cores as
     # block matrices with matrix-valued blocks

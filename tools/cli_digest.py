@@ -2,13 +2,14 @@
 
 Builds small dense inputs in a temporary directory, runs ``ttkit.cli.main``
 in-process on every subcommand that writes files (each solver both
-single-site and ``--adaptive``), reads the block containers that
-``eig --k 3`` writes and two containers whose TT-SVD takes the QR-first
-route of ``train.svd_split`` (a 2^14 signal and a 64 × 64 kernel) back
-through ``info`` and ``reconstruct``, and prints
-one SHA-256 per output file, per captured stdout/stderr stream, and a total
-over all of them.  Two source trees that print the same total produce
-byte-identical outputs.  After each hash it also prints the numbers of every
+single-site and ``--adaptive``; ``svd`` also on a rectangular 16 × 32
+operator, whose left vector lives on other modes than its right one),
+reads the block containers that ``eig --k 3`` writes and two containers
+whose TT-SVD takes the QR-first route of ``train.svd_split`` (a 2^14
+signal and a 64 × 64 kernel) back through ``info`` and ``reconstruct``,
+and prints one SHA-256 per output file, per captured stdout/stderr
+stream, and a total over all of them.  Two source trees that print the same
+total produce byte-identical outputs.  After each hash it also prints the numbers of every
 ``.values.csv`` and the ``objective=`` line of every report, so that two
 checkouts whose bits differ can be compared number by number; the total
 covers only the hash lines.
@@ -62,6 +63,7 @@ def _inputs() -> dict:
         "data_y": rng.standard_normal((16, 16)),
         "rank_one": np.outer(rng.standard_normal(16), rng.standard_normal(16)),
         "ones16": np.ones(16),
+        "wide": rng.standard_normal((16, 32)),
     }
 
 
@@ -79,7 +81,7 @@ def _prepare_jobs() -> list:
     for stem, rows, cols in [
         ("lap", 32, 32), ("shifted", 32, 32), ("square", 16, 16), ("eye", 16, 16),
         ("diag", 16, 16), ("spd", 16, 16), ("semidef", 16, 16),
-        ("data_x", 16, 16), ("data_y", 16, 16), ("rank_one", 16, 16),
+        ("data_x", 16, 16), ("data_y", 16, 16), ("rank_one", 16, 16), ("wide", 16, 32),
     ]:
         argv = ["quantize", f"{stem}.raw", "--row-shape", str(rows), "--col-shape", str(cols),
                 "--tol", "1e-12", "-o", f"{stem}.tt"]
@@ -93,6 +95,7 @@ SOLVER_JOBS = [
     ("eig-nonsymmetric", ["eig", "square.tt", "--k", "1"]),
     ("svd-dominant", ["svd", "square.tt"]),
     ("svd-smallest", ["svd", "square.tt", "--k", "2", "--smallest"]),
+    ("svd-wide", ["svd", "wide.tt"]),
     ("gevd", ["gevd", "square.tt", "eye.tt", "spd.tt", "--k", "2"]),
     ("gevd-semidefinite", ["gevd", "eye.tt", "diag.tt", "semidef.tt", "--k", "1"]),
     ("cca", ["cca", "data_x.tt", "data_y.tt", "--k", "2"]),
