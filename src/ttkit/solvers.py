@@ -582,17 +582,15 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
 def _gram(op: TTMatrix):
     """``(B, BᵀB, e)``: B = 2^-e·A and its Gram operator, composed in TT form.
 
-    e is 0 unless ‖A‖_F lies beyond 2^±400, where the Gram operator of A
-    itself could overflow or underflow.  Then e is the binary exponent of
-    the largest entry of the last core of A's left-orthogonal form, whose
-    norm is ‖A‖_F, and B is A with its first core scaled by 2^-e, which is
-    exact.  Not otherwise, because the sweeps' LAPACK calls are not bitwise
-    invariant under scaling."""
+    e is the binary exponent of the largest entry of the last core of A's
+    left-orthogonal form, whose norm is ‖A‖_F, so ‖B‖_F lies near 1 and B
+    is A with its first core scaled by 2^-e, which is exact.  The Gram
+    operator of A itself could overflow or underflow, and the sweeps'
+    residual test, ‖Hv − λv‖ / max(1, |λ|), would be absolute, not relative
+    to ‖A‖_F², for ‖A‖_F < 1."""
     last = orthogonalize(_flat(op), op.order - 1).cores[-1]
     exp = int(np.frexp(np.abs(last).max())[1])
-    if abs(exp) <= 400:
-        exp = 0
-    scaled = op if exp == 0 else TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
+    scaled = TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
     return scaled, mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND), exp
 
 
@@ -604,13 +602,16 @@ def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     values of AᵀA, whose small ones carry an absolute error of about
     eps·σ₁²/σ_k.  The returned values are therefore taken from A itself,
     σ_k = ‖A·v_k‖ / ‖v_k‖ for each returned right singular vector v_k; the
-    block columns are reordered with them.  An operator with ‖A‖_F beyond
-    2^±400 is first scaled by a power of two (see ``_gram``); the report
-    then holds the Ritz values of the scaled Gram operator, and σ_k has the
-    scale restored.  At k = 1 the start is built as in :func:`eig_min`, by
-    one uncounted sweep at half the rank."""
+    block columns are reordered with them.  A is first scaled by a power
+    of two to ‖A‖_F near 1 (see ``_gram``), so the residuals and the
+    convergence test are relative to ‖A‖_F²; σ_k and the report's
+    objective have the scale restored (an objective beyond the float range,
+    at ‖A‖_F past about 1e154, reads inf).  At k = 1 the start is built as in
+    :func:`eig_min`, by one uncounted sweep at half the rank."""
     scaled, gram, exp = _gram(op)
     _, snap, report = _block_eig(gram, k, config)
+    with np.errstate(over="ignore"):
+        report.objective = [float(np.ldexp(w, 2 * exp)) for w in report.objective]
     block = _as_block(snap)
     sigmas = np.array(
         [np.ldexp(tt_norm(mpo_apply(scaled, v)) / tt_norm(v), exp) for v in _block_columns(snap)]
@@ -635,9 +636,9 @@ def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
     root of the Ritz value of AᵀA (``sense="max"``, so it rises
     monotonically); its one residual and the convergence test are those of
     the Gram eigenproblem, as in :func:`svd_small_k`, and its ranks are
-    those of v, the swept chain.  An operator with ‖A‖_F
-    beyond 2^±400 is scaled as there; sigma and the objective have the
-    scale restored."""
+    those of v, the swept chain.  A is scaled as there, so the residual
+    is relative to ‖A‖_F²; sigma and the objective have the scale
+    restored."""
     scaled, gram, exp = _gram(op)
     negated = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
     _, v, report = _block_eig(negated, 1, config)

@@ -388,12 +388,16 @@ def test_svd_dominant_zero_operator():
         assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e-160])
-@pytest.mark.parametrize(
+SVD_SOLVERS = pytest.mark.parametrize(
     "solve", [svd_dominant, lambda op, cfg: svd_small_k(op, 1, cfg)], ids=["svd_dominant", "svd_small_k"]
 )
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e100, 1e-100, 1e-160])
+@SVD_SOLVERS
 def test_svd_extreme_scale(solve, scale):
-    # the Gram operators of these would overflow / underflow unscaled
+    # the Gram operators of these, or the squares of their entries, would
+    # overflow / underflow unscaled
     dense = np.random.default_rng(4).standard_normal((8, 8))
     config = SweepConfig(max_sweeps=10, rank=4, seed=0)
     op = mpo_svd(dense, (2,) * 3, (2,) * 3, OP_TOL)
@@ -403,6 +407,19 @@ def test_svd_extreme_scale(solve, scale):
     assert np.ravel(scaled)[0] / scale == pytest.approx(sigma, rel=1e-12)
     for x in vectors:
         assert np.all(np.isfinite(x.full() if isinstance(x, TTVector) else x.full_matrix()))
+
+
+@SVD_SOLVERS
+def test_svd_convergence_is_relative_to_scale(solve):
+    # at rank 3 the iterate for a full 64 x 64 matrix stays far from the
+    # singular vectors; an absolute Gram residual below 1e-8 would accept it
+    # once sigma_1 is near 1e-6
+    dense = np.random.default_rng(0).standard_normal((64, 64))
+    op = mpo_svd(dense, (2,) * 6, (2,) * 6, OP_TOL)
+    small = TTMatrix([op.cores[0] * (1e-6 / np.linalg.norm(dense, 2))] + op.cores[1:])
+    config = SweepConfig(max_sweeps=3, rank=3, seed=0)
+    assert not solve(op, config)[-1].converged
+    assert not solve(small, config)[-1].converged
 
 
 def test_svd_dominant_sign_flip_invariance():
