@@ -16,6 +16,7 @@ from .train import (
     TTMatrix,
     TTVector,
     _direct_sum_cores,
+    _norm,
     mpo_round,
     orthogonalize,
     tt_round,
@@ -49,8 +50,8 @@ def tt_scale(x: TTVector, alpha: float) -> TTVector:
 
 def tt_norm(x: TTVector) -> float:
     """Frobenius norm, computed stably as the norm of the center core of the
-    mixed-canonical form."""
-    return float(np.linalg.norm(orthogonalize(x, x.order - 1).cores[-1]))
+    mixed-canonical form; finite whenever it is representable."""
+    return _norm(orthogonalize(x, x.order - 1).cores[-1])
 
 
 def mpo_apply(a: TTMatrix, x: TTVector, policy: Optional[TruncationPolicy] = None) -> TTVector:

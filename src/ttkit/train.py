@@ -215,10 +215,28 @@ def fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     return u * signs, vt * signs[:, None]
 
 
+def _unit_scaled(a: np.ndarray):
+    """``(2^-e·a, e)``, with e the binary exponent of the largest |entry| of
+    ``a`` (0 when that is 0, inf or nan), so the scaled entries lie below 1
+    in magnitude and their squares cannot overflow.  Scaling by a power of
+    two is exact, so a norm or a rank decision made on the scaled entries
+    is that of ``a`` to the bit, wherever ``a``'s own squares stay finite."""
+    exp = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    return np.ldexp(a, -exp), exp
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``, finite whenever it is representable."""
+    scaled, exp = _unit_scaled(a)
+    return float(np.ldexp(np.linalg.norm(scaled), exp))
+
+
 def select_rank(s: np.ndarray, threshold: float, max_rank: Optional[int]) -> int:
     """Smallest rank whose discarded tail has 2-norm <= threshold (>= 1)."""
     if s.size == 0:
         return 1
+    s, exp = _unit_scaled(s)
+    threshold = np.ldexp(threshold, -exp)
     tail = np.cumsum(s[::-1] ** 2)[::-1]
     rank = int(np.count_nonzero(tail > threshold * threshold))
     rank = max(rank, 1)
@@ -243,7 +261,7 @@ def policy_rank(policy: TruncationPolicy) -> Callable[[np.ndarray], int]:
     """Rank rule of a split judged on its own: the discarded tail stays
     within ``policy.tol`` of the norm of the split matrix, and the rank at
     most ``policy.max_rank``."""
-    return lambda s: select_rank(s, policy.tol * float(np.linalg.norm(s)), policy.max_rank)
+    return lambda s: select_rank(s, policy.tol * _norm(s), policy.max_rank)
 
 
 def qr_split(m: np.ndarray, step: int):
@@ -319,7 +337,7 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
     n_modes = len(shape)
     if n_modes == 1:
         return TTVector([t.reshape(1, shape[0], 1)], copy=False)
-    threshold = policy.tol * np.linalg.norm(t) / math.sqrt(n_modes - 1)
+    threshold = policy.tol * _norm(t) / math.sqrt(n_modes - 1)
     cores = []
     rest = t.reshape(1, -1)
     for n in range(n_modes - 1):
@@ -417,8 +435,7 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
     n_modes = len(cores)
     if n_modes == 1:
         return TTVector(cores, copy=False)
-    norm = np.linalg.norm(cores[0])
-    threshold = policy.tol * norm / math.sqrt(n_modes - 1)
+    threshold = policy.tol * _norm(cores[0]) / math.sqrt(n_modes - 1)
     for k in range(n_modes - 1):
         r0, i, r1 = cores[k].shape
         u, carry = svd_split(

@@ -77,6 +77,14 @@ def test_inner_and_norm():
     assert tt_norm(x) == pytest.approx(np.linalg.norm(vec(x)), rel=1e-12)
 
 
+def test_norm_past_the_square_range():
+    # the squares of these entries overflow; their norm does not
+    big = TTVector([np.full((1, 2, 1), 1e160)])
+    assert tt_norm(big) == pytest.approx(np.sqrt(2.0) * 1e160, rel=1e-15)
+    tiny = TTVector([np.full((1, 2, 1), 1e-200)])
+    assert tt_norm(tiny) == pytest.approx(np.sqrt(2.0) * 1e-200, rel=1e-15)
+
+
 def test_inner_orthogonal_rank_one():
     e0 = TTVector([np.array([1.0, 0.0]).reshape(1, 2, 1)] * 2)
     e1 = TTVector(

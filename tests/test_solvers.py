@@ -1130,6 +1130,10 @@ def test_symmetric_solvers_reject_nonsymmetric_operators(monkeypatch):
         with pytest.raises(ValueError, match=f"^{name} is not symmetric") as info:
             call()
         assert "\n" not in str(info.value)
+    # past the square range the check still measures ‖A − Aᵀ‖_F / ‖A‖_F
+    big = TTMatrix([op.cores[0] * 1e160] + op.cores[1:])
+    with pytest.raises(ValueError, match="^operator is not symmetric"):
+        eig_min(big, cfg)
     # the Gram operator of svd_small_k is symmetric by construction and is
     # not checked again
     monkeypatch.setattr(solvers, "_is_symmetric", None)

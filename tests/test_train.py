@@ -368,6 +368,35 @@ def test_round_of_doubled_sum_recovers_ranks():
     assert rel_err(y.full(), 2.0 * x.full()) < 1e-12
 
 
+def test_round_past_the_square_range():
+    # scaling by 2^531 is exact and squares past the float range
+    from ttkit.algebra import tt_add
+
+    x = random_tt((2,) * 6, 3, np.random.default_rng(0))
+    doubled = tt_add(x, x)
+    want = tt_round(doubled, TIGHT)
+    big = TTVector([np.ldexp(doubled.cores[0], 531)] + doubled.cores[1:])
+    got = tt_round(big, TIGHT)
+    assert got.ranks == want.ranks == (1, 2, 3, 3, 3, 2, 1)
+    assert rel_err(np.ldexp(got.full(), -531), want.full()) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_tt_svd_past_the_square_range(scale):
+    t = np.random.default_rng(0).standard_normal((4, 4, 4, 4))
+    x = tt_svd(t * scale)
+    assert x.ranks == tt_svd(t).ranks == (1, 4, 16, 4, 1)
+    assert rel_err(x.full() / scale, t) < 1e-13
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_rank_rules_past_the_square_range(scale):
+    s = np.array([3.0, 2.0, 1.0])
+    assert policy_rank(TruncationPolicy(1e-10))(s * scale) == 3
+    assert select_rank(s * scale, 1.5 * scale, None) == 2
+    assert select_rank(s * scale, 0.5 * scale, None) == 3
+
+
 def _inflate(x: TTVector) -> TTVector:
     # pad every interior bond with zero slices (represents the same tensor)
     cores = []
