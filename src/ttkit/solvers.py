@@ -16,15 +16,18 @@ did not settle it (see ``_lowest_pair``).  Such runs build their start by
 one sweep at rank ⌈R/2⌉ and pad its cores to rank R with the vector
 unchanged (``_Chain.pad``), so the dense first-visit ``eigh`` calls run at
 the half rank and every rank-R step starts warm; that sweep is not counted
-in ``max_sweeps`` or reported.  A sweep is two
-half-sweeps, left to right and back, over one site schedule: each step
-solves the local problem over its span, installs the solution and moves the
-active site one bond on.  Because the frames are orthonormal, every local
-solve of an eigen-, SVD or CCA problem can only improve the global
-objective, so its per-half-sweep trajectory is monotone.  The same holds
-for ``linsolve`` on symmetric positive definite operators, which it sweeps
-through the energy ½xᵀAx − bᵀx; other operators go through the normal
-equations, where it need not (see its docstring).
+in ``max_sweeps`` or reported.  A sweep is two half-sweeps, left to right
+and back, over one site schedule: each step solves the local problem over
+its span, installs the solution and moves the active site one bond on.
+Because the frames are orthonormal, every local solve of an eigen-, SVD or
+CCA problem can only improve the global objective, so its per-half-sweep
+trajectory is monotone.  The same holds for ``linsolve`` on symmetric
+positive definite operators, which it sweeps through the energy ½xᵀAx − bᵀx;
+other operators go through the normal equations, where it need not (see its
+docstring).  Every local matrix that is symmetric by construction (an
+operator, a metric or a Gram) is read by its lower triangle alone, never
+averaged or copied: ``eigh`` and the Cholesky factors read it there, and
+products use ``dsymv``/``dsymm`` on ``h.T``, whose upper triangle it is.
 
 Rank policies: the default is single-site updates.  With K = 1 a move
 splits the active core by QR and keeps the initial bond ranks.  With K > 1
@@ -340,10 +343,6 @@ def _run_sweeps(
     report.ranks = chains[0].ranks()
 
 
-def _symmetrize(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + h.T)
-
-
 def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: str, tries: int = 4):
     """``attempt(m + mu·I)`` for mu = 0, then 1e-12·s, 1e-10·s, 1e-8·s, ...
     with s = max(|tr m| / dim, 1), stopping at the first success; each
@@ -363,18 +362,19 @@ def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: s
 
 
 def _cholesky_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve h·z = rhs by a Cholesky factorization; ``LinAlgError`` when h
-    has none.  No condition estimate is made, so an ill-conditioned but
-    factorable h gives no ``LinAlgWarning``."""
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(h), rhs)
+    """Solve h·z = rhs by a Cholesky factor of h's lower triangle, read as
+    the upper one of ``h.T``; ``LinAlgError`` when there is none.  No
+    condition estimate is made, so an ill-conditioned but factorable h gives
+    no ``LinAlgWarning``."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(h.T), rhs)
 
 
 def _solve_spd(h: np.ndarray, rhs: np.ndarray, report: SolveReport) -> np.ndarray:
-    """SPD solve with one regularizing shift, then least squares."""
+    """SPD solve with one regularizing shift, then least squares (``pinvh``)."""
     try:
         return _shift_ladder(h, lambda hm: _cholesky_solve(hm, rhs), report, "local system", tries=2)
     except scipy.linalg.LinAlgError:
-        return np.linalg.lstsq(h, rhs, rcond=None)[0]
+        return scipy.linalg.pinvh(h) @ rhs
 
 
 def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
@@ -401,7 +401,7 @@ def _is_symmetric(op: TTMatrix) -> bool:
 
 def _require_symmetric(op: TTMatrix, name: str):
     """Reject, with a one-line ``ValueError``, an operator that a symmetric
-    eigensolver would otherwise treat as its symmetric part."""
+    eigensolver would otherwise read by its lower triangle alone."""
     if op.row_sizes != op.col_sizes:
         raise ValueError(f"{name} must be square (row sizes == column sizes)")
     if not _is_symmetric(op):
@@ -413,8 +413,9 @@ def _require_symmetric(op: TTMatrix, name: str):
 
 
 def _lowest_pair(h: np.ndarray, start: np.ndarray):
-    """Lowest eigenpair ``(w, v)`` of the symmetric ``h``, shaped as from
-    ``eigh(h, subset_by_index=[0, 0])``, warm-started from ``start``.
+    """Lowest eigenpair ``(w, v)`` of the symmetric matrix whose lower
+    triangle is that of ``h``, shaped as from ``eigh(h, subset_by_index=[0,
+    0])``, warm-started from ``start``.
 
     The Rayleigh quotient rho of the current vector bounds lambda_min from
     above; a Cholesky factor of h − (rho − delta)·I proves rho − delta <
@@ -429,11 +430,11 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
     ``eigh``, with the factor's buffer released first."""
     n = h.shape[0]
     eps = np.finfo(h.dtype).eps
-    scale = float(np.linalg.norm(h))
+    scale = float(np.linalg.norm(h))  # whole matrix: only a tolerance scale
     floor, tol = n * eps * scale, math.sqrt(n) * eps * scale
 
     def rayleigh(x):
-        hx = h @ x
+        hx = scipy.linalg.blas.dsymv(1.0, h.T, x, lower=0)
         rho = float(x @ hx)
         hx -= rho * x
         return rho, float(np.linalg.norm(hx))
@@ -488,7 +489,7 @@ def _block_eig(
     solved = set()  # sites solved before: their core is a warm start
 
     def solve(site, span):
-        h = _symmetrize(effective_operator(stacks[0], site, span))
+        h = effective_operator(stacks[0], site, span)
         if h.shape[0] < k:
             raise ValueError(f"local dimension {h.shape[0]} cannot hold K={k} vectors")
         kept = [0, k - 1]
@@ -497,7 +498,7 @@ def _block_eig(
         elif metric is None:
             w, v = scipy.linalg.eigh(h, subset_by_index=kept)
         else:
-            b = _symmetrize(effective_operator(stacks[1], site, span))
+            b = effective_operator(stacks[1], site, span)
             w, v = _shift_ladder(
                 b, lambda bm: scipy.linalg.eigh(h, bm, subset_by_index=kept), report, "local metric"
             )
@@ -723,7 +724,7 @@ def cca(
             uu, ss, vvt = scipy.linalg.svd(c_loc, full_matrices=False)
             wx_loc, wy_loc = uu[:, :k], vvt[:k].T
         else:
-            g_x, g_y = (_symmetrize(effective_operator(st, site, span)) for st in stacks[1:])
+            g_x, g_y = (effective_operator(st, site, span) for st in stacks[1:])
             l_x, l_y = (
                 _shift_ladder(
                     g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
@@ -742,11 +743,9 @@ def cca(
             cons_x = wx_loc.T @ wx_loc - np.eye(k)
             cons_y = wy_loc.T @ wy_loc - np.eye(k)
         else:
-            cons_x = wx_loc.T @ g_x @ wx_loc - np.eye(k)
-            cons_y = wy_loc.T @ g_y @ wy_loc - np.eye(k)
-        state["constraint"] = float(
-            max(np.max(np.abs(cons_x)), np.max(np.abs(cons_y)))
-        )
+            cons_x = wx_loc.T @ scipy.linalg.blas.dsymm(1.0, g_x.T, wx_loc, lower=0) - np.eye(k)
+            cons_y = wy_loc.T @ scipy.linalg.blas.dsymm(1.0, g_y.T, wy_loc, lower=0) - np.eye(k)
+        state["constraint"] = float(max(np.max(np.abs(cons_x)), np.max(np.abs(cons_y))))
         return float(np.sum(ss[:k])), [wx_loc, wy_loc]
 
     def residual():
@@ -777,10 +776,10 @@ def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: boo
     report = SolveReport(sense="min")
 
     def solve(site, span):
-        h = _symmetrize(effective_operator(s_op, site, span))
+        h = effective_operator(s_op, site, span)
         b = effective_rhs(s_rhs, site, span)
         z = _cholesky_solve(h, b) if energy else _solve_spd(h, b, report)
-        objective = float(z @ (h @ z) - 2.0 * (z @ b))
+        objective = float(z @ scipy.linalg.blas.dsymv(1.0, h.T, z, lower=0) - 2.0 * (z @ b))
         return objective, [z[:, None]]
 
     def residual():

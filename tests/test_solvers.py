@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -938,12 +940,25 @@ def warm_problems(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(warm_problems())
-def test_lowest_pair_matches_dense_oracle(problem):
+@given(warm_problems(), st.booleans())
+def test_lowest_pair_matches_dense_oracle(problem, junk_upper):
+    # with junk_upper, h's strict upper triangle is random and the pair is
+    # that of the symmetric matrix its lower triangle defines.  The junk
+    # keeps ‖h‖_F, the only whole-matrix read, so the path through the
+    # factorizations is that of h: a misread shows as an extra eigh fallback
     h, start = problem
     n = h.shape[0]
     bound = 4 * n * EPS * np.linalg.norm(h)
-    w, v = solvers._lowest_pair(h, start)
+    given_h = h.copy()
+    if junk_upper:
+        rows, cols = np.triu_indices(n, 1)
+        junk = np.random.default_rng(n).standard_normal(rows.size)
+        given_h[rows, cols] = junk * (np.linalg.norm(h[rows, cols]) / np.linalg.norm(junk))
+    with mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+        solvers._lowest_pair(h, start)
+        clean_calls = eigh.call_count
+        w, v = solvers._lowest_pair(given_h, start)
+    assert eigh.call_count == 2 * clean_calls
     assert w.shape == (1,) and v.shape == (n, 1)
     assert abs(w[0] - np.linalg.eigvalsh(h)[0]) <= bound
     assert abs(np.linalg.norm(v) - 1.0) <= 4 * n * EPS
@@ -1138,3 +1153,73 @@ def test_symmetric_solvers_reject_nonsymmetric_operators(monkeypatch):
     # not checked again
     monkeypatch.setattr(solvers, "_is_symmetric", None)
     svd_small_k(op, 1, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one triangle: symmetric local matrices are read by their lower triangle
+
+
+def _one_triangle_problems():
+    rng = np.random.default_rng(31)
+    lap = qtt_laplacian(5)
+    a = random_mpo((2,) * 4, (2,) * 4, 2, rng)
+    sym = rng.standard_normal((16, 16))
+    spd = _laplacian_dense(16) + np.eye(16)
+    nonsym = 3.0 * np.eye(16) + rng.standard_normal((16, 16)) / 4.0
+    dense = {"sym": sym + sym.T, "spd": spd, "nonsym": nonsym, "x": rng.standard_normal((16, 16)),
+             "y": rng.standard_normal((16, 16))}
+    ops = {name: mpo_svd(m, (2,) * 4, (2,) * 4, OP_TOL) for name, m in dense.items()}
+    rhs = random_tt((2,) * 4, 2, rng)
+    return {
+        "eig_min": lambda cfg: eig_min(lap, cfg),
+        "eig_block": lambda cfg: eig_block(lap, 2, cfg),
+        "svd_dominant": lambda cfg: svd_dominant(a, cfg),
+        "svd_small_k": lambda cfg: svd_small_k(a, 2, cfg),
+        "gevd": lambda cfg: gevd(ops["x"], ops["sym"], ops["spd"], 2, cfg),
+        "cca": lambda cfg: cca(ops["x"], ops["y"], 2, cfg),
+        "linsolve-energy": lambda cfg: linsolve(ops["spd"], rhs, cfg),
+        "linsolve-normal": lambda cfg: linsolve(ops["nonsym"], rhs, cfg),
+    }
+
+
+def _laplacian_dense(n):
+    return 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("solver", list(_one_triangle_problems()))
+def test_local_solves_read_only_the_lower_triangle(monkeypatch, solver, adaptive):
+    # seeded junk in the strict upper triangle of every local matrix whose
+    # bra and ket chains coincide (operators, metrics, Grams; not cca's
+    # cross matrix) changes no decision and no value beyond rounding.  The
+    # junk keeps the triangle's norm, so ‖h‖_F, the scale of _lowest_pair's
+    # tolerances, stays put; a warm step that misread h would still be
+    # right through its eigh fallback, so the eigh calls are counted too
+    config = SweepConfig(rank=4, max_sweeps=4, seed=0, adaptive=adaptive)
+    run = _one_triangle_problems()[solver]
+    eigh, calls = scipy.linalg.eigh, []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    clean, clean_calls = run(config), len(calls)
+    build, junk = solvers.effective_operator, np.random.default_rng(5)
+
+    def junk_upper(stack, site, span=1):
+        h = build(stack, site, span)
+        if stack.bra is stack.ket:
+            rows, cols = np.triu_indices(h.shape[0], 1)
+            noise = junk.uniform(-1.0, 1.0, rows.size)
+            h[rows, cols] = noise * (np.linalg.norm(h[rows, cols]) / np.linalg.norm(noise))
+        return h
+
+    monkeypatch.setattr(solvers, "effective_operator", junk_upper)
+    dirty = run(config)
+    assert len(calls) == 2 * clean_calls
+    rep, rep_dirty = clean[-1], dirty[-1]
+    assert (rep_dirty.sweeps, rep_dirty.converged, rep_dirty.ranks) == (rep.sweeps, rep.converged, rep.ranks)
+    np.testing.assert_allclose(rep_dirty.objective, rep.objective, rtol=1e-12, atol=0)
+    value, value_dirty = (np.atleast_1d(v.full() if isinstance(v, TTVector) else v) for v in (clean[0], dirty[0]))
+    np.testing.assert_allclose(value_dirty, value, rtol=1e-12, atol=1e-12 * np.abs(value).max())
