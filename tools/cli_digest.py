@@ -10,9 +10,10 @@ signal and a 64 × 64 kernel) back through ``info`` and ``reconstruct``,
 and prints one SHA-256 per output file, per captured stdout/stderr
 stream, and a total over all of them.  Two source trees that print the same
 total produce byte-identical outputs.  After each hash it also prints the numbers of every
-``.values.csv`` and the ``objective=`` line of every report, so that two
-checkouts whose bits differ can be compared number by number; the total
-covers only the hash lines.
+``.values.csv`` and the ``converged=``, ``sweeps=``, ``objective=``,
+``ranks=`` and ``regularized=`` lines of every report, so that two
+checkouts whose bits differ can be compared number by number, and a changed
+decision shows without a rerun; the total covers only the hash lines.
 
     PYTHONPATH=src python tools/cli_digest.py
 
@@ -31,6 +32,9 @@ import tempfile
 import numpy as np
 
 from ttkit import cli
+
+# the report lines printed next to a report's hash
+REPORT_KEYS = ("converged=", "sweeps=", "objective=", "ranks=", "regularized=")
 
 SOLVER_FLAGS = ["--rank", "4", "--max-sweeps", "3", "--seed", "0", "--allow-nonconverged"]
 
@@ -120,11 +124,12 @@ def _run(name: str, argv: list) -> dict:
 
 def _values(label: str, data: bytes) -> str:
     """The numbers a solver output carries: each value of a ``.values.csv``
-    and the ``objective=`` line of a ``.report.txt``; empty for other files."""
+    and the ``REPORT_KEYS`` lines of a ``.report.txt``; empty for other
+    files."""
     if label.endswith(".values.csv"):
         return " ".join(row.split(",")[1] for row in data.decode().splitlines()[1:])
     if label.endswith(".report.txt"):
-        return " ".join(row for row in data.decode().splitlines() if row.startswith("objective="))
+        return " ".join(row for row in data.decode().splitlines() if row.startswith(REPORT_KEYS))
     return ""
 
 
