@@ -1164,10 +1164,9 @@ def _one_triangle_problems():
     lap = qtt_laplacian(5)
     a = random_mpo((2,) * 4, (2,) * 4, 2, rng)
     sym = rng.standard_normal((16, 16))
-    spd = _laplacian_dense(16) + np.eye(16)
     nonsym = 3.0 * np.eye(16) + rng.standard_normal((16, 16)) / 4.0
-    dense = {"sym": sym + sym.T, "spd": spd, "nonsym": nonsym, "x": rng.standard_normal((16, 16)),
-             "y": rng.standard_normal((16, 16))}
+    dense = {"sym": sym + sym.T, "spd": laplacian_mpo(4)[1] + np.eye(16), "nonsym": nonsym,
+             "x": rng.standard_normal((16, 16)), "y": rng.standard_normal((16, 16))}
     ops = {name: mpo_svd(m, (2,) * 4, (2,) * 4, OP_TOL) for name, m in dense.items()}
     rhs = random_tt((2,) * 4, 2, rng)
     return {
@@ -1180,10 +1179,6 @@ def _one_triangle_problems():
         "linsolve-energy": lambda cfg: linsolve(ops["spd"], rhs, cfg),
         "linsolve-normal": lambda cfg: linsolve(ops["nonsym"], rhs, cfg),
     }
-
-
-def _laplacian_dense(n):
-    return 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
