@@ -10,9 +10,10 @@ factor, kept as the core, and a carry for the neighbour.
 caller's rule, the noise floor of an exact split (:func:`nonzero_rank`) or a
 tail budget (:func:`select_rank`).  A wide unfolding of at least 4096
 entries, such as the first unfoldings of a TT-SVD of a long sample, is
-factored QR-first, by an economic QR of its transpose and an SVD of the
-small triangular factor; smaller splits, the sweep solvers' among them,
-keep ``numpy.linalg.svd``, which is faster there.
+factored QR-first: one blocked Householder QR of its transpose, of which
+only the triangular factor is kept, and an SVD of that small factor; no
+orthogonal factor of the unfolding's size is formed.  Smaller splits, the
+sweep solvers' among them, keep ``numpy.linalg.svd``, which is faster there.
 
 A TT vector is a chain of order-3 cores ``G[n]`` of shape
 ``(R[n], I[n], R[n+1])`` with boundary ranks ``R[0] = R[N] = 1``; the
@@ -279,6 +280,8 @@ def qr_split(m: np.ndarray, step: int):
 
 # entries from which a wide unfolding (more columns than rows) is split QR-first
 _QR_FIRST_SIZE = 4096
+# block size of that QR: LAPACK's default for Householder QR
+_QR_BLOCK = 32
 
 
 def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
@@ -290,28 +293,38 @@ def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
 
     A wide ``m`` (more columns than rows) of at least ``_QR_FIRST_SIZE``
     entries, such as the first unfoldings of a TT-SVD, is factored QR-first:
-    ``mᵀ = q·r`` by an economic QR of the column-contiguous ``mᵀ``, then the
-    SVD of the small ``rᵀ = u·s·wᵀ``.  The wide factor, ``s·wᵀ·qᵀ`` moving
-    right or ``vᵀ = wᵀ·qᵀ`` moving left, is one product with ``qᵀ``; no
-    other matrix of its size is formed.  ``np.linalg.svd`` of a wide
-    C-ordered matrix copies it to Fortran order and walks its rows with a
-    stride; at 2 × 131072 the QR route takes a fifth of its time.  The
-    singular values agree to about n·eps·s[0], so the rank rule picks the
-    same ranks.  Below the crossover the two extra LAPACK calls cost more
-    than they save (1.3–3.7 times slower at 2 × 8 to 4 × 256), so small
-    splits, among them every split the sweep solvers make at the ranks of
-    the benchmark (at most 768 entries), keep ``np.linalg.svd``."""
-    wide = m.shape[1] > m.shape[0] and m.size >= _QR_FIRST_SIZE
+    ``mᵀ = q·r`` by LAPACK's blocked Householder QR ``dgeqrt`` of the
+    column-contiguous ``mᵀ`` (recursive within each block of
+    ``_QR_BLOCK`` columns: Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
+    2000), which keeps ``q`` as compact-WY reflectors, then the SVD of the
+    small ``rᵀ = u·s·wᵀ``.  Moving right, the carry is ``uᵀ·m`` (which
+    equals ``s·wᵀ·qᵀ``), one product with ``m`` itself, so ``q`` is never
+    formed.  Moving left, ``vᵀ = (q·w)ᵀ`` is the reflectors applied to
+    ``w`` by ``dgemqrt``.  The QR runs at BLAS-3 speed where
+    ``np.linalg.svd`` of a wide C-ordered matrix copies it to Fortran order
+    and walks its rows with a stride: at 2 × 131072 to 44 × 4096 the route
+    takes 15–27 % of its time.  The singular values agree to about
+    n·eps·s[0], so the rank rule picks the same ranks.  Smaller splits,
+    among them every split the sweep solvers make at the ranks of the
+    benchmark (at most 768 entries), keep ``np.linalg.svd``; at 2 × 8 the
+    route would take 1.4 times its time."""
+    rows = m.shape[0]
+    wide = m.shape[1] > rows and m.size >= _QR_FIRST_SIZE
     if wide:
-        q, r = scipy.linalg.qr(m.T, mode="economic", check_finite=False)
-        m = r.T  # the input is r.T @ q.T
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+        reflectors, t, _ = scipy.linalg.lapack.dgeqrt(min(rows, _QR_BLOCK), m.T)
+        small = np.triu(reflectors[:rows]).T  # m is small @ qᵀ
+    else:
+        small = m
+    u, s, vt = np.linalg.svd(small, full_matrices=False)
     keep = rank(s)
     u, vt = fix_svd_signs(u[:, :keep], vt[:keep])
-    b = s[:keep, None] * vt if step > 0 else vt
+    if step > 0:
+        return u, (u.T @ m if wide else s[:keep, None] * vt)
     if wide:
-        b = b @ q.T
-    return (u, b) if step > 0 else (u * s[:keep], b)
+        w = np.zeros((m.shape[1], keep), order="F")
+        w[:rows] = vt.T
+        vt = scipy.linalg.lapack.dgemqrt(reflectors, t, w, overwrite_c=1)[0].T
+    return u * s[:keep], vt
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +336,12 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
 
     The per-bond threshold is ``policy.tol * ||t||_F / sqrt(N-1)``, which
     guarantees overall relative reconstruction error at most ``policy.tol``.
-    Cores left of the last are left-orthogonal by construction.  The first
-    unfoldings are wide (``R·I`` rows, the rest of the tensor as columns);
-    from 4096 entries :func:`svd_split` factors them QR-first, at the same
-    ranks and within the same error bound.
+    ``||t||_F`` is taken as the norm of the first split's singular values,
+    all of them, before any is discarded, so the tensor is not read a second
+    time for its norm.  Cores left of the last are left-orthogonal by
+    construction.  The first unfoldings are wide (``R·I`` rows, the rest of
+    the tensor as columns); from 4096 entries :func:`svd_split` factors them
+    QR-first, at the same ranks and within the same error bound.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     if t.ndim == 0:
@@ -337,12 +352,19 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
     n_modes = len(shape)
     if n_modes == 1:
         return TTVector([t.reshape(1, shape[0], 1)], copy=False)
-    threshold = policy.tol * _norm(t) / math.sqrt(n_modes - 1)
+    threshold = None
+
+    def rule(s):
+        nonlocal threshold
+        if threshold is None:  # the first split: ||s|| is ||t||_F
+            threshold = policy.tol * _norm(s) / math.sqrt(n_modes - 1)
+        return select_rank(s, threshold, policy.max_rank)
+
     cores = []
     rest = t.reshape(1, -1)
     for n in range(n_modes - 1):
         mat = rest.reshape(rest.shape[0] * shape[n], -1)
-        u, rest = svd_split(mat, 1, lambda s: select_rank(s, threshold, policy.max_rank))
+        u, rest = svd_split(mat, 1, rule)
         cores.append(u.reshape(-1, shape[n], u.shape[1]))
     cores.append(rest.reshape(-1, shape[-1], 1))
     return TTVector(cores, copy=False)

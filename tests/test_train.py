@@ -118,14 +118,15 @@ def _spectrum_matrix(shape, s, seed):
 
 
 def _counting_qr(monkeypatch):
+    """Count the QR factorizations of the QR-first route."""
     calls = []
-    qr = scipy.linalg.qr
+    qr = scipy.linalg.lapack.dgeqrt
 
     def counting(*args, **kwargs):
         calls.append(1)
         return qr(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", counting)
     return calls
 
 
@@ -169,6 +170,40 @@ def test_svd_split_route_matches_plain_svd(monkeypatch, shape, step):
     assert len(calls) == (len(RULES) if shape in ABOVE else 0)
 
 
+@pytest.mark.parametrize("shape", [(128, 512), (256, 1024)])
+def test_svd_split_route_left_past_one_block(shape):
+    # more rows than one block of the QR, so the reflectors are applied
+    # block by block; evenly spaced singular values keep every singular
+    # vector well defined
+    s = 2.0 - np.arange(shape[0]) / shape[0]
+    m = _spectrum_matrix(shape, s, seed=shape[0])
+    for name, rule in RULES.items():
+        a, b = svd_split(m, -1, rule)
+        ref_a, ref_b = _plain_split(m, -1, rule)
+        assert a.shape == ref_a.shape and b.shape == ref_b.shape, name
+        assert np.abs(a - ref_a).max() <= 1e-10 and np.abs(b - ref_b).max() <= 1e-10, name
+        assert np.abs(b @ b.T - np.eye(b.shape[0])).max() <= 1e-13, name
+
+
+def _no_orthogonal_factor(monkeypatch):
+    def formed(*args, **kwargs):
+        raise AssertionError("an orthogonal factor was formed")
+
+    monkeypatch.setattr(scipy.linalg, "qr", formed)
+    for name in ("dorgqr", "dgemqrt"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, formed)
+
+
+def test_svd_split_route_right_forms_no_q(monkeypatch):
+    m = _spectrum_matrix((16, 1024), 2.0 ** -np.arange(16), seed=16)
+    ref_a, ref_b = _plain_split(m, 1, nonzero_rank)
+    calls = _counting_qr(monkeypatch)
+    _no_orthogonal_factor(monkeypatch)
+    a, b = svd_split(m, 1, nonzero_rank)
+    assert calls
+    assert np.abs(a - ref_a).max() <= 1e-10 and np.abs(b - ref_b).max() <= 1e-10
+
+
 @pytest.mark.parametrize("step", [1, -1])
 def test_svd_split_route_exact_low_rank(monkeypatch, step):
     rng = np.random.default_rng(5)
@@ -198,16 +233,37 @@ def test_svd_split_nan_raises(shape):
         svd_split(m, 1, nonzero_rank)
 
 
-def test_tt_svd_long_smooth_sample_matches_plain_svds(monkeypatch):
+def _long_sample():
     # a 2^16 sample: its first unfoldings are wide and take the QR-first route
     x = np.arange(2**16) / 2**16
-    t = (np.exp(-(((x - 0.4) / 0.15) ** 2)) + np.sin(7.0 * x) / (1.0 + x)).reshape((2,) * 16)
+    return (np.exp(-(((x - 0.4) / 0.15) ** 2)) + np.sin(7.0 * x) / (1.0 + x)).reshape((2,) * 16)
+
+
+def test_tt_svd_long_smooth_sample_matches_plain_svds(monkeypatch):
+    t = _long_sample()
     calls = _counting_qr(monkeypatch)
     for tol in (1e-6, 1e-10):
         y = tt_svd(t, TruncationPolicy(tol))
         assert y.ranks == tt_svd_plain(t, tol).ranks
         assert np.linalg.norm(y.full() - t) <= tol * np.linalg.norm(t)
     assert calls
+
+
+def test_tt_svd_long_sample_forms_no_q(monkeypatch):
+    t = _long_sample()
+    want = tt_svd_plain(t, 1e-10).ranks
+    calls = _counting_qr(monkeypatch)
+    _no_orthogonal_factor(monkeypatch)
+    assert tt_svd(t, TruncationPolicy(1e-10)).ranks == want
+    assert calls
+
+
+@pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(1e-10)])
+def test_tt_svd_zero_long_tensor(policy):
+    # the threshold comes from the first split's singular values, all zero
+    x = tt_svd(np.zeros((2,) * 13), policy)
+    assert set(x.ranks) == {1}
+    assert not np.any(x.full())
 
 
 def test_tt_svd_nan_raises():
