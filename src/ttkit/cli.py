@@ -12,6 +12,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -278,6 +279,9 @@ def _cmd_solve(args) -> int:
     return _solver_outputs(args, report)
 
 
+# built once per process: parse_args keeps no state in the parser, and an
+# in-process caller (a test, a benchmark) runs main() many times
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttkit",

@@ -472,3 +472,35 @@ def test_quantize_size_mismatch_is_exact_and_checked_before_planning(
     assert stdout == ""
     assert err == f"error: file holds 16 values but {rows}x1 needs {rows}\n"
     assert not (tmp_path / "m.tt").exists()
+
+
+def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys):
+    from ttkit.cli import _build_parser
+
+    container.save(random_tt((2,) * 4, 2, np.random.default_rng(0)), tmp_path / "x.tt")
+    write_raw(tmp_path / "ramp.raw", np.arange(256.0))
+    calls = [
+        ["info", tmp_path / "x.tt"],
+        ["quantize", tmp_path / "ramp.raw", "--row-shape"],  # usage error
+        ["quantize", tmp_path / "ramp.raw", "-o", tmp_path / "ramp.tt"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        written = tmp_path / "ramp.tt"
+        return code, out.out, out.err, written.read_bytes() if written.exists() else None
+
+    _build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]  # one parser serves all three
+    assert _build_parser.cache_info().misses == 1
+    (tmp_path / "ramp.tt").unlink()
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [o[0] for o in shared] == [0, ("exit", 2), 0]
