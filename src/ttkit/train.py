@@ -13,7 +13,7 @@ entries, such as the first unfoldings of a TT-SVD of a long sample, is
 factored QR-first: one blocked Householder QR of its transpose, of which
 only the triangular factor is kept, and an SVD of that small factor; no
 orthogonal factor of the unfolding's size is formed.  Smaller splits, the
-sweep solvers' among them, keep ``numpy.linalg.svd``, which is faster there.
+sweep solvers' among them, keep ``numpy.linalg.svd``.
 
 A TT vector is a chain of order-3 cores ``G[n]`` of shape
 ``(R[n], I[n], R[n+1])`` with boundary ranks ``R[0] = R[N] = 1``; the
