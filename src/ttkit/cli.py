@@ -87,8 +87,7 @@ def _write_text(path: str, text: str):
 def _sweep_config(args, identity_grams: bool = False) -> SweepConfig:
     return SweepConfig(
         max_sweeps=args.max_sweeps,
-        objective_tol=args.tol,
-        residual_tol=args.tol,
+        tol=args.tol,
         rank=args.rank,
         adaptive=args.adaptive,
         trunc_tol=args.trunc_tol,

@@ -60,10 +60,6 @@ class QuantizationPlan:
     def virtual_shape(self) -> tuple:
         return tuple(f for g in self.factors for f in g)
 
-    @property
-    def virtual_order(self) -> int:
-        return len(self.virtual_shape)
-
 
 def _factorize(size: int, base: int, mixed_radix: bool) -> tuple:
     if size == 1:

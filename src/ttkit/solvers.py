@@ -57,6 +57,8 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
+    _fused,
+    _unit_scaled,
     block_extract,
     feasible_ranks,
     fix_svd_signs,
@@ -86,11 +88,13 @@ _OP_ROUND = TruncationPolicy(1e-14)  # recompression of composed operators
 
 @dataclass
 class SweepConfig:
-    """Stopping rules, rank policy and seeding for the sweep solvers."""
+    """Stopping rules, rank policy and seeding for the sweep solvers.  A run
+    has converged once its objective changed by at most ``tol``·max(1,
+    |objective|) over a sweep and every residual it reports is at most
+    ``tol``; it stops then, or after ``max_sweeps`` sweeps."""
 
     max_sweeps: int = 20
-    objective_tol: float = 1e-8
-    residual_tol: float = 1e-8
+    tol: float = 1e-8
     rank: int = 8
     adaptive: bool = False
     trunc_tol: float = 1e-10
@@ -101,7 +105,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        for name in ("objective_tol", "residual_tol", "trunc_tol"):
+        for name in ("tol", "trunc_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -333,11 +337,11 @@ def _run_sweeps(
         report.objective += [next(half_sweeps), next(half_sweeps)]
         report.sweeps = sweep
         current = report.objective[-1]
-        stable = prev is not None and abs(current - prev) <= config.objective_tol * max(1.0, abs(current))
+        stable = prev is not None and abs(current - prev) <= config.tol * max(1.0, abs(current))
         prev = current
         if stable or sweep == config.max_sweeps:
             report.residuals = residual_fn()
-            report.converged = stable and max(report.residuals) <= config.residual_tol
+            report.converged = stable and max(report.residuals) <= config.tol
         if report.converged:
             break
     report.ranks = chains[0].ranks()
@@ -384,18 +388,12 @@ def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
 _SYMMETRY_TOL = 1e-12  # relative ‖A − Aᵀ‖_F up to which A counts as symmetric
 
 
-def _flat(m: TTMatrix) -> TTVector:
-    """The operator as a TT vector: each core ``(p, i, j, q)`` is read as a
-    vector core ``(p, i·j, q)``, so ``tt_norm`` gives ‖m‖_F."""
-    return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores], copy=False)
-
-
 def _is_symmetric(op: TTMatrix) -> bool:
-    """‖A − Aᵀ‖_F ≤ 1e-12·‖A‖_F, measured in TT form (see ``_flat``)."""
+    """‖A − Aᵀ‖_F ≤ 1e-12·‖A‖_F, measured in TT form (on ``train._fused``)."""
     if op.row_sizes != op.col_sizes:
         return False
-    a = _flat(op)
-    skew = tt_add(a, tt_scale(_flat(mpo_transpose(op)), -1.0))
+    a = _fused(op)
+    skew = tt_add(a, tt_scale(_fused(mpo_transpose(op)), -1.0))
     return tt_norm(skew) <= _SYMMETRY_TOL * tt_norm(a)
 
 
@@ -589,8 +587,7 @@ def _gram(op: TTMatrix):
     operator of A itself could overflow or underflow, and the sweeps'
     residual test, ‖Hv − λv‖ / max(1, |λ|), would be absolute, not relative
     to ‖A‖_F², for ‖A‖_F < 1."""
-    last = orthogonalize(_flat(op), op.order - 1).cores[-1]
-    exp = int(np.frexp(np.abs(last).max())[1])
+    _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
     scaled = TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
     return scaled, mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND), exp
 
@@ -802,12 +799,16 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
     proves A indefinite or singular; the run then starts again from the same
     seed on the normal-equation route.
 
+    ``config.tol`` bounds both stopping tests: the objective's change over
+    a sweep, relative to max(1, |objective|), and the one residual,
+    ‖Ax − b‖ / ‖b‖, on either route.
+
     These promises weaken as cond(A) grows.  On the QTT Laplacian of size
     2^d with a ones right-hand side (rank 8, seed 7), cond(A) grows as 4^d:
     at d = 14 the energy rises by 3.9e-9 of its size within the run, beyond
     the 1e-10 slack of ``SolveReport.is_monotone``, and at d = 16 the
     residual, measured against ‖b‖, stays at 2.5e-7 after 20 sweeps, above
-    the default ``residual_tol``.  The iterates stay backward stable all the
+    the default ``tol``.  The iterates stay backward stable all the
     same: ‖Ax − b‖ / (‖A‖₂‖x‖ + ‖b‖) is 0.9e-16 to 1.6e-16 at d = 14 to 24.
 
     The normal-equation route serves every other operator, rectangular ones
@@ -816,11 +817,11 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
     fall back to a regularized solve, counted in the report.  Squaring the
     condition number costs accuracy: on ill-conditioned operators the
     trajectory need not be monotone and the residual can stall above
-    ``residual_tol``.
+    ``tol``.
 
     With ``adaptive=True`` the two-site splits truncate under ``trunc_tol``,
     and the residual cannot fall much below what that truncation leaves, so
-    keep ``trunc_tol`` well below ``residual_tol``.  With the defaults (1e-10
+    keep ``trunc_tol`` well below ``tol``.  With the defaults (1e-10
     and 1e-8) the 2-D 32×32 Laplacian with a ones right-hand side and
     ``max_rank=16`` stalls at a residual of 1.7e-8 and runs all its sweeps;
     with ``trunc_tol=1e-12`` it converges in 2.

@@ -192,9 +192,10 @@ class BlockTT:
         return (1,) + tuple(c.shape[-1] for c in self.cores)
 
     def full_matrix(self) -> np.ndarray:
-        """Dense (prod(modes), K) matrix of the represented vectors."""
-        cols = [block_extract(self, k).full().reshape(-1) for k in range(self.num_vectors)]
-        return np.stack(cols, axis=1)
+        """Dense (prod(modes), K) matrix of the represented vectors: the
+        chain read as a TT matrix with K columns at ``position``."""
+        cores = [c if n == self.position else c[:, :, None, :] for n, c in enumerate(self.cores)]
+        return mpo_to_full(TTMatrix(cores, copy=False))
 
     def __repr__(self):
         return (
@@ -403,23 +404,28 @@ def mpo_svd(
     t = mat.reshape(rows + cols)
     perm = [x for n in range(n_modes) for x in (n, n_modes + n)]
     fused = t.transpose(perm).reshape([i * j for i, j in zip(rows, cols)])
-    vec = tt_svd(fused, policy)
-    cores = [
-        c.reshape(c.shape[0], i, j, c.shape[2])
-        for c, i, j in zip(vec.cores, rows, cols)
-    ]
-    return TTMatrix(cores, copy=False)
+    return _unfused(tt_svd(fused, policy), rows, cols)
 
 
 def mpo_to_full(a: TTMatrix) -> np.ndarray:
-    """Assemble the dense matrix (prod(rows) x prod(cols))."""
-    res = a.cores[0][0]  # (I0, J0, P1)
-    for core in a.cores[1:]:
-        res = np.tensordot(res, core, axes=(res.ndim - 1, 0))
-    res = res[..., 0]  # (I0, J0, I1, J1, ...)
+    """Assemble the dense matrix (prod(rows) x prod(cols)) by contracting
+    the (i, j)-fused TT vector and moving the column indices last."""
     n_modes = a.order
+    res = tt_to_full(_fused(a)).reshape([s for ij in zip(a.row_sizes, a.col_sizes) for s in ij])
     perm = list(range(0, 2 * n_modes, 2)) + list(range(1, 2 * n_modes, 2))
     return np.ascontiguousarray(res.transpose(perm)).reshape(a.shape)
+
+
+def _fused(a: TTMatrix) -> TTVector:
+    """The TT matrix as a TT vector, with no copy: each core ``(p, i, j, q)``
+    is read as a vector core ``(p, i·j, q)``, so ``tt_norm`` gives ‖a‖_F."""
+    return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in a.cores], copy=False)
+
+
+def _unfused(v: TTVector, rows: Sequence[int], cols: Sequence[int]) -> TTMatrix:
+    """Inverse of :func:`_fused`, for site sizes ``rows`` by ``cols``."""
+    cores = [c.reshape(c.shape[0], i, j, c.shape[2]) for c, i, j in zip(v.cores, rows, cols)]
+    return TTMatrix(cores, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +476,7 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
 
 def mpo_round(a: TTMatrix, policy: TruncationPolicy) -> TTMatrix:
     """Recompress a TT matrix by rounding its (i, j)-fused TT vector."""
-    fused = TTVector(
-        [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in a.cores],
-        copy=False,
-    )
-    rounded = tt_round(fused, policy)
-    cores = [
-        c.reshape(c.shape[0], i, j, c.shape[2])
-        for c, i, j in zip(rounded.cores, a.row_sizes, a.col_sizes)
-    ]
-    return TTMatrix(cores, copy=False)
+    return _unfused(tt_round(_fused(a), policy), a.row_sizes, a.col_sizes)
 
 
 # ---------------------------------------------------------------------------

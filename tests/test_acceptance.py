@@ -204,11 +204,11 @@ def test_criterion_08_svd_solvers():
     s = np.linalg.svd(dense, compute_uv=False)
     sigma, _, _, rep = svd_dominant(op, SweepConfig(max_sweeps=30, rank=6, seed=0))
     err_dom = abs(sigma - s[0])
-    sig_small, _, _ = svd_small_k(op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7))
+    sig_small, _, _ = svd_small_k(op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     err_small = np.abs(sig_small - np.sort(s)[:2]).max()
     # Gram-route cross-check: squared singular values are the Ritz values of A^T A
     gram = mpo_mul(mpo_transpose(op), op, OP_TOL)
-    mu, _, _ = eig_block(gram, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7))
+    mu, _, _ = eig_block(gram, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     err_cross = np.abs(sig_small - np.sqrt(np.clip(mu, 0, None))).max()
     ok = err_dom < 1e-6 and err_small < 1e-6 and err_cross < 1e-8 and rep.is_monotone(1e-10)
     check(8, "singular triplet solvers vs dense SVD", ok, f"errs {err_dom:.2g}/{err_small:.2g}/{err_cross:.2g}")
@@ -220,11 +220,11 @@ def test_criterion_09_linear_solver():
     rng = np.random.default_rng(107)
     x_star = random_tt((2,) * 6, 3, rng)
     y = mpo_apply(op, x_star)
-    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=5, seed=0, residual_tol=1e-9))
+    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=5, seed=0, tol=1e-9))
     rec_err = tt_norm(tt_add(x, tt_scale(x_star, -1.0))) / tt_norm(x_star)
     y2 = random_tt((2,) * 6, 2, rng)
     x2, rep2 = linsolve(
-        op, y2, SweepConfig(max_sweeps=20, rank=2, seed=0, adaptive=True, trunc_tol=1e-11, residual_tol=1e-8)
+        op, y2, SweepConfig(max_sweeps=20, rank=2, seed=0, adaptive=True, trunc_tol=1e-11, tol=1e-8)
     )
     res2 = rep2.residuals[0]
     ok = (
@@ -249,7 +249,7 @@ def test_criterion_10_gevd_and_cca():
     a_op = mpo_svd(a_dense, shapes, shapes, OP_TOL)
     b_op = mpo_svd(b_dense, shapes, shapes, OP_TOL)
     w = scipy.linalg.eigh(x_dense @ a_dense @ x_dense.T, b_dense, eigvals_only=True)
-    vals, _, rep_g = gevd(x_op, a_op, b_op, 3, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7))
+    vals, _, rep_g = gevd(x_op, a_op, b_op, 3, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     err_gevd = np.abs(vals - w[:3]).max()
 
     xd = rng.standard_normal((8, 64))

@@ -1,6 +1,9 @@
 """The public API of ``ttkit``."""
 
+import dataclasses
 import types
+
+import pytest
 
 import ttkit
 
@@ -62,3 +65,19 @@ def test_public_names_are_pinned():
     }
     assert len(PUBLIC) == 44
     assert names == PUBLIC
+
+
+# Every settable field is an option that tests and benchmarks must cover; a
+# new one needs two callers outside the tests that want different values.
+FIELDS = {
+    ttkit.SweepConfig: (
+        "max_sweeps", "tol", "rank", "adaptive", "trunc_tol", "max_rank", "seed", "identity_grams",
+    ),
+    ttkit.TruncationPolicy: ("tol", "max_rank"),
+    ttkit.QuantizationPlan: ("base", "factors"),
+}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_settable_fields_are_pinned(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[cls]

@@ -19,7 +19,6 @@ TIGHT = TruncationPolicy(1e-13)
 def test_plan_auto_power_of_two():
     plan = plan_auto(8, 2)
     assert plan.factors == ((2, 2, 2),)
-    assert plan.virtual_order == 3
     assert plan.physical_shape == (8,)
 
 

@@ -53,7 +53,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(max_sweeps=0)
     with pytest.raises(ValueError):
-        SweepConfig(objective_tol=0.0)
+        SweepConfig(tol=0.0)
     with pytest.raises(ValueError):
         SweepConfig(rank=0)
 
@@ -83,7 +83,7 @@ def test_report_serialization():
 
 def test_eig_identity_operator():
     ident = eye_mpo((2, 2, 2))
-    lam, x, rep = eig_min(ident, SweepConfig(max_sweeps=5, rank=2, seed=0, residual_tol=1e-10))
+    lam, x, rep = eig_min(ident, SweepConfig(max_sweeps=5, rank=2, seed=0, tol=1e-10))
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert tt_norm(x) == pytest.approx(1.0, rel=1e-12)
     assert all(abs(v - 1.0) < 1e-12 for v in rep.objective)
@@ -95,7 +95,7 @@ def test_eig_diagonal_operator_finds_smallest_entry():
     diag = np.linspace(1.0, 2.0, n)
     dvec = quantize_vector(diag, plan_auto(n, 2), OP_TOL)
     op = diagonal_mpo(dvec)
-    lam, x, rep = eig_min(op, SweepConfig(max_sweeps=30, rank=4, seed=1, residual_tol=1e-9))
+    lam, x, rep = eig_min(op, SweepConfig(max_sweeps=30, rank=4, seed=1, tol=1e-9))
     assert lam == pytest.approx(diag.min(), abs=1e-9)
     e_min = tt_svd(np.eye(n)[0].reshape((2,) * 6))
     assert abs(tt_inner(x, e_min)) == pytest.approx(1.0, abs=1e-6)
@@ -124,7 +124,7 @@ def test_eig_block_k1_matches_eig_min():
 
 
 def test_eig_block_identity():
-    vals, blk, rep = eig_block(eye_mpo((2, 2, 2)), 3, SweepConfig(max_sweeps=5, rank=3, seed=0, residual_tol=1e-9))
+    vals, blk, rep = eig_block(eye_mpo((2, 2, 2)), 3, SweepConfig(max_sweeps=5, rank=3, seed=0, tol=1e-9))
     assert np.allclose(vals, 1.0, atol=1e-12)
     cols = blk.full_matrix()
     assert np.abs(cols.T @ cols - np.eye(3)).max() < 1e-10
@@ -156,7 +156,7 @@ def test_local_eigenpairs_match_eigvalsh(modes, k):
 
 def test_eig_local_objective_matches_global():
     op, dense = laplacian_mpo(4)
-    lam, x, rep = eig_min(op, SweepConfig(max_sweeps=3, rank=4, seed=0, residual_tol=1e-12))
+    lam, x, rep = eig_min(op, SweepConfig(max_sweeps=3, rank=4, seed=0, tol=1e-12))
     v = x.full().reshape(-1)
     assert rep.objective[-1] == pytest.approx(v @ dense @ v / (v @ v), abs=1e-10)
 
@@ -253,7 +253,7 @@ def test_mals_grows_rank_only_when_needed():
     # loose tolerance: stays at rank 1
     _, _, rep_loose = eig_min(
         op,
-        SweepConfig(max_sweeps=4, rank=1, seed=0, adaptive=True, trunc_tol=0.5, residual_tol=10.0, objective_tol=10.0),
+        SweepConfig(max_sweeps=4, rank=1, seed=0, adaptive=True, trunc_tol=0.5, tol=10.0),
     )
     assert max(rep_loose.ranks[1:-1]) <= 2
 
@@ -323,7 +323,7 @@ def test_mals_respects_max_rank_cap():
         op,
         y,
         SweepConfig(max_sweeps=4, rank=1, seed=0, adaptive=True, trunc_tol=1e-12,
-                    max_rank=3, residual_tol=10.0, objective_tol=10.0),
+                    max_rank=3, tol=10.0),
     )
     assert max(rep.ranks) <= 3
 
@@ -440,7 +440,7 @@ def test_svd_small_k_orthogonal_operator():
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     op = mpo_svd(q, (2,) * 3, (2,) * 3, OP_TOL)
-    sigmas, _, _ = svd_small_k(op, 2, SweepConfig(max_sweeps=10, rank=4, seed=0, residual_tol=1e-7))
+    sigmas, _, _ = svd_small_k(op, 2, SweepConfig(max_sweeps=10, rank=4, seed=0, tol=1e-7))
     assert np.allclose(sigmas, 1.0, atol=1e-8)
 
 
@@ -449,7 +449,7 @@ def test_svd_small_k_vs_dense():
     dense = rng.standard_normal((16, 16))
     op = mpo_svd(dense, (2,) * 4, (2,) * 4, OP_TOL)
     s = np.sort(np.linalg.svd(dense, compute_uv=False))
-    sigmas, vblk, rep = svd_small_k(op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7))
+    sigmas, vblk, rep = svd_small_k(op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     assert np.abs(sigmas - s[:2]).max() < 1e-6
     cols = vblk.full_matrix()
     assert np.abs(cols.T @ cols - np.eye(2)).max() < 1e-8
@@ -462,7 +462,7 @@ def test_svd_small_k_detects_rank_deficiency():
     null /= np.linalg.norm(null)
     dense -= np.outer(dense @ null, null)  # kill one direction
     op = mpo_svd(dense, (2,) * 3, (2,) * 3, OP_TOL)
-    sigmas, _, _ = svd_small_k(op, 1, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-6))
+    sigmas, _, _ = svd_small_k(op, 1, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-6))
     assert sigmas[0] < 1e-8
 
 
@@ -479,7 +479,7 @@ def test_gevd_identity_metric_reduces_to_eig_block():
     x_op = mpo_svd(x_dense, (2,) * k_modes, (2,) * k_modes, OP_TOL)
     a_op = mpo_svd(a_dense, (2,) * k_modes, (2,) * k_modes, OP_TOL)
     b_op = eye_mpo((2,) * k_modes)
-    cfg = SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7)
+    cfg = SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7)
     vals, _, rep = gevd(x_op, a_op, b_op, 2, cfg)
     m_op = mpo_mul(mpo_mul(x_op, a_op), mpo_transpose(x_op), TruncationPolicy(1e-13))
     vals_eig, _, _ = eig_block(m_op, 2, cfg)
@@ -499,7 +499,7 @@ def test_gevd_desk_scale_vs_dense():
     a_op = mpo_svd(a_dense, shapes, shapes, OP_TOL)
     b_op = mpo_svd(b_dense, shapes, shapes, OP_TOL)
     w = scipy.linalg.eigh(x_dense @ a_dense @ x_dense.T, b_dense, eigvals_only=True)
-    vals, vblk, rep = gevd(x_op, a_op, b_op, 3, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7))
+    vals, vblk, rep = gevd(x_op, a_op, b_op, 3, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     assert np.abs(vals - w[:3]).max() < 1e-6
     vm = vblk.full_matrix()
     assert np.abs(vm.T @ b_dense @ vm - np.eye(3)).max() < 1e-8
@@ -530,7 +530,7 @@ def test_gevd_orthogonal_x_diagonal_a_analytic():
     x_op = mpo_svd(q, shapes, shapes, OP_TOL)
     a_op = mpo_svd(np.diag(d), shapes, shapes, OP_TOL)
     b_op = eye_mpo(shapes)
-    vals, _, _ = gevd(x_op, a_op, b_op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, residual_tol=1e-7))
+    vals, _, _ = gevd(x_op, a_op, b_op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     # X D X^T has exactly the diagonal entries as eigenvalues
     assert np.abs(vals - d[:2]).max() < 1e-8
 
@@ -563,7 +563,7 @@ def test_cca_vs_dense_oracle():
     x_op = mpo_svd(x_dense, (2, 2, 2), (4, 4, 4), OP_TOL)
     y_op = mpo_svd(y_dense, (2, 2, 2), (4, 4, 4), OP_TOL)
     oracle = dense_cca_correlations(x_dense, y_dense, 2)
-    corr, wx, wy, rep = cca(x_op, y_op, 2, SweepConfig(max_sweeps=30, rank=4, seed=0, residual_tol=1e-8))
+    corr, wx, wy, rep = cca(x_op, y_op, 2, SweepConfig(max_sweeps=30, rank=4, seed=0, tol=1e-8))
     assert np.abs(corr - oracle).max() < 1e-6
     assert np.all(corr <= 1 + 1e-10) and np.all(corr >= 0)
     assert np.all(np.diff(corr) <= 1e-12)  # non-increasing
@@ -643,7 +643,7 @@ def test_linsolve_recovers_constructed_solution():
     rng = np.random.default_rng(16)
     x_star = random_tt((2,) * 6, 3, rng)
     y = mpo_apply(spd, x_star)
-    x, rep = linsolve(spd, y, SweepConfig(max_sweeps=20, rank=5, seed=0, residual_tol=1e-9))
+    x, rep = linsolve(spd, y, SweepConfig(max_sweeps=20, rank=5, seed=0, tol=1e-9))
     assert tt_norm_diff(x, x_star) / tt_norm(x_star) < 1e-8
     assert rep.is_monotone()
     assert rep.converged
@@ -655,7 +655,7 @@ def test_linsolve_spd_system_vs_dense():
     spd = mpo_svd(spd_dense, (2,) * 6, (2,) * 6, OP_TOL)
     rng = np.random.default_rng(17)
     y = random_tt((2,) * 6, 2, rng)
-    x, rep = linsolve(spd, y, SweepConfig(max_sweeps=20, rank=2, seed=0, adaptive=True, trunc_tol=1e-11, residual_tol=1e-8))
+    x, rep = linsolve(spd, y, SweepConfig(max_sweeps=20, rank=2, seed=0, adaptive=True, trunc_tol=1e-11, tol=1e-8))
     assert rep.residuals[0] < 1e-7
     x_dense = np.linalg.solve(spd_dense, y.full().reshape(-1))
     assert np.linalg.norm(x.full().reshape(-1) - x_dense) < 1e-7 * np.linalg.norm(x_dense)
@@ -668,7 +668,7 @@ def test_linsolve_rectangular_least_squares():
     x_star_dense = rng.standard_normal(8)
     y_dense = dense @ x_star_dense
     y = tt_svd(y_dense.reshape(4, 4), TruncationPolicy(0.0))
-    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=4, seed=0, residual_tol=1e-8))
+    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=4, seed=0, tol=1e-8))
     assert np.linalg.norm(x.full().reshape(-1) - x_star_dense) < 1e-7 * np.linalg.norm(x_star_dense)
 
 
@@ -679,7 +679,7 @@ def test_linsolve_singular_system_regularizes():
     op = mpo_svd(proj, (2, 2), (2, 2), OP_TOL)
     rng = np.random.default_rng(19)
     y = random_tt((2, 2), 2, rng)
-    x, rep = linsolve(op, y, SweepConfig(max_sweeps=3, rank=2, seed=0, residual_tol=10.0, objective_tol=10.0))
+    x, rep = linsolve(op, y, SweepConfig(max_sweeps=3, rank=2, seed=0, tol=10.0))
     assert rep.regularized > 0
 
 
@@ -740,7 +740,7 @@ def test_adaptive_mode_gevd():
     w = scipy.linalg.eigh(x_dense @ a_dense @ x_dense.T, b_dense, eigvals_only=True)
     vals, _, rep = gevd(
         x_op, a_op, b_op, 2,
-        SweepConfig(max_sweeps=30, rank=2, seed=0, adaptive=True, trunc_tol=1e-12, residual_tol=1e-7),
+        SweepConfig(max_sweeps=30, rank=2, seed=0, adaptive=True, trunc_tol=1e-12, tol=1e-7),
     )
     assert np.abs(vals - w[:2]).max() < 1e-6
     assert rep.is_monotone()
@@ -796,10 +796,10 @@ def test_gevd_indefinite_metric_reports_last_shift_tried():
         gevd(eye_mpo(shapes), a_op, b_op, 1, SweepConfig(max_sweeps=4, rank=4, seed=0))
 
 
-@pytest.mark.parametrize("name", ["objective_tol", "residual_tol", "trunc_tol"])
+@pytest.mark.parametrize("name", ["tol", "trunc_tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_tolerances(name, value):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
         SweepConfig(**{name: value})
 
 
@@ -817,6 +817,18 @@ def _force_normal_route(monkeypatch):
 
 def test_qtt_laplacian_oracle_is_exact():
     assert np.array_equal(qtt_laplacian(5).full(), laplacian_mpo(5)[1])
+
+
+def test_one_tol_bounds_the_objective_change_and_the_residual():
+    # at rank 1 the objective of L_6 is stable from the second sweep on, but
+    # the iterate's residual stays at 0.17: only the residual test holds it
+    op = qtt_laplacian(6)
+    _, _, rep = eig_min(op, SweepConfig(max_sweeps=6, rank=1, seed=0, tol=1e-8))
+    assert abs(rep.objective[-1] - rep.objective[-3]) <= 1e-8 * max(1.0, abs(rep.objective[-1]))
+    assert rep.residuals[0] > 1e-8
+    assert not rep.converged and rep.sweeps == 6
+    _, _, rep = eig_min(op, SweepConfig(max_sweeps=6, rank=1, seed=0, tol=0.5))
+    assert rep.converged and rep.sweeps == 2
 
 
 @pytest.mark.parametrize("seed", [7, 11, 123])
@@ -888,7 +900,7 @@ def test_linsolve_nonsymmetric_square_system():
     assert not solvers._is_symmetric(op)
     x_star = random_tt((2,) * 5, 2, rng)
     y = mpo_apply(op, x_star)
-    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=6, seed=0, residual_tol=1e-10))
+    x, rep = linsolve(op, y, SweepConfig(max_sweeps=20, rank=6, seed=0, tol=1e-10))
     assert tt_norm_diff(x, x_star) / tt_norm(x_star) < 1e-8
     assert rep.converged
 

@@ -514,6 +514,22 @@ def test_block_from_tts_extracts_originals():
         assert rel_err(block_extract(blk, k).full(), t.full()) < 1e-12
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_full_matrix_columns_are_the_extracted_vectors(position):
+    rng = np.random.default_rng(22)
+    modes, k = (2, 3, 2, 4), 3
+    r = feasible_ranks(modes, [3, 4, 3])
+    cores = [
+        rng.standard_normal((r[n], modes[n]) + ((k,) if n == position else ()) + (r[n + 1],))
+        for n in range(len(modes))
+    ]
+    blk = BlockTT(cores, position)
+    dense = blk.full_matrix()
+    assert dense.shape == (48, k)
+    for j in range(k):
+        assert np.array_equal(dense[:, j], block_extract(blk, j).full().reshape(-1))
+
+
 def test_block_extract_out_of_range():
     blk = block_from_tts([random_tt((2, 2), 1, np.random.default_rng(24))])
     with pytest.raises(IndexError):
