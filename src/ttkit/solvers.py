@@ -425,10 +425,20 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
     floor of lambda_min.  Otherwise inverse iteration runs on the factor,
     and the shift moves to the new rho once the residual stops falling
     tenfold per step.  After three factorizations the answer comes from
-    ``eigh``, with the factor's buffer released first."""
+    ``eigh``, with the factor's buffer released first.
+
+    An h whose ‖h‖_F lies outside (2^-400, 2^400), where that norm and the
+    residual norms square past the float range, is solved scaled by its
+    exact power of two (``train._unit_scaled``), and w is scaled back."""
     n = h.shape[0]
     eps = np.finfo(h.dtype).eps
-    scale = float(np.linalg.norm(h))  # whole matrix: only a tolerance scale
+    with np.errstate(over="ignore"):  # an inf norm is rescaled below
+        scale = float(np.linalg.norm(h))  # whole matrix: only a tolerance scale
+    if not 2.0**-400 < scale < 2.0**400:
+        scaled, exp = _unit_scaled(h)
+        if exp:  # 0 for the zero matrix, which needs no scaling
+            w, v = _lowest_pair(scaled, start)
+            return np.ldexp(w, exp), v
     floor, tol = n * eps * scale, math.sqrt(n) * eps * scale
 
     def rayleigh(x):

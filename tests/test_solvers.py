@@ -831,6 +831,21 @@ def test_one_tol_bounds_the_objective_change_and_the_residual():
     assert rep.converged and rep.sweeps == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exp", [-1000, -664, -332, 0, 332, 512, 664, 996, 1000])
+@pytest.mark.parametrize(
+    "solve", [eig_min, lambda op, cfg: eig_block(op, 1, cfg)], ids=["eig_min", "eig_block"]
+)
+def test_k1_eigensolve_at_extreme_operator_scale(solve, exp):
+    # from 2^512 on, ‖h‖_F of the warm steps' local matrices squares past
+    # the float range; without rescaling the value was off by up to 5x
+    op = qtt_laplacian(8)
+    scaled = TTMatrix([np.ldexp(op.cores[0], exp)] + op.cores[1:])
+    value = np.ravel(solve(scaled, SweepConfig(rank=4, seed=1))[0])[0]
+    lam = 4.0 * np.sin(np.pi / (2 * (2**8 + 1))) ** 2
+    assert abs(np.ldexp(value, -exp) - lam) <= 1e-12 * lam
+
+
 @pytest.mark.parametrize("seed", [7, 11, 123])
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_linsolve_laplacian_energy_route(seed, adaptive):
