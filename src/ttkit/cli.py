@@ -191,8 +191,27 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _largest_intermediate(cores) -> int:
+    """Entries of the largest array ``train.tt_to_full`` forms from these
+    cores (of a TT vector, a TT matrix or a block TT): after each core, the
+    sizes of the sites so far times the next rank; the last is the dense
+    result."""
+    size = peak = 1
+    for c in cores:
+        size *= math.prod(c.shape[1:-1])
+        peak = max(peak, size * c.shape[-1])
+    return peak
+
+
 def _cmd_reconstruct(args) -> int:
     obj = _load(args.file)
+    need = 8 * _largest_intermediate(obj.cores)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CliError(
+            f"{args.file}: reconstruction needs arrays of {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
     if isinstance(obj, TTVector):
         dense = obj.full().reshape(-1)
     elif isinstance(obj, TTMatrix):
@@ -384,6 +403,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

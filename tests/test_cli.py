@@ -1,10 +1,16 @@
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ttkit
 from ttkit import container
 from ttkit.cli import main
 from ttkit.quantize import storage_report
-from ttkit.train import TruncationPolicy, TTVector, mpo_svd, random_tt
+from ttkit.train import BlockTT, TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt
 
 
 def write_raw(path, data):
@@ -309,6 +315,53 @@ def test_info_oversized_header_is_one_line_error(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "cores, refused_up_front",
+    [
+        # 8 TiB: refused from the sizes and ranks, before any contraction
+        pytest.param([np.ones((1, 2, 1))] * 40, True, id="beyond-physical-memory"),
+        # 2 GiB: within the physical memory of most machines, beyond the
+        # address-space limit below, so the allocation itself fails
+        pytest.param([np.ones((1, 2, 1))] * 20 + [np.ones((1, 256, 1))], False, id="beyond-address-space"),
+    ],
+)
+def test_reconstruct_beyond_memory_is_one_line_error(tmp_path, cores, refused_up_front):
+    # run in a child whose address space is capped, so that a reconstruction
+    # which does allocate fails there and cannot exhaust this machine
+    path = tmp_path / "big.tt"
+    container.save(TTVector(cores), path)
+    limit = 1_500_000 * 1024
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ttkit.__file__)), OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttkit.cli", "reconstruct", str(path), "-o", str(tmp_path / "big.raw")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    assert not refused_up_front or "physical memory" in proc.stderr
+    assert not (tmp_path / "big.raw").exists()
+
+
+@pytest.mark.parametrize(
+    "obj, largest",
+    [
+        (TTVector([np.ones((1, 2, 3)), np.ones((3, 2, 1))]), 6),  # 2 x 3 after the first core
+        (TTMatrix([np.ones((1, 2, 3, 5)), np.ones((5, 2, 3, 1))]), 36),  # the 6 x 6 result
+        (BlockTT([np.ones((1, 2, 1)), np.ones((1, 3, 4, 1))], 1), 24),  # 6 x K = 4
+    ],
+    ids=["vector", "matrix", "block"],
+)
+def test_largest_intermediate_counts_every_site_index(obj, largest):
+    from ttkit.cli import _largest_intermediate
+
+    assert _largest_intermediate(obj.cores) == largest
 
 
 def test_nan_tolerance_is_one_line_error(tmp_path, capsys):
