@@ -192,14 +192,17 @@ def _cmd_info(args) -> int:
 
 
 def _largest_intermediate(cores) -> int:
-    """Entries of the largest array ``train.tt_to_full`` forms from these
-    cores (of a TT vector, a TT matrix or a block TT): after each core, the
-    sizes of the sites so far times the next rank; the last is the dense
-    result."""
-    size = peak = 1
+    """Entries of the largest two arrays that coexist while ``train.tt_to_full``
+    or ``train.mpo_to_full`` contracts these cores (of a TT vector, a TT
+    matrix or a block TT): each partial product, the sizes of the sites so
+    far times the next rank, together with the one before it; the last
+    partial product is the dense result."""
+    size, before, peak = 1, 0, 0
     for c in cores:
         size *= math.prod(c.shape[1:-1])
-        peak = max(peak, size * c.shape[-1])
+        after = size * c.shape[-1]
+        peak = max(peak, before + after)
+        before = after
     return peak
 
 

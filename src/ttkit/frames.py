@@ -167,14 +167,30 @@ def _span_frame(stack: EnvStack, site: int, span: int):
 def effective_operator(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     """Dense local operator over the ``span`` (1 or 2) cores starting at
     ``site``: rows pair with the vectorization of the bra core (or merged
-    supercore), columns with the ket's."""
+    supercore), columns with the ket's.
+
+    The result is Fortran-ordered: one broadcast ``matmul`` writes its
+    transpose in C order, so no full-size transposing copy is made.  The
+    environment contracted first is the one ``einsum``'s greedy planner
+    picks for these shapes, and its values are those of
+    ``einsum("apc,pijq,bqd->aibcjd")``."""
     env_l, op, env_r = _span_frame(stack, site, span)
-    rows = env_l.shape[0] * math.prod(op.shape[1 : 1 + span]) * env_r.shape[0]
-    cols = env_l.shape[2] * math.prod(op.shape[1 + span : -1]) * env_r.shape[2]
-    _check_local_dim(max(rows, cols))
-    i, j = "ik"[:span], "jl"[:span]
-    h = _planned_einsum(f"apc,p{i}{j}q,bqd->a{i}bc{j}d", env_l, op, env_r)
-    return h.reshape(rows, cols)
+    (a, p, c), (b, q, d) = env_l.shape, env_r.shape
+    i, j = math.prod(op.shape[1 : 1 + span]), math.prod(op.shape[1 + span : -1])
+    _check_local_dim(max(a * i * b, c * j * d))
+    op = op.reshape(p, i, j, q)
+    # the plan reads ("einsum_path", first pair, second pair)
+    first = _contraction_path("apc,pijq,bqd->aibcjd", env_l.shape, op.shape, env_r.shape)[1]
+    # h.T as (c, j, d, a, i, b): batches (c, j, d) of one small product each
+    if first == (0, 1):  # the left environment first, then q: (a·i, q) @ (q, b)
+        t = np.tensordot(env_l, op, axes=(1, 0))  # (a, c, i, j, q)
+        t = np.ascontiguousarray(t.transpose(1, 3, 0, 2, 4)).reshape(c, j, 1, a * i, q)
+        h_t = np.matmul(t, np.ascontiguousarray(env_r.transpose(2, 1, 0)))
+    else:  # the right environment first, then p: (a, p) @ (p, i·b)
+        t = np.tensordot(op, env_r, axes=(3, 1))  # (p, i, j, b, d)
+        t = np.ascontiguousarray(t.transpose(2, 4, 0, 1, 3)).reshape(j, d, p, i * b)
+        h_t = np.matmul(np.ascontiguousarray(env_l.transpose(2, 0, 1))[:, None, None], t)
+    return h_t.reshape(c * j * d, a * i * b).T
 
 
 def effective_rhs(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:

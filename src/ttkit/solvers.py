@@ -24,10 +24,13 @@ CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone.  The same holds for ``linsolve`` on symmetric
 positive definite operators, which it sweeps through the energy ½xᵀAx − bᵀx;
 other operators go through the normal equations, where it need not (see its
-docstring).  Every local matrix that is symmetric by construction (an
-operator, a metric or a Gram) is read by its lower triangle alone, never
-averaged or copied: ``eigh`` and the Cholesky factors read it there, and
-products use ``dsymv``/``dsymm`` on ``h.T``, whose upper triangle it is.
+docstring).  Local matrices come Fortran-ordered from
+``frames.effective_operator``.  Every local matrix that is symmetric by
+construction (an operator, a metric or a Gram) is read by its lower
+triangle alone, never averaged: ``eigh`` and the Cholesky factors read it
+there, ``_lowest_pair``'s products use ``dsymv(..., lower=1)`` on h itself,
+and the other products ``dsymv``/``dsymm`` on ``h.T``, whose upper
+triangle it is.
 
 Rank policies: the default is single-site updates.  With K = 1 a move
 splits the active core by QR and keeps the initial bond ranks.  With K > 1
@@ -416,20 +419,26 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
     0])``, warm-started from ``start``.
 
     The Rayleigh quotient rho of the current vector bounds lambda_min from
-    above; a Cholesky factor of h − (rho − delta)·I proves rho − delta <
-    lambda_min, so each factorization is an inertia certificate.  delta
-    starts at max(‖r‖, floor), with r the residual and floor = n·eps·‖h‖_F,
-    and grows ×100 whenever the factorization fails.  A pair whose residual
-    is at rounding level (√n·eps·‖h‖_F) and whose certificate holds at
-    delta ≤ max(floor, ‖r‖) is returned unchanged: its value is then within
-    floor of lambda_min.  Otherwise inverse iteration runs on the factor,
-    and the shift moves to the new rho once the residual stops falling
-    tenfold per step.  After three factorizations the answer comes from
+    above.  A Cholesky factor of h − sigma·I, sigma = rho − delta (LAPACK's
+    lower ``dpotrf`` on a Fortran-ordered copy, other triangle left as it
+    was), proves sigma < lambda_min, so each factorization is an inertia
+    certificate.  The pair in hand is returned once its residual r is at
+    rounding level, ‖r‖ ≤ tol = √n·eps·‖h‖_F, and rho − sigma ≤ floor +
+    ‖r‖ for the sigma of the factor in hand, with floor = n·eps·‖h‖_F: its
+    value is then within floor + tol of lambda_min.  This is tested after
+    the factorization and after every inverse iteration step on it.  delta
+    starts at max(‖r‖, floor) and grows ×100 whenever the factorization
+    fails.  Once the residual stops falling tenfold per step, or reaches
+    tol without the certificate, the shift moves to the new rho with delta
+    = max(min(‖r‖, 10‖r‖²/g), floor), where the gap g to the next
+    eigenvalue is read off the last contraction rate c as (rho −
+    sigma)(1 − c)/c.  After three factorizations the answer comes from
     ``eigh``, with the factor's buffer released first.
 
     An h whose ‖h‖_F lies outside (2^-400, 2^400), where that norm and the
     residual norms square past the float range, is solved scaled by its
     exact power of two (``train._unit_scaled``), and w is scaled back."""
+    h = np.asfortranarray(h)  # dsymv and the factor read it with no copy
     n = h.shape[0]
     eps = np.finfo(h.dtype).eps
     with np.errstate(over="ignore"):  # an inf norm is rescaled below
@@ -442,7 +451,7 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
     floor, tol = n * eps * scale, math.sqrt(n) * eps * scale
 
     def rayleigh(x):
-        hx = scipy.linalg.blas.dsymv(1.0, h.T, x, lower=0)
+        hx = scipy.linalg.blas.dsymv(1.0, h, x, lower=1)
         rho = float(x @ hx)
         hx -= rho * x
         return rho, float(np.linalg.norm(hx))
@@ -450,28 +459,30 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
     x = start / np.linalg.norm(start)
     rho, res = rayleigh(x)
     delta = max(res, floor)
-    work = np.empty_like(h)
-    factor = None
+    work = np.empty_like(h, order="F")
     for _ in range(3):
+        sigma = rho - delta
         np.copyto(work, h)
-        work.reshape(-1)[:: n + 1] -= rho - delta
-        try:
-            factor = scipy.linalg.cholesky(work.T, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
+        work.reshape(-1, order="F")[:: n + 1] -= sigma
+        _, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+        if info:
             delta *= 100.0
             continue
-        if res <= tol and delta <= max(floor, res):
-            return np.array([rho]), x[:, None]
-        while True:  # inverse iteration on (h − (rho − delta)·I) = factorᵀ·factor
-            y = scipy.linalg.solve_triangular(factor, x, trans="T", check_finite=False)
-            y = scipy.linalg.solve_triangular(factor, y, check_finite=False)
+        last = math.inf
+        while True:  # inverse iteration on h − sigma·I = L·Lᵀ
+            if res <= tol and rho - sigma <= floor + res:
+                return np.array([rho]), x[:, None]
+            if last < math.inf and not tol < res <= 0.1 * last:
+                break  # stalled, or at tol without the certificate: re-shift
+            y = scipy.linalg.blas.dtrsv(work, x, lower=1)
+            y = scipy.linalg.blas.dtrsv(work, y, lower=1, trans=1)
             x = y / np.linalg.norm(y)
             last = res
             rho, res = rayleigh(x)
-            if not tol < res <= 0.1 * last:
-                break
-        delta = max(res, floor)
-    work = factor = None
+        rate = res / last if last else 0.0
+        gap = (rho - sigma) * (1.0 - rate) / rate if 0.0 < rate < 1.0 else 0.0
+        delta = max(min(res, 10.0 * res * res / gap) if gap > 0.0 else res, floor)
+    work = None
     return scipy.linalg.eigh(h, subset_by_index=[0, 0])
 
 

@@ -408,12 +408,24 @@ def mpo_svd(
 
 
 def mpo_to_full(a: TTMatrix) -> np.ndarray:
-    """Assemble the dense matrix (prod(rows) x prod(cols)) by contracting
-    the (i, j)-fused TT vector and moving the column indices last."""
-    n_modes = a.order
-    res = tt_to_full(_fused(a)).reshape([s for ij in zip(a.row_sizes, a.col_sizes) for s in ij])
-    perm = list(range(0, 2 * n_modes, 2)) + list(range(1, 2 * n_modes, 2))
-    return np.ascontiguousarray(res.transpose(perm)).reshape(a.shape)
+    """Assemble the dense matrix (prod(rows) x prod(cols)) core by core.
+    One ``matmul`` per core writes (rows so far · i, columns so far · j,
+    rank) in C order, so no transposing copy follows, and the peak is the
+    result plus the one partial product before it.  Each is oriented so that
+    neither side of its products has size 1 where the sites allow it: BLAS
+    then computes every entry as ``tt_to_full`` of the fused view does."""
+    _, i, j, q = a.cores[0].shape
+    res = a.cores[0].reshape(i, j, q)
+    for core in a.cores[1:]:
+        (rows, cols, p), (_, i, j, q) = res.shape, core.shape
+        if cols == 1:  # one product, (rows so far, p) @ (p, i·j·q)
+            res = res.reshape(rows, p) @ core.reshape(p, i * j * q)
+        elif j * q == 1:  # batches of rows so far: (i, p) @ (p, cols so far)
+            res = np.matmul(core.reshape(p, i).T, res.transpose(0, 2, 1))
+        else:  # batches (rows so far, i): (cols so far, p) @ (p, j·q)
+            res = np.matmul(res[:, None], core.reshape(p, i, j * q).transpose(1, 0, 2))
+        res = res.reshape(rows * i, cols * j, q)
+    return res.reshape(a.shape)
 
 
 def _fused(a: TTMatrix) -> TTVector:

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -352,9 +354,10 @@ def test_reconstruct_beyond_memory_is_one_line_error(tmp_path, cores, refused_up
 @pytest.mark.parametrize(
     "obj, largest",
     [
-        (TTVector([np.ones((1, 2, 3)), np.ones((3, 2, 1))]), 6),  # 2 x 3 after the first core
-        (TTMatrix([np.ones((1, 2, 3, 5)), np.ones((5, 2, 3, 1))]), 36),  # the 6 x 6 result
-        (BlockTT([np.ones((1, 2, 1)), np.ones((1, 3, 4, 1))], 1), 24),  # 6 x K = 4
+        # the result and the partial product before it: 2 x 3 after the first core
+        (TTVector([np.ones((1, 2, 3)), np.ones((3, 2, 1))]), 6 + 4),
+        (TTMatrix([np.ones((1, 2, 3, 5)), np.ones((5, 2, 3, 1))]), 30 + 36),  # the 6 x 6 result
+        (BlockTT([np.ones((1, 2, 1)), np.ones((1, 3, 4, 1))], 1), 2 + 24),  # 6 x K = 4
     ],
     ids=["vector", "matrix", "block"],
 )
@@ -557,3 +560,31 @@ def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys):
         fresh.append(outcome(argv))
     assert shared == fresh
     assert [o[0] for o in shared] == [0, ("exit", 2), 0]
+
+
+def test_cli_digest_against_names_value_deltas_and_changed_decisions(tmp_path):
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    saved = tmp_path / "other.txt"
+    saved.write_text(
+        "a" * 64 + "  x.report.txt  converged=true sweeps=2 objective=2.0 ranks=1,2,1 regularized=0\n"
+        + "b" * 64 + "  x.values.csv  1.0 -2.0\n"
+        + "c" * 64 + "  x.tt\n"
+        + "    differs: max rel delta 0\n"
+        + "1 of 3 outputs differ from other.txt\n"
+        + "d" * 64 + "  TOTAL (3 outputs)\n"
+    )
+    old = tool._read_listing(str(saved))
+    assert old == {
+        "x.report.txt": ("a" * 64, "converged=true sweeps=2 objective=2.0 ranks=1,2,1 regularized=0"),
+        "x.values.csv": ("b" * 64, "1.0 -2.0"),
+        "x.tt": ("c" * 64, ""),
+    }
+    report = "converged=false sweeps=3 objective=1.5 ranks=1,2,1 regularized=0"
+    assert tool._changes(report, old["x.report.txt"][1]) == (
+        "max rel delta 0.25; converged=true -> converged=false; sweeps=2 -> sweeps=3"
+    )
+    assert tool._changes("1.0 -2.5", old["x.values.csv"][1]) == "max rel delta 0.2"
+    assert tool._changes("", old["x.tt"][1]) == "no listed numbers"

@@ -225,6 +225,33 @@ def test_effective_operator_two_equals_two_core_sandwich():
         assert np.abs(h2 - want).max() <= 1e-11 * max(np.abs(want).max(), 1.0)
 
 
+@pytest.mark.parametrize("span", [1, 2])
+@pytest.mark.parametrize("ranks, first", [((3, 6), (0, 1)), ((6, 3), (1, 2))], ids=["left-first", "right-first"])
+def test_effective_operator_is_the_einsum_in_fortran_order(span, ranks, first):
+    # the smaller environment is contracted first, as einsum's planner does;
+    # both orders give einsum's bits, written as h.T in C order
+    from ttkit.frames import _contraction_path
+
+    rng = np.random.default_rng(26)
+    bonds = [1, ranks[0]] + [4] * (span - 1) + [ranks[1], 1]
+    modes = (2,) * (span + 2)
+    cores = [rng.standard_normal((bonds[n], 2, bonds[n + 1])) for n in range(span + 2)]
+    a = random_mpo(modes, modes, 3, rng)
+    stack = env_build(cores, a.cores, cores)
+    stack.update_left(0)
+    env_l, env_r = stack.left_env(1), stack.right_env(1 + span)
+    if span == 1:
+        op, subscripts = a.cores[1], "apc,pijq,bqd->aibcjd"
+    else:
+        op, subscripts = np.einsum("pabq,qcdr->pacbdr", a.cores[1], a.cores[2]), "apc,pikjlq,bqd->aikbcjld"
+    dim = ranks[0] * 2**span * ranks[1]
+    fused = (op.shape[0], 2**span, 2**span, op.shape[-1])
+    assert _contraction_path("apc,pijq,bqd->aibcjd", env_l.shape, fused, env_r.shape)[1] == first
+    h = effective_operator(stack, 1, span)
+    assert h.shape == (dim, dim) and h.flags.f_contiguous
+    assert np.array_equal(h, np.einsum(subscripts, env_l, op, env_r, optimize=True).reshape(dim, dim))
+
+
 def test_rayleigh_quotient_through_effective_operator():
     rng = np.random.default_rng(16)
     x = orthogonalize(random_tt((2, 2, 2), 2, rng), 1)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ttkit
 from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd_plain
 from ttkit.train import (
     _QR_FIRST_SIZE,
+    _fused,
     BlockTT,
     TruncationPolicy,
     TTMatrix,
@@ -22,6 +28,7 @@ from ttkit.train import (
     svd_split,
     tt_round,
     tt_svd,
+    tt_to_full,
 )
 
 EXACT = TruncationPolicy(0.0)
@@ -577,3 +584,38 @@ def test_mpo_to_full_matches_strong_kron_chain():
         acc = bm if acc is None else strong_kron(acc, bm)
     assert acc.grid == (1, 1)
     assert np.linalg.norm(acc.block(0, 0) - a.full()) < 1e-12 * np.linalg.norm(a.full())
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [((2, 3, 2), (3, 2, 2)), ((2, 2, 3), (1, 4, 1)), ((1, 2, 2), (2, 1, 3)), ((3, 2), (1, 1))],
+)
+def test_mpo_to_full_is_the_fused_contraction_reordered(rows, cols):
+    # bitwise: each partial product is a BLAS product with no side of size 1
+    # where the sites allow it, as tt_to_full forms it on the fused view
+    a = random_mpo(rows, cols, 3, np.random.default_rng(26))
+    n = len(rows)
+    fused = tt_to_full(_fused(a)).reshape([s for ij in zip(rows, cols) for s in ij])
+    want = fused.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(a.shape)
+    got = a.full()
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
+def test_mpo_to_full_peak_is_the_result_plus_one_partial_product():
+    # ru_maxrss is the peak of the whole process, so measure in a child; the
+    # 4096 x 4096 identity is 128 MiB, and the partial product before it a
+    # quarter of that
+    code = (
+        "import resource\n"
+        "from ttkit import eye_mpo\n"
+        "a = eye_mpo((2,) * 12)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "full = a.full()\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "assert full.trace() == full.sum() == 4096\n"
+        "print(rise * 1024 / full.nbytes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ttkit.__file__)), OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1.3

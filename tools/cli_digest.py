@@ -16,12 +16,19 @@ checkouts whose bits differ can be compared number by number, and a changed
 decision shows without a rerun; the total covers only the hash lines.
 
     PYTHONPATH=src python tools/cli_digest.py
+    PYTHONPATH=src python tools/cli_digest.py --against OTHER.txt
 
-To compare with another checkout, point ``PYTHONPATH`` at its ``src``.
+To compare with another checkout, save its listing (run this script with
+``PYTHONPATH`` at its ``src``) and pass that file to ``--against``: under
+each output whose hash differs from the saved one, a line gives the largest
+relative delta of its numbers and every changed ``converged=``, ``sweeps=``,
+``ranks=`` or ``regularized=``, and the count of differing outputs comes
+just before the TOTAL line, which stays last.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -35,6 +42,8 @@ from ttkit import cli
 
 # the report lines printed next to a report's hash
 REPORT_KEYS = ("converged=", "sweeps=", "objective=", "ranks=", "regularized=")
+# the report lines that record a decision, not a number
+DECISION_KEYS = ("converged=", "sweeps=", "ranks=", "regularized=")
 
 SOLVER_FLAGS = ["--rank", "4", "--max-sweeps", "3", "--seed", "0", "--allow-nonconverged"]
 
@@ -164,12 +173,61 @@ def digests() -> list:
     )
 
 
-def main() -> int:
+def _read_listing(path: str) -> dict:
+    """{label: (sha256 hex, values)} from a listing this script printed;
+    the TOTAL line and comparison lines are skipped."""
+    listing = {}
+    with open(path) as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("  ", 2)
+            if len(fields) >= 2 and len(fields[0]) == 64 and not fields[1].startswith("TOTAL"):
+                listing[fields[1]] = (fields[0], fields[2] if len(fields) == 3 else "")
+    return listing
+
+
+def _changes(values: str, old: str) -> str:
+    """How the numbers of one output moved from ``old`` (both as in
+    :func:`_values`): the largest relative delta, then every changed
+    decision line."""
+
+    def numbers(text):
+        return [float(tok.split("=")[-1]) for tok in text.split() if not tok.startswith(DECISION_KEYS)]
+
+    def decisions(text):
+        return {tok.split("=")[0]: tok for tok in text.split() if tok.startswith(DECISION_KEYS)}
+
+    notes = []
+    new_nums, old_nums = numbers(values), numbers(old)
+    if len(new_nums) != len(old_nums):
+        notes.append(f"{len(old_nums)} -> {len(new_nums)} numbers")
+    elif new_nums:
+        delta = max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in zip(new_nums, old_nums))
+        notes.append(f"max rel delta {delta:.2g}")
+    was = decisions(old)
+    notes += [f"{was.get(key)} -> {tok}" for key, tok in decisions(values).items() if was.get(key) != tok]
+    return "; ".join(notes) or "no listed numbers"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE", help="listing saved from another checkout")
+    args = parser.parse_args(argv)
+    old = _read_listing(args.against) if args.against else None
     rows = digests()
     lines = [f"{digest}  {label}" for label, digest, _ in rows]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    for line, (_, _, values) in zip(lines, rows):
+    differ = 0
+    for line, (label, digest, values) in zip(lines, rows):
         print(f"{line}  {values}" if values else line)
+        if old is not None and (label not in old or old[label][0] != digest):
+            differ += 1
+            note = _changes(values, old[label][1]) if label in old else "new output"
+            print(f"    differs: {note}")
+    if old is not None:
+        gone = sorted(set(old) - {label for label, _, _ in rows})
+        for label in gone:
+            print(f"    gone: {label}")
+        print(f"{differ + len(gone)} of {len(lines)} outputs differ from {args.against}")
     print(f"{total}  TOTAL ({len(lines)} outputs)")
     return 0
 
