@@ -15,11 +15,12 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
+    _as_matrix,
     _direct_sum_cores,
+    _fused,
     _norm,
     mpo_round,
     orthogonalize,
-    tt_round,
 )
 
 __all__ = [
@@ -61,17 +62,7 @@ def mpo_apply(a: TTMatrix, x: TTVector, policy: Optional[TruncationPolicy] = Non
     exact products ``Q[n] = P[n] * R[n]``.  Pass a :class:`TruncationPolicy`
     to recompress the result; ``None`` keeps the exact product.
     """
-    if a.col_sizes != x.mode_sizes:
-        raise ValueError(
-            f"operator columns {a.col_sizes} do not match vector modes {x.mode_sizes}"
-        )
-    cores = []
-    for ac, xc in zip(a.cores, x.cores):
-        c = np.einsum("aijb,cjd->acibd", ac, xc)
-        p0, r0, i, p1, r1 = c.shape
-        cores.append(c.reshape(p0 * r0, i, p1 * r1))
-    y = TTVector(cores, copy=False)
-    return y if policy is None else tt_round(y, policy)
+    return _fused(mpo_mul(a, _as_matrix(x), policy))
 
 
 def mpo_mul(a: TTMatrix, b: TTMatrix, policy: Optional[TruncationPolicy] = None) -> TTMatrix:

@@ -39,7 +39,7 @@ from .solvers import (
     svd_dominant,
     svd_small_k,
 )
-from .train import BlockTT, TruncationPolicy, TTMatrix, TTVector, tt_svd
+from .train import TruncationPolicy, TTMatrix, TTVector, _as_matrix, mpo_to_full, tt_svd
 
 
 class CliError(Exception):
@@ -215,14 +215,7 @@ def _cmd_reconstruct(args) -> int:
             f"{args.file}: reconstruction needs arrays of {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
-    if isinstance(obj, TTVector):
-        dense = obj.full().reshape(-1)
-    elif isinstance(obj, TTMatrix):
-        dense = obj.full()
-    elif isinstance(obj, BlockTT):
-        dense = obj.full_matrix()
-    else:  # pragma: no cover
-        raise CliError(f"cannot reconstruct {type(obj).__name__}")
+    dense = mpo_to_full(_as_matrix(obj))
     _write_raw(args.out, dense)
     print(f"wrote {dense.size} float64 values to {args.out}")
     return 0

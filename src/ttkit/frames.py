@@ -14,7 +14,6 @@ refuse problems larger than ``LOCAL_DIM_CAP``, read at call time.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -136,11 +135,6 @@ def _contraction_path(subscripts: str, *shapes) -> tuple:
     return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
 
 
-def _planned_einsum(subscripts: str, *operands) -> np.ndarray:
-    path = _contraction_path(subscripts, *(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 def _check_local_dim(dim: int):
     if dim > LOCAL_DIM_CAP:
         raise ValueError(
@@ -150,8 +144,8 @@ def _check_local_dim(dim: int):
 
 def _span_frame(stack: EnvStack, site: int, span: int):
     """Environments around sites ``site .. site+span-1`` and the operator
-    core over them (for ``span=2`` the two cores merged, legs
-    ``(p, i1, i2, j1, j2, q)``)."""
+    core over them, legs ``(p, i, j, q)``; for ``span=2`` the two cores are
+    merged and their row and column indices fused (``i = i1·i2``)."""
     if span not in (1, 2):
         raise ValueError(f"span must be 1 or 2, got {span}")
     if not 0 <= site <= stack.order - span:
@@ -161,6 +155,8 @@ def _span_frame(stack: EnvStack, site: int, span: int):
     op = stack.op[site]
     if span == 2:
         op = np.einsum("pabq,qcdr->pacbdr", op, stack.op[site + 1])
+        p, i1, i2, j1, j2, r = op.shape
+        op = op.reshape(p, i1 * i2, j1 * j2, r)
     return env_l, op, env_r
 
 
@@ -175,10 +171,8 @@ def effective_operator(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     picks for these shapes, and its values are those of
     ``einsum("apc,pijq,bqd->aibcjd")``."""
     env_l, op, env_r = _span_frame(stack, site, span)
-    (a, p, c), (b, q, d) = env_l.shape, env_r.shape
-    i, j = math.prod(op.shape[1 : 1 + span]), math.prod(op.shape[1 + span : -1])
+    (a, p, c), (_, i, j, _), (b, q, d) = env_l.shape, op.shape, env_r.shape
     _check_local_dim(max(a * i * b, c * j * d))
-    op = op.reshape(p, i, j, q)
     # the plan reads ("einsum_path", first pair, second pair)
     first = _contraction_path("apc,pijq,bqd->aibcjd", env_l.shape, op.shape, env_r.shape)[1]
     # h.T as (c, j, d, a, i, b): batches (c, j, d) of one small product each
@@ -198,13 +192,12 @@ def effective_rhs(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     the stack's ket chain contracted against the bra frame,
     ``frame(bra)ᵀ · op · ket``."""
     env_l, op, env_r = _span_frame(stack, site, span)
-    dim = env_l.shape[0] * math.prod(op.shape[1 : 1 + span]) * env_r.shape[0]
+    dim = env_l.shape[0] * op.shape[1] * env_r.shape[0]
     _check_local_dim(dim)
+    ket = stack.ket[site]
     if span == 2:
-        ket = np.tensordot(stack.ket[site], stack.ket[site + 1], axes=(2, 0))
-        v = _planned_einsum("apc,pikjlq,cjld,bqd->aikb", env_l, op, ket, env_r)
-    else:
-        t = np.einsum("apc,cjd->apjd", env_l, stack.ket[site])
-        t = np.einsum("apjd,pijq->aidq", t, op)
-        v = np.einsum("aidq,bqd->aib", t, env_r)
-    return v.reshape(dim)
+        ket = np.tensordot(ket, stack.ket[site + 1], axes=(2, 0))
+        ket = ket.reshape(ket.shape[0], -1, ket.shape[-1])
+    t = np.einsum("apc,cjd->apjd", env_l, ket)
+    t = np.einsum("apjd,pijq->aidq", t, op)
+    return np.einsum("aidq,bqd->aib", t, env_r).reshape(dim)

@@ -19,6 +19,7 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
+    _as_matrix,
     mpo_svd,
     mpo_to_full,
     tt_svd,
@@ -188,17 +189,10 @@ def storage_report(x) -> dict:
     block index multiply in for the other kinds); the ratio is parameters
     over raw count, so values below 1 mean compression.
     """
-    if isinstance(x, TTVector):
-        kind = "vector"
-        raw = math.prod(x.mode_sizes)
-    elif isinstance(x, TTMatrix):
-        kind = "matrix"
-        raw = math.prod(x.row_sizes) * math.prod(x.col_sizes)
-    elif isinstance(x, BlockTT):
-        kind = "block"
-        raw = math.prod(x.mode_sizes) * x.num_vectors
-    else:
+    kind = {TTVector: "vector", TTMatrix: "matrix", BlockTT: "block"}.get(type(x))
+    if kind is None:
         raise TypeError(f"cannot report on {type(x).__name__}")
+    raw = math.prod(_as_matrix(x).shape)
     params = sum(c.size for c in x.cores)
     report = {
         "kind": kind,

@@ -192,10 +192,8 @@ class BlockTT:
         return (1,) + tuple(c.shape[-1] for c in self.cores)
 
     def full_matrix(self) -> np.ndarray:
-        """Dense (prod(modes), K) matrix of the represented vectors: the
-        chain read as a TT matrix with K columns at ``position``."""
-        cores = [c if n == self.position else c[:, :, None, :] for n, c in enumerate(self.cores)]
-        return mpo_to_full(TTMatrix(cores, copy=False))
+        """Dense (prod(modes), K) matrix of the represented vectors."""
+        return mpo_to_full(_as_matrix(self))
 
     def __repr__(self):
         return (
@@ -373,10 +371,7 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
 
 def tt_to_full(x: TTVector) -> np.ndarray:
     """Contract the chain into a dense tensor of shape ``mode_sizes``."""
-    res = x.cores[0][0]  # (I0, R1)
-    for core in x.cores[1:]:
-        res = np.tensordot(res, core, axes=(res.ndim - 1, 0))
-    return np.ascontiguousarray(res[..., 0])
+    return mpo_to_full(_as_matrix(x)).reshape(x.mode_sizes)
 
 
 def mpo_svd(
@@ -432,6 +427,16 @@ def _fused(a: TTMatrix) -> TTVector:
     """The TT matrix as a TT vector, with no copy: each core ``(p, i, j, q)``
     is read as a vector core ``(p, i·j, q)``, so ``tt_norm`` gives ‖a‖_F."""
     return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in a.cores], copy=False)
+
+
+def _as_matrix(x) -> TTMatrix:
+    """``x`` read as a TT matrix, with no copy: a TT vector with one column
+    per site, a block TT with its K columns at its position, and a TT matrix
+    as itself."""
+    if isinstance(x, TTMatrix):
+        return x
+    position = x.position if isinstance(x, BlockTT) else None
+    return TTMatrix([c if n == position else c[:, :, None, :] for n, c in enumerate(x.cores)], copy=False)
 
 
 def _unfused(v: TTVector, rows: Sequence[int], cols: Sequence[int]) -> TTMatrix:

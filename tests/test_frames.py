@@ -372,25 +372,6 @@ def test_span_and_site_out_of_range_rejected():
                 build(stack, site, span)
 
 
-def test_planned_einsum_matches_optimized_einsum_bitwise():
-    from ttkit.frames import _planned_einsum
-
-    rng = np.random.default_rng(25)
-    for r, p, i in [(1, 1, 2), (3, 3, 2), (6, 3, 2), (5, 4, 3), (16, 3, 2)]:
-        env_l = rng.standard_normal((r, p, r + 1))
-        env_r = rng.standard_normal((r + 2, p, r))
-        cases = [
-            ("apc,pijq,bqd->aibcjd", (env_l, rng.standard_normal((p, i, i, p)), env_r)),
-            ("apc,pikjlq,bqd->aikbcjld", (env_l, rng.standard_normal((p, i, i, i, i, p)), env_r)),
-            ("apc,pikjlq,cjld,bqd->aikb",
-             (env_l, rng.standard_normal((p, i, i, i, i, p)), rng.standard_normal((r + 1, i, i, r)), env_r)),
-        ]
-        for subscripts, operands in cases:
-            for _ in range(2):  # planned, then from the cache
-                got = _planned_einsum(subscripts, *operands)
-                assert np.array_equal(got, np.einsum(subscripts, *operands, optimize=True))
-
-
 def test_env_build_accepts_tt_objects():
     rng = np.random.default_rng(23)
     x = random_tt((2, 2, 2), 2, rng)
