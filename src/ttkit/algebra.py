@@ -2,7 +2,9 @@
 and operator-operator products.
 
 Products are exact (bond ranks multiply); recompression is explicit via the
-``policy`` argument and never happens behind the caller's back.
+``policy`` argument and never happens behind the caller's back.  There is
+one product contraction: :func:`mpo_apply` is :func:`mpo_mul` on the vector
+read as a one-column TT matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .train import (
     TTMatrix,
     TTVector,
     _as_matrix,
-    _direct_sum_cores,
+    _block_diag,
     _fused,
     _norm,
     mpo_round,
@@ -35,12 +37,19 @@ __all__ = [
 
 
 def tt_add(x: TTVector, y: TTVector) -> TTVector:
-    """Exact sum; interior bond ranks add (block-diagonal core stacking)."""
+    """Exact sum by the direct sum of the chains: interior bond ranks add,
+    each chain fills one diagonal block, and the boundary bonds stay
+    shared."""
     if x.mode_sizes != y.mode_sizes:
         raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
     if x.order == 1:
         return TTVector([x.cores[0] + y.cores[0]])
-    return TTVector(_direct_sum_cores([x.cores, y.cores]), copy=False)
+    last = x.order - 1
+    cores = [
+        _block_diag([a, b], ((0,) if n > 0 else ()) + ((2,) if n < last else ()))
+        for n, (a, b) in enumerate(zip(x.cores, y.cores))
+    ]
+    return TTVector(cores, copy=False)
 
 
 def tt_scale(x: TTVector, alpha: float) -> TTVector:
@@ -56,7 +65,8 @@ def tt_norm(x: TTVector) -> float:
 
 
 def mpo_apply(a: TTMatrix, x: TTVector, policy: Optional[TruncationPolicy] = None) -> TTVector:
-    """Operator-vector product in TT format.
+    """Operator-vector product in TT format: :func:`mpo_mul` of ``a`` and
+    ``x`` read as a one-column TT matrix, read back as a TT vector.
 
     Site cores combine pairwise, so before rounding the bond ranks are the
     exact products ``Q[n] = P[n] * R[n]``.  Pass a :class:`TruncationPolicy`

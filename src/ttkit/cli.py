@@ -153,10 +153,12 @@ def _cmd_compress(args) -> int:
 
 def _matrix_plan(shape: tuple, base: int, mixed_radix: bool):
     """A single size is factorized by the base; several sizes are taken as
-    explicit virtual mode sizes."""
+    explicit virtual mode sizes, and the base is checked all the same."""
     if len(shape) == 1:
         return plan_auto(shape[0], base, mixed_radix)
-    return QuantizationPlan(base, (shape,))
+    if base < 2:
+        raise CliError(f"base must be >= 2, got {base}")
+    return QuantizationPlan((shape,))
 
 
 def _cmd_quantize(args) -> int:
@@ -192,11 +194,12 @@ def _cmd_info(args) -> int:
 
 
 def _largest_intermediate(cores) -> int:
-    """Entries of the largest two arrays that coexist while ``train.tt_to_full``
-    or ``train.mpo_to_full`` contracts these cores (of a TT vector, a TT
-    matrix or a block TT): each partial product, the sizes of the sites so
-    far times the next rank, together with the one before it; the last
-    partial product is the dense result."""
+    """Entries of the largest two arrays that coexist while
+    ``train.mpo_to_full``, the one loop that forms dense arrays, contracts
+    these cores (of a TT vector, a TT matrix or a block TT, each read as a
+    TT matrix): each partial product, the sizes of the sites so far times
+    the next rank, together with the one before it; the last partial product
+    is the dense result."""
     size, before, peak = 1, 0, 0
     for c in cores:
         size *= math.prod(c.shape[1:-1])

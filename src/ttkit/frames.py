@@ -8,7 +8,9 @@ that maps a core to the full vectorized tensor.
 
 Local problems come from one builder pair, :func:`effective_operator` and
 :func:`effective_rhs`, over a span of one core or two merged cores; both
-refuse problems larger than ``LOCAL_DIM_CAP``, read at call time.
+refuse problems larger than ``LOCAL_DIM_CAP``, read at call time.  A span of
+two is read as one core with fused site indices, so each builder has one
+contraction for both spans.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ def effective_operator(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
 def effective_rhs(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     """Local right-hand side over the ``span`` cores starting at ``site``:
     the stack's ket chain contracted against the bra frame,
-    ``frame(bra)ᵀ · op · ket``."""
+    ``frame(bra)ᵀ · op · ket``.  Two ket cores are merged first, so both
+    spans run the same chain of three contractions."""
     env_l, op, env_r = _span_frame(stack, site, span)
     dim = env_l.shape[0] * op.shape[1] * env_r.shape[0]
     _check_local_dim(dim)

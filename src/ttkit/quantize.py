@@ -43,12 +43,9 @@ __all__ = [
 class QuantizationPlan:
     """Per-physical-mode factorizations ``I_n = I_{n,1} * ... * I_{n,K_n}``."""
 
-    base: int
     factors: tuple
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
         for group in self.factors:
             if not group or any(f < 1 for f in group):
                 raise ValueError(f"invalid factor group {group}")
@@ -103,7 +100,7 @@ def plan_auto(
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape):
         raise ValueError(f"sizes must be positive, got {shape}")
-    return QuantizationPlan(base, tuple(_factorize(s, base, mixed_radix) for s in shape))
+    return QuantizationPlan(tuple(_factorize(s, base, mixed_radix) for s in shape))
 
 
 def quantize_vector(

@@ -60,6 +60,7 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
+    _check_count,
     _fused,
     _unit_scaled,
     block_extract,
@@ -106,16 +107,14 @@ class SweepConfig:
     identity_grams: bool = False  # CCA only: treat the data Grams as identity
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
         for name in ("tol", "trunc_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be positive")
+        for name, least in (("max_sweeps", 1), ("rank", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
+        if self.max_rank is not None:
+            _check_count("max_rank", self.max_rank, 1)
 
 
 @dataclass

@@ -22,6 +22,12 @@ A TT matrix uses order-4 cores ``(P[n], I[n], J[n], P[n+1])`` with the row
 and column indices of each site paired up.  A block TT is a TT vector whose
 core at one position carries an extra index of size K, representing K
 vectors jointly.
+
+A TT vector is a TT matrix whose column indices have size 1, and a block TT
+one whose only column index is its K vectors (:func:`_as_matrix` reads them
+so, with no copy).  So one loop, :func:`mpo_to_full`, forms every dense
+array, and the operator products of :mod:`ttkit.algebra` have one
+contraction between them.
 """
 
 from __future__ import annotations
@@ -61,8 +67,15 @@ class TruncationPolicy:
     def __post_init__(self):
         if not math.isfinite(self.tol) or self.tol < 0:
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tol}")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError(f"max_rank must be positive, got {self.max_rank}")
+        if self.max_rank is not None:
+            _check_count("max_rank", self.max_rank, 1)
+
+
+def _check_count(name: str, value, least: int):
+    """Refuse a ``value`` that is not an integer (Python's or numpy's, not a
+    bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 EXACT = TruncationPolicy(0.0)
@@ -403,12 +416,14 @@ def mpo_svd(
 
 
 def mpo_to_full(a: TTMatrix) -> np.ndarray:
-    """Assemble the dense matrix (prod(rows) x prod(cols)) core by core.
+    """Assemble the dense matrix (prod(rows) x prod(cols)) core by core; the
+    one loop that forms dense arrays, for TT vectors and block TTs too.
     One ``matmul`` per core writes (rows so far · i, columns so far · j,
     rank) in C order, so no transposing copy follows, and the peak is the
     result plus the one partial product before it.  Each is oriented so that
     neither side of its products has size 1 where the sites allow it: BLAS
-    then computes every entry as ``tt_to_full`` of the fused view does."""
+    then computes every entry as the one-column branch computes it on the
+    (i, j)-fused view, which is a one-column TT matrix."""
     _, i, j, q = a.cores[0].shape
     res = a.cores[0].reshape(i, j, q)
     for core in a.cores[1:]:
@@ -525,19 +540,6 @@ def _block_diag(parts, axes) -> np.ndarray:
             start[ax] += p.shape[ax]
         out[tuple(index)] = p
     return out
-
-
-def _direct_sum_cores(chains) -> list:
-    """Cores of the direct sum of equal-mode TT chains: interior bond ranks
-    add and chain j fills the j-th diagonal block.  The boundary bonds stay
-    shared, so the result represents the sum of the vectors (for chains of
-    two or more cores)."""
-    last = len(chains[0]) - 1
-    cores = []
-    for n in range(last + 1):
-        axes = ((0,) if n > 0 else ()) + ((2,) if n < last else ())
-        cores.append(_block_diag([chain[n] for chain in chains], axes))
-    return cores
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Dense N-way tensors and the basic multilinear operations, block matrices
 with the strong Kronecker and AC products, the explicit interface and
 frame matrices of a TT vector, a QTT operator whose cores are exact, a
-TT-SVD by plain SVDs of every unfolding, and the TT-format helpers only
-tests need: random TT matrices, inner products, diagonal operators and
-block TTs joined from TT vectors.  None of this lies on a library path: the
-library works on cores and cached environments and never forms a dense
-N-way tensor or a frame.
+TT-SVD by plain SVDs of every unfolding, the TT-format helpers only tests
+need (random TT matrices, inner products, diagonal operators and block TTs
+joined from TT vectors), and the per-site contractions that the library's
+dense forms and operator-vector products equal bit for bit.  None of this
+lies on a library path: the library works on cores and cached environments
+and never forms a dense N-way tensor or a frame.
 
 Conventions:
 
@@ -465,3 +466,26 @@ def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
             parts = [p[:, :, None, :] for p in parts]
         cores.append(_block_diag(parts, ((0,) if n > 0 else ()) + (2,)))
     return BlockTT(cores, last, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# per-site contractions of TT vectors
+
+
+def tt_to_full_chain(x: TTVector) -> np.ndarray:
+    """Dense tensor of ``x`` by one ``tensordot`` per bond."""
+    res = x.cores[0][0]  # (I0, R1)
+    for core in x.cores[1:]:
+        res = np.tensordot(res, core, axes=(res.ndim - 1, 0))
+    return np.ascontiguousarray(res[..., 0])
+
+
+def mpo_apply_einsum(a: TTMatrix, x: TTVector) -> TTVector:
+    """Exact operator-vector product by one ``einsum`` per site; bond ranks
+    multiply."""
+    cores = []
+    for ac, xc in zip(a.cores, x.cores):
+        c = np.einsum("aijb,cjd->acibd", ac, xc)
+        p0, r0, i, p1, r1 = c.shape
+        cores.append(c.reshape(p0 * r0, i, p1 * r1))
+    return TTVector(cores, copy=False)

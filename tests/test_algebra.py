@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import diagonal_mpo, random_mpo, tt_inner
+from oracles import diagonal_mpo, mpo_apply_einsum, random_mpo, tt_inner
 from ttkit.algebra import (
     eye_mpo,
     mpo_apply,
@@ -136,6 +136,21 @@ def test_apply_rank_product_law():
     x = random_tt((2, 2, 2, 2), 2, rng)
     y = mpo_apply(a, x)  # no rounding
     assert y.ranks == tuple(p * r for p, r in zip(a.ranks, x.ranks))
+
+
+def test_apply_is_the_per_site_einsum_bitwise():
+    # mpo_mul on the vector read as a one-column TT matrix, core for core
+    rng = np.random.default_rng(31)
+    policy = TruncationPolicy(1e-6)
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        rows, cols = rng.integers(1, 6, size=n), rng.integers(1, 6, size=n)
+        a = random_mpo(rows, cols, list(rng.integers(1, 5, size=n - 1)), rng)
+        x = random_tt(cols, list(rng.integers(1, 5, size=n - 1)), rng)
+        want = mpo_apply_einsum(a, x)
+        for got, ref in [(mpo_apply(a, x), want), (mpo_apply(a, x, policy), tt_round(want, policy))]:
+            assert len(got.cores) == len(ref.cores)
+            assert all(np.array_equal(g, r) for g, r in zip(got.cores, ref.cores))
 
 
 def test_apply_shape_mismatch():

@@ -74,7 +74,7 @@ FIELDS = {
         "max_sweeps", "tol", "rank", "adaptive", "trunc_tol", "max_rank", "seed", "identity_grams",
     ),
     ttkit.TruncationPolicy: ("tol", "max_rank"),
-    ttkit.QuantizationPlan: ("base", "factors"),
+    ttkit.QuantizationPlan: ("factors",),
 }
 
 

@@ -218,6 +218,24 @@ def test_info_and_reconstruct_block_container(tmp_path, capsys):
     assert np.abs(ritz - np.linalg.eigvalsh(dense)[:3]).max() < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["vector", "matrix", "block"])
+def test_reconstruct_writes_the_dense_form_of_every_kind(tmp_path, capsys, kind):
+    from oracles import block_from_tts, random_mpo
+
+    rng = np.random.default_rng(40)
+    obj = {
+        "vector": random_tt((2, 3, 4), 3, rng),
+        "matrix": random_mpo((2, 3), (4, 1), 2, rng),
+        "block": block_from_tts([random_tt((3, 2, 2), 2, rng) for _ in range(3)]),
+    }[kind]
+    dense = obj.full_matrix() if kind == "block" else obj.full()
+    container.save(obj, tmp_path / "x.tt")
+    code, stdout, _ = run(capsys, "reconstruct", tmp_path / "x.tt", "-o", tmp_path / "x.raw")
+    assert code == 0
+    assert stdout == f"wrote {dense.size} float64 values to {tmp_path / 'x.raw'}\n"
+    assert (tmp_path / "x.raw").read_bytes() == np.ascontiguousarray(dense, dtype="<f8").tobytes()
+
+
 def test_solve_cli(tmp_path, capsys):
     dense = laplacian(16) + np.eye(16)
     op = mpo_svd(dense, (2,) * 4, (2,) * 4, TruncationPolicy(1e-13))
@@ -377,6 +395,16 @@ def test_nan_tolerance_is_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_negative_seed_is_one_line_error_naming_the_field(tmp_path, capsys):
+    op_path = tmp_path / "op.tt"
+    container.save(mpo_svd(laplacian(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13)), op_path)
+    code, stdout, err = run(capsys, "eig", op_path, "--seed", -1, "-o", tmp_path / "out")
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_missing_output_directory_is_one_line_error(tmp_path, capsys):
     raw = tmp_path / "ok.raw"
     write_raw(raw, np.arange(8.0))
@@ -486,13 +514,15 @@ def test_k_zero_is_one_line_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("base", [0, 1])
 def test_quantize_base_below_two_is_one_line_error(tmp_path, capsys, base):
+    # a vector, and a matrix given by explicit mode sizes (no base is used)
     raw = tmp_path / "v.raw"
     write_raw(raw, np.arange(16.0))
-    code, stdout, err = run(capsys, "quantize", raw, "--base", base, "-o", tmp_path / "v.tt")
-    assert code == 1
-    assert stdout == ""
-    assert err == f"error: base must be >= 2, got {base}\n"
-    assert not (tmp_path / "v.tt").exists()
+    for shapes in ([], ["--row-shape", "2,2", "--col-shape", "2,2"]):
+        code, stdout, err = run(capsys, "quantize", raw, "--base", base, *shapes, "-o", tmp_path / "v.tt")
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: base must be >= 2, got {base}\n"
+        assert not (tmp_path / "v.tt").exists()
 
 
 def test_compress_shape_product_is_exact(tmp_path, capsys):
@@ -562,7 +592,7 @@ def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys):
     assert [o[0] for o in shared] == [0, ("exit", 2), 0]
 
 
-def test_cli_digest_against_names_value_deltas_and_changed_decisions(tmp_path):
+def test_cli_digest_against_names_value_deltas_and_changed_decisions(tmp_path, capsys):
     path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
     spec = importlib.util.spec_from_file_location("cli_digest", path)
     tool = importlib.util.module_from_spec(spec)
@@ -588,3 +618,18 @@ def test_cli_digest_against_names_value_deltas_and_changed_decisions(tmp_path):
     )
     assert tool._changes("1.0 -2.5", old["x.values.csv"][1]) == "max rel delta 0.2"
     assert tool._changes("", old["x.tt"][1]) == "no listed numbers"
+    # main gates on the comparison: 0 against its own listing, 1 once an
+    # output's hash differs or a listed output is gone
+    assert tool.main([]) == 0
+    listing = tmp_path / "listing.txt"
+    listing.write_text(capsys.readouterr().out)
+    assert tool.main(["--against", str(listing)]) == 0
+    lines = listing.read_text().splitlines(keepends=True)
+    outputs = len(lines) - 1  # one line per output, then the TOTAL line
+    assert f"0 of {outputs} outputs differ from {listing}\n" in capsys.readouterr().out
+    lines[0] = "0" * 64 + lines[0][64:]
+    listing.write_text("".join(lines) + "e" * 64 + "  no-such-output.txt\n")
+    assert tool.main(["--against", str(listing)]) == 1
+    out = capsys.readouterr().out
+    assert "    gone: no-such-output.txt\n" in out
+    assert f"2 of {outputs} outputs differ from {listing}\n" in out

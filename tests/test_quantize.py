@@ -42,7 +42,7 @@ def test_plan_auto_rejects_base_below_two(base):
 
 def test_plan_determinism():
     assert plan_auto(64, 2) == plan_auto(64, 2)
-    assert plan_auto((4, 8), 2) == QuantizationPlan(2, ((2, 2), (2, 2, 2)))
+    assert plan_auto((4, 8), 2) == QuantizationPlan(((2, 2), (2, 2, 2)))
 
 
 def test_quantize_constant_vector_rank_one():

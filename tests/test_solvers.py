@@ -803,6 +803,34 @@ def test_config_rejects_non_finite_tolerances(name, value):
         SweepConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (SweepConfig, "max_sweeps", 2.5),
+        (SweepConfig, "max_sweeps", 0),
+        (SweepConfig, "rank", 2.5),
+        (SweepConfig, "rank", np.int64(0)),
+        (SweepConfig, "rank", True),
+        (SweepConfig, "max_rank", 2.5),
+        (SweepConfig, "max_rank", 0),
+        (SweepConfig, "seed", -1),
+        (SweepConfig, "seed", 1.0),
+        (TruncationPolicy, "max_rank", 2.5),
+        (TruncationPolicy, "max_rank", 0),
+    ],
+)
+def test_config_rejects_bad_counts(cls, name, value):
+    # refused when the config is built, not by a TypeError deep in a sweep
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):
+        cls(**{name: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = SweepConfig(max_sweeps=np.int64(2), rank=np.int32(3), max_rank=np.uint8(4), seed=np.int64(5))
+    assert (config.max_sweeps, config.rank, config.max_rank, config.seed) == (2, 3, 4, 5)
+    assert TruncationPolicy(0.0, np.int64(2)).max_rank == 2
+
+
 # ---------------------------------------------------------------------------
 # linear systems: the energy route for symmetric operators
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import ttkit
-from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd_plain
+from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd_plain, tt_to_full_chain
 from ttkit.train import (
     _QR_FIRST_SIZE,
     _fused,
@@ -296,6 +296,19 @@ def test_tt_to_full_single_core():
     v = np.array([1.0, 2.0, 3.0])
     x = TTVector([v.reshape(1, 3, 1)])
     assert np.array_equal(x.full(), v)
+
+
+def test_tt_to_full_is_the_tensordot_chain_bitwise():
+    # the vector read as a one-column TT matrix: each partial product is the
+    # one BLAS product that tensordot forms
+    rng = np.random.default_rng(30)
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        modes = [int(m) for m in rng.integers(1, 6, size=n)]
+        x = random_tt(modes, list(rng.integers(1, 5, size=n - 1)), rng)
+        got = tt_to_full(x)
+        assert got.shape == tuple(modes) and got.flags.c_contiguous
+        assert np.array_equal(got, tt_to_full_chain(x))
 
 
 def _strong_kron_chain(x: TTVector) -> np.ndarray:
@@ -613,6 +626,27 @@ def test_mpo_to_full_peak_is_the_result_plus_one_partial_product():
         "full = a.full()\n"
         "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
         "assert full.trace() == full.sum() == 4096\n"
+        "print(rise * 1024 / full.nbytes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ttkit.__file__)), OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1.3
+
+
+def test_tt_to_full_peak_is_the_result_plus_one_partial_product():
+    # a vector runs through the same loop, so the reconstruct command's
+    # memory model holds for it too: 4^12 ones are 128 MiB, and the partial
+    # product before them a quarter of that
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from ttkit import TTVector\n"
+        "x = TTVector([np.ones((1, 4, 1))] * 12)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "full = x.full()\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "assert full.shape == (4,) * 12 and full.sum() == 4**12\n"
         "print(rise * 1024 / full.nbytes)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ttkit.__file__)), OMP_NUM_THREADS="1")

@@ -23,7 +23,8 @@ To compare with another checkout, save its listing (run this script with
 each output whose hash differs from the saved one, a line gives the largest
 relative delta of its numbers and every changed ``converged=``, ``sweeps=``,
 ``ranks=`` or ``regularized=``, and the count of differing outputs comes
-just before the TOTAL line, which stays last.
+just before the TOTAL line, which stays last.  The exit code is then 1 if
+any output differs or is gone, so a script can gate on it, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -227,9 +228,10 @@ def main(argv=None) -> int:
         gone = sorted(set(old) - {label for label, _, _ in rows})
         for label in gone:
             print(f"    gone: {label}")
-        print(f"{differ + len(gone)} of {len(lines)} outputs differ from {args.against}")
+        differ += len(gone)
+        print(f"{differ} of {len(lines)} outputs differ from {args.against}")
     print(f"{total}  TOTAL ({len(lines)} outputs)")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
