@@ -6,8 +6,8 @@ solvers); dense local problems are assembled from cached environments by
 one builder, ``frames.effective_operator``/``frames.effective_rhs`` over a
 span of one site or a site pair, and solved exactly.  Their size is bounded
 only by ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the
-sweep keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``);
-``svd_dominant`` takes the lowest of −AᵀA.  A single-site step of a
+sweep keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``),
+of ±AᵀA on the one SVD route, ``_svd``.  A single-site step of a
 K = 1 eigenproblem without a metric at a site solved before starts from the
 site's current core instead: Cholesky factors of shifted local matrices
 certify its Rayleigh quotient as the lowest eigenvalue, or drive inverse
@@ -61,6 +61,7 @@ from .train import (
     TTMatrix,
     TTVector,
     _check_count,
+    _check_real,
     _fused,
     _unit_scaled,
     block_extract,
@@ -108,9 +109,10 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("tol", "trunc_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_real(name, getattr(self, name), positive=True)
+        for name in ("adaptive", "identity_grams"):  # Python's or numpy's bools
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)}")
         for name, least in (("max_sweeps", 1), ("rank", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
         if self.max_rank is not None:
@@ -598,77 +600,72 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     return np.asarray(values), _as_block(snap), report
 
 
-def _gram(op: TTMatrix):
-    """``(B, BᵀB, e)``: B = 2^-e·A and its Gram operator, composed in TT form.
+def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
+    """``(sigmas, u, v, report)``: the K largest (``largest``) or smallest
+    singular values of A and their right singular vectors v as a block TT;
+    for the largest also the left ones u (else None).
 
-    e is the binary exponent of the largest entry of the last core of A's
-    left-orthogonal form, whose norm is ‖A‖_F, so ‖B‖_F lies near 1 and B
-    is A with its first core scaled by 2^-e, which is exact.  The Gram
-    operator of A itself could overflow or underflow, and the sweeps'
-    residual test, ‖Hv − λv‖ / max(1, |λ|), would be absolute, not relative
-    to ‖A‖_F², for ‖A‖_F < 1."""
+    The sweeps solve the block eigenproblem of −BᵀB or BᵀB, composed in TT
+    form from B = 2^-e·A (A with its first core scaled, which is exact): e
+    is the binary exponent of the largest entry of the last core of A's
+    left-orthogonal form, whose norm is ‖A‖_F, so ‖B‖_F lies near 1.  AᵀA
+    itself could overflow or underflow, and the residual test ‖Hv − λv‖ /
+    max(1, |λ|) would be absolute, not relative to ‖A‖_F², for ‖A‖_F < 1.
+
+    σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A, not from the Ritz values
+    (absolute error eps·σ₁²), and orders v's columns.  The objective, scale
+    restored, is √(Σσ_k²) for the largest (``sense="max"``) and Σσ_k² for
+    the smallest.  u is A·v orthogonalized toward v's block position, its
+    block core's (p·i·q) × K unfolding orthonormalized by
+    ``train.qr_split`` (uᵀA·v has a nonnegative diagonal), then rounded at
+    a relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0."""
     _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
     scaled = TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
-    return scaled, mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND), exp
-
-
-def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
-    """K smallest singular values (ascending) via the Gram route: block
-    eigenproblem on transpose(A)·A (kept in TT form, never dense).
-
-    The sweeps, their trajectory and the convergence test run on the Ritz
-    values of AᵀA, whose small ones carry an absolute error of about
-    eps·σ₁²/σ_k.  The returned values are therefore taken from A itself,
-    σ_k = ‖A·v_k‖ / ‖v_k‖ for each returned right singular vector v_k; the
-    block columns are reordered with them.  A is first scaled by a power
-    of two to ‖A‖_F near 1 (see ``_gram``), so the residuals and the
-    convergence test are relative to ‖A‖_F²; σ_k and the report's
-    objective have the scale restored (an objective beyond the float range,
-    at ‖A‖_F past about 1e154, reads inf).  At k = 1 the start is built as in
-    :func:`eig_min`, by one uncounted sweep at half the rank."""
-    scaled, gram, exp = _gram(op)
+    gram = mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND)
+    if largest:
+        gram = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
     _, snap, report = _block_eig(gram, k, config)
-    with np.errstate(over="ignore"):
-        report.objective = [float(np.ldexp(w, 2 * exp)) for w in report.objective]
-    block = _as_block(snap)
     sigmas = np.array(
         [np.ldexp(tt_norm(mpo_apply(scaled, v)) / tt_norm(v), exp) for v in _block_columns(snap)]
     )
-    order = np.argsort(sigmas, kind="stable")
-    cores = list(block.cores)
-    cores[block.position] = cores[block.position][:, :, order, :]
-    return sigmas[order], BlockTT(cores, block.position, copy=False), report
+    order = np.argsort(-sigmas if largest else sigmas, kind="stable")
+    v = _as_block(snap)
+    pos = v.position
+    v.cores[pos] = v.cores[pos][:, :, order, :]
+    if not largest:
+        with np.errstate(over="ignore"):  # past ‖A‖_F ≈ 1e154 the objective reads inf
+            report.objective = [float(np.ldexp(w, 2 * exp)) for w in report.objective]
+        return sigmas[order], None, v, report
+    report.sense = "max"
+    report.objective = [float(np.ldexp(math.sqrt(max(-w, 0.0)), exp)) for w in report.objective]
+    cores = orthogonalize(mpo_apply(scaled, v), pos).cores
+    p, _, q = cores[pos].shape
+    unfolding = cores[pos].reshape(p, -1, k, q).transpose(0, 1, 3, 2).reshape(-1, k)
+    if unfolding.shape[0] < k:
+        raise ValueError(f"K={k} exceeds the local dimension {unfolding.shape[0]} of the left vectors")
+    cores[pos] = qr_split(unfolding, 1)[0].reshape(p, -1, q, k).transpose(0, 1, 3, 2).reshape(p, -1, q)
+    u = tt_round(TTVector(cores, copy=False), _OP_ROUND).cores
+    u[pos] = u[pos].reshape(u[pos].shape[0], -1, k, u[pos].shape[2])
+    return sigmas[order], BlockTT(u, pos, copy=False), v, report
+
+
+def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
+    """K smallest singular values (ascending) and their right singular
+    vectors (block TT) via the Gram route, the block eigenproblem of AᵀA in
+    TT form; σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A itself.  The report's
+    objective is Σσ_k², its residuals those of the Gram eigenproblem."""
+    sigmas, _, v, report = _svd(op, k, config, largest=False)
+    return sigmas, v, report
 
 
 def svd_dominant(op: TTMatrix, config: SweepConfig = SweepConfig()):
     """Largest singular triplet ``(sigma, u, v)`` via the Gram route: the
-    lowest eigenpair of −AᵀA (composed in TT form; negating its first core
-    is exact), swept as in :func:`eig_min`, with its half-rank start and
-    its certified warm steps.  For the top pair this costs no digits:
-    sigma_1² comes out to a relative error of eps.
-
-    sigma = ‖A·v‖ / ‖v‖ is taken from A itself, and u = A·v / sigma,
-    rounded at a relative 1e-14 with no rank cap, so its ranks can reach
-    P·R for an operator of rank P.  For A = 0, sigma = 0 and u is the first
-    unit vector.  The report's objective per half-sweep is sigma, the square
-    root of the Ritz value of AᵀA (``sense="max"``, so it rises
-    monotonically); its one residual and the convergence test are those of
-    the Gram eigenproblem, as in :func:`svd_small_k`, and its ranks are
-    those of v, the swept chain.  A is scaled as there, so the residual
-    is relative to ‖A‖_F²; sigma and the objective have the scale
-    restored."""
-    scaled, gram, exp = _gram(op)
-    negated = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
-    _, v, report = _block_eig(negated, 1, config)
-    report.sense = "max"
-    report.objective = [float(np.ldexp(math.sqrt(max(-w, 0.0)), exp)) for w in report.objective]
-    av = mpo_apply(scaled, v)
-    sigma = tt_norm(av) / tt_norm(v)
-    if sigma > 0.0:
-        u = tt_scale(tt_round(av, _OP_ROUND), 1.0 / sigma)
-    else:  # A = 0: every unit vector is a left singular vector
-        u = TTVector([np.eye(m, 1).reshape(1, m, 1) for m in op.row_sizes])
-    return float(np.ldexp(sigma, exp)), u, v, report
+    lowest eigenpair of −AᵀA, swept as in :func:`eig_min` (sigma² to a
+    relative eps).  sigma = ‖A·v‖ / ‖v‖; u is A·v normalized, a unit vector
+    even for A = 0.  The report's objective is sigma (``sense="max"``), its
+    residual that of the Gram eigenproblem."""
+    sigmas, u, v, report = _svd(op, 1, config, largest=True)
+    return float(sigmas[0]), block_extract(u, 0), block_extract(v, 0), report
 
 
 def gevd(
@@ -711,8 +708,9 @@ def cca(
 
     Local problems are whitened: Cholesky factors of the local Gram
     sandwiches, SVD of the whitened cross matrix.  With
-    ``config.identity_grams`` the data Grams are replaced by identities
-    (plain unit-norm constraints on the canonical vectors).
+    ``config.identity_grams`` the data Grams are replaced by identities, and
+    the problem is the top-K SVD of X·Yᵀ: ``_svd`` returns orthonormal wx and
+    wy, and a report with the objective √(Σσ_k²) and the Gram residuals.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -721,15 +719,15 @@ def cca(
     if x_op.order != y_op.order:
         raise ValueError("the two operators must have the same chain length")
     cross = mpo_mul(x_op, mpo_transpose(y_op), _OP_ROUND)
+    if config.identity_grams:
+        return _svd(cross, k, config, largest=True)
     rng = np.random.default_rng(config.seed)
     wx = _Chain(x_op.row_sizes, config.rank, k, rng)
     wy = _Chain(y_op.row_sizes, config.rank, k, rng)
-    stacks = [env_build(wx.cores, cross, wy.cores)]
-    if not config.identity_grams:  # the Grams are read only when whitening
-        stacks += [
-            env_build(w.cores, mpo_mul(op, mpo_transpose(op), _OP_ROUND), w.cores)
-            for w, op in ((wx, x_op), (wy, y_op))
-        ]
+    stacks = [env_build(wx.cores, cross, wy.cores)] + [
+        env_build(w.cores, mpo_mul(op, mpo_transpose(op), _OP_ROUND), w.cores)
+        for w, op in ((wx, x_op), (wy, y_op))
+    ]
     report = SolveReport(sense="max")
     state = {"corr": np.zeros(k), "constraint": 0.0}
 
@@ -737,31 +735,23 @@ def cca(
         c_loc = effective_operator(stacks[0], site, span)
         if min(c_loc.shape) < k:
             raise ValueError(f"local dimension {c_loc.shape} cannot hold K={k}")
-        if config.identity_grams:
-            uu, ss, vvt = scipy.linalg.svd(c_loc, full_matrices=False)
-            wx_loc, wy_loc = uu[:, :k], vvt[:k].T
-        else:
-            g_x, g_y = (effective_operator(st, site, span) for st in stacks[1:])
-            l_x, l_y = (
-                _shift_ladder(
-                    g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
-                )
-                for g in (g_x, g_y)
+        g_x, g_y = (effective_operator(st, site, span) for st in stacks[1:])
+        l_x, l_y = (
+            _shift_ladder(
+                g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
             )
-            m = scipy.linalg.solve_triangular(l_x, c_loc, lower=True)
-            m = scipy.linalg.solve_triangular(l_y, m.T, lower=True).T
-            uu, ss, vvt = scipy.linalg.svd(m, full_matrices=False)
-            wx_loc = scipy.linalg.solve_triangular(l_x.T, uu[:, :k], lower=False)
-            wy_loc = scipy.linalg.solve_triangular(l_y.T, vvt[:k].T, lower=False)
+            for g in (g_x, g_y)
+        )
+        m = scipy.linalg.solve_triangular(l_x, c_loc, lower=True)
+        m = scipy.linalg.solve_triangular(l_y, m.T, lower=True).T
+        uu, ss, vvt = scipy.linalg.svd(m, full_matrices=False)
+        wx_loc = scipy.linalg.solve_triangular(l_x.T, uu[:, :k], lower=False)
+        wy_loc = scipy.linalg.solve_triangular(l_y.T, vvt[:k].T, lower=False)
         wx_loc, wy_t = fix_svd_signs(wx_loc, wy_loc.T)
         wy_loc = wy_t.T
         state["corr"] = ss[:k].copy()
-        if config.identity_grams:
-            cons_x = wx_loc.T @ wx_loc - np.eye(k)
-            cons_y = wy_loc.T @ wy_loc - np.eye(k)
-        else:
-            cons_x = wx_loc.T @ scipy.linalg.blas.dsymm(1.0, g_x.T, wx_loc, lower=0) - np.eye(k)
-            cons_y = wy_loc.T @ scipy.linalg.blas.dsymm(1.0, g_y.T, wy_loc, lower=0) - np.eye(k)
+        cons_x = wx_loc.T @ scipy.linalg.blas.dsymm(1.0, g_x.T, wx_loc, lower=0) - np.eye(k)
+        cons_y = wy_loc.T @ scipy.linalg.blas.dsymm(1.0, g_y.T, wy_loc, lower=0) - np.eye(k)
         state["constraint"] = float(max(np.max(np.abs(cons_x)), np.max(np.abs(cons_y))))
         return float(np.sum(ss[:k])), [wx_loc, wy_loc]
 
@@ -827,9 +817,10 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
     2^d with a ones right-hand side (rank 8, seed 7), cond(A) grows as 4^d:
     at d = 14 the energy rises by 3.9e-9 of its size within the run, beyond
     the 1e-10 slack of ``SolveReport.is_monotone``, and at d = 16 the
-    residual, measured against ‖b‖, stays at 2.5e-7 after 20 sweeps, above
-    the default ``tol``.  The iterates stay backward stable all the
-    same: ‖Ax − b‖ / (‖A‖₂‖x‖ + ‖b‖) is 0.9e-16 to 1.6e-16 at d = 14 to 24.
+    residual, measured against ‖b‖, stays at 1.4e-7 after 20 sweeps with
+    one BLAS thread (3.2e-7 with two), above the default ``tol``.  The
+    iterates stay backward stable all the same:
+    ‖Ax − b‖ / (‖A‖₂‖x‖ + ‖b‖) is 0.9e-16 to 1.6e-16 at d = 14 to 24.
 
     The normal-equation route serves every other operator, rectangular ones
     included: local systems use the Gram operator transpose(A)·A (composed

@@ -65,8 +65,7 @@ class TruncationPolicy:
     max_rank: Optional[int] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.tol) or self.tol < 0:
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tol}")
+        _check_real("tol", self.tol, positive=False)
         if self.max_rank is not None:
             _check_count("max_rank", self.max_rank, 1)
 
@@ -76,6 +75,14 @@ def _check_count(name: str, value, least: int):
     bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+
+
+def _check_real(name: str, value, positive: bool):
+    """Refuse a ``value`` that is not a finite real number (Python's or
+    numpy's, not a bool) above 0, or at least 0 unless ``positive``."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not (real and math.isfinite(value) and (value > 0 or value == 0 and not positive)):
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value}")
 
 
 EXACT = TruncationPolicy(0.0)

@@ -600,6 +600,83 @@ def test_cca_identity_gram_option():
     assert tt_norm(_first_column(wx)) == pytest.approx(1.0, rel=1e-9)
 
 
+def _identity_cca_mixed():
+    # U lives on X's row modes (2,2,2,2), V on Y's (3,3,3,3)
+    rng = np.random.default_rng(41)
+    x_dense, y_dense = rng.standard_normal((16, 16)), rng.standard_normal((81, 16))
+    x_op = quantize_matrix(x_dense, plan_auto(16), plan_auto(16), OP_TOL)
+    y_op = quantize_matrix(y_dense, plan_auto(81, base=3), plan_auto(16), OP_TOL)
+    config = SweepConfig(max_sweeps=10, rank=9, seed=0, identity_grams=True)
+    return x_dense @ y_dense.T, cca(x_op, y_op, 2, config)
+
+
+def test_cca_identity_grams_is_the_top_k_svd_of_the_cross_matrix():
+    cross, (corr, wx, wy, rep) = _identity_cca_mixed()
+    s = np.linalg.svd(cross, compute_uv=False)[:2]
+    np.testing.assert_allclose(corr, s, rtol=1e-12, atol=0)
+    u, v = wx.full_matrix(), wy.full_matrix()
+    assert u.shape == (16, 2) and v.shape == (81, 2)
+    assert np.abs(u.T @ cross @ v - np.diag(corr)).max() <= 1e-12 * corr[0]
+    assert np.abs(u.T @ u - np.eye(2)).max() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-12
+    # the Gram route's report: objective sqrt(sum sigma^2), one residual per column
+    assert rep.sense == "max" and rep.converged and len(rep.residuals) == 2
+    assert rep.objective[-1] == pytest.approx(np.linalg.norm(s), rel=1e-12)
+
+
+def test_cca_identity_grams_needs_no_local_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("identity-Gram cca ran a local SVD")
+
+    monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+    cross, (corr, *_) = _identity_cca_mixed()
+    np.testing.assert_allclose(corr, np.linalg.svd(cross, compute_uv=False)[:2], rtol=1e-12, atol=0)
+
+
+def test_cca_identity_grams_rank_one_cross_keeps_u_orthonormal():
+    # sigma_2 = 0: A·v_2 / sigma_2 would be rounding noise, not a unit vector
+    rng = np.random.default_rng(42)
+    a, b, y_dense = rng.standard_normal(16), rng.standard_normal(16), rng.standard_normal((16, 16))
+    shapes = (2,) * 4
+    x_op, y_op = (mpo_svd(m, shapes, shapes, OP_TOL) for m in (np.outer(a, b), y_dense))
+    corr, wx, wy, _ = cca(x_op, y_op, 2, SweepConfig(max_sweeps=4, rank=4, seed=0, identity_grams=True))
+    assert corr[0] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(y_dense @ b), rel=1e-12)
+    assert corr[1] <= 1e-12 * corr[0]
+    for w in (wx, wy):
+        m = w.full_matrix()
+        assert np.abs(m.T @ m - np.eye(2)).max() <= 1e-12
+
+
+def test_cca_identity_grams_zero_cross_returns_orthonormal_vectors(tmp_path):
+    from ttkit import container
+
+    zero = TTMatrix([np.zeros((1, 2, 2, 1))] * 4)
+    y_op = mpo_svd(np.random.default_rng(43).standard_normal((16, 16)), (2,) * 4, (2,) * 4, OP_TOL)
+    corr, wx, wy, _ = cca(zero, y_op, 3, SweepConfig(max_sweeps=2, rank=4, seed=0, identity_grams=True))
+    assert np.all(corr == 0.0)
+    for w in (wx, wy):
+        m = w.full_matrix()
+        assert np.all(np.isfinite(m))
+        assert np.abs(m.T @ m - np.eye(3)).max() <= 1e-12
+    container.save(wx, tmp_path / "wx.tt")
+    back = container.load(tmp_path / "wx.tt")
+    assert back.position == wx.position
+    np.testing.assert_array_equal(back.full_matrix(), wx.full_matrix())
+
+
+def test_cca_identity_grams_refuses_k_beyond_the_left_vectors_ranks():
+    # on X's row modes (1, 4), wx's block core at site 0 has the local
+    # dimension of its bond, the product of the cross's rank (1) and wy's
+    # (capped at 2), too small for K = 3: a one-line ValueError, not a
+    # reshape error or a block of fewer than K columns
+    rng = np.random.default_rng(44)
+    x_op = TTMatrix([rng.standard_normal((1, 1, 3, 1)), rng.standard_normal((1, 4, 3, 1))])
+    y_op = TTMatrix([rng.standard_normal((1, 3, 3, 1)), rng.standard_normal((1, 3, 3, 1))])
+    config = SweepConfig(rank=2, max_rank=2, max_sweeps=4, seed=0, identity_grams=True)
+    with pytest.raises(ValueError, match=r"^K=3 exceeds the local dimension \d+"):
+        cca(x_op, y_op, 3, config)
+
+
 def _first_column(blk):
     from ttkit.train import block_extract
 
@@ -797,9 +874,21 @@ def test_gevd_indefinite_metric_reports_last_shift_tried():
 
 
 @pytest.mark.parametrize("name", ["tol", "trunc_tol"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1e-8", None, True, -1.0])
 def test_config_rejects_non_finite_tolerances(name, value):
+    # a ValueError naming the field, not a TypeError from math.isfinite
     with pytest.raises(ValueError, match=f"^{name} must"):
+        SweepConfig(**{name: value})
+    if name == "tol":
+        with pytest.raises(ValueError, match="^tol must"):
+            TruncationPolicy(value)
+
+
+@pytest.mark.parametrize("name", ["adaptive", "identity_grams"])
+@pytest.mark.parametrize("value", ["no", 2, 1.0, None])
+def test_config_rejects_non_bool_flags(name, value):
+    # a non-empty string is true: adaptive="no" would run two-site sweeps
+    with pytest.raises(ValueError, match=f"^{name} must be a bool, got "):
         SweepConfig(**{name: value})
 
 
@@ -829,6 +918,10 @@ def test_config_accepts_numpy_integers():
     config = SweepConfig(max_sweeps=np.int64(2), rank=np.int32(3), max_rank=np.uint8(4), seed=np.int64(5))
     assert (config.max_sweeps, config.rank, config.max_rank, config.seed) == (2, 3, 4, 5)
     assert TruncationPolicy(0.0, np.int64(2)).max_rank == 2
+    # and numpy bools for the flags, numpy and integer numbers for the tolerances
+    config = SweepConfig(adaptive=np.True_, identity_grams=np.False_, tol=np.float32(1e-6), trunc_tol=1)
+    assert (config.adaptive, config.identity_grams, config.trunc_tol) == (True, False, 1)
+    assert TruncationPolicy(np.float64(1e-3)).tol == 1e-3 and TruncationPolicy(0).tol == 0
 
 
 # ---------------------------------------------------------------------------

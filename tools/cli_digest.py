@@ -3,7 +3,9 @@
 Builds small dense inputs in a temporary directory, runs ``ttkit.cli.main``
 in-process on every subcommand that writes files (each solver both
 single-site and ``--adaptive``; ``svd`` also on a rectangular 16 × 32
-operator, whose left vector lives on other modes than its right one),
+operator, whose left vector lives on other modes than its right one, and
+``cca --identity-grams`` on an 81 × 16 Y quantized to modes of size 3 next
+to a 16 × 16 X, so that wx and wy live on different modes),
 reads the block containers that ``eig --k 3`` writes and two containers
 whose TT-SVD takes the QR-first route of ``train.svd_split`` (a 2^14
 signal and a 64 × 64 kernel) back through ``info`` and ``reconstruct``,
@@ -14,6 +16,10 @@ total produce byte-identical outputs.  After each hash it also prints the number
 ``ranks=`` and ``regularized=`` lines of every report, so that two
 checkouts whose bits differ can be compared number by number, and a changed
 decision shows without a rerun; the total covers only the hash lines.
+The ``cca-identity-mixed`` outputs differ in their last bits between one
+and two BLAS threads (rounding its Gram composition, of rank 1296 before
+rounding, runs threaded LAPACK), so compare listings made with the same
+thread count.
 
     PYTHONPATH=src python tools/cli_digest.py
     PYTHONPATH=src python tools/cli_digest.py --against OTHER.txt
@@ -78,6 +84,7 @@ def _inputs() -> dict:
         "rank_one": np.outer(rng.standard_normal(16), rng.standard_normal(16)),
         "ones16": np.ones(16),
         "wide": rng.standard_normal((16, 32)),
+        "cca-identity-mixed-y": rng.standard_normal((81, 16)),
     }
 
 
@@ -100,6 +107,9 @@ def _prepare_jobs() -> list:
         argv = ["quantize", f"{stem}.raw", "--row-shape", str(rows), "--col-shape", str(cols),
                 "--tol", "1e-12", "-o", f"{stem}.tt"]
         jobs.append((f"quantize-{stem}", argv))
+    # observations on data_x's column modes, rows on modes of size 3
+    jobs.append(("cca-identity-mixed-y", ["quantize", "cca-identity-mixed-y.raw", "--row-shape", "3,3,3,3",
+                                          "--col-shape", "16", "--tol", "1e-12", "-o", "cca-identity-mixed-y.tt"]))
     return jobs
 
 
@@ -114,6 +124,7 @@ SOLVER_JOBS = [
     ("gevd-semidefinite", ["gevd", "eye.tt", "diag.tt", "semidef.tt", "--k", "1"]),
     ("cca", ["cca", "data_x.tt", "data_y.tt", "--k", "2"]),
     ("cca-identity-grams", ["cca", "data_x.tt", "data_y.tt", "--k", "2", "--identity-grams"]),
+    ("cca-identity-mixed", ["cca", "data_x.tt", "cca-identity-mixed-y.tt", "--k", "2", "--identity-grams"]),
     ("cca-rank-one", ["cca", "rank_one.tt", "data_y.tt", "--k", "1"]),
     ("solve", ["solve", "shifted.tt", "--rhs", "ones.tt"]),
     ("solve-singular", ["solve", "semidef.tt", "--rhs", "ones16.tt"]),
