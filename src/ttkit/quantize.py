@@ -20,6 +20,7 @@ from .train import (
     TTMatrix,
     TTVector,
     _as_matrix,
+    _check_count,
     mpo_svd,
     mpo_to_full,
     tt_svd,
@@ -41,14 +42,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuantizationPlan:
-    """Per-physical-mode factorizations ``I_n = I_{n,1} * ... * I_{n,K_n}``."""
+    """Per-physical-mode factorizations ``I_n = I_{n,1} * ... * I_{n,K_n}``;
+    each factor an integer (Python's or numpy's, not a bool) of at least 1."""
 
     factors: tuple
 
     def __post_init__(self):
         for group in self.factors:
-            if not group or any(f < 1 for f in group):
+            if not group:
                 raise ValueError(f"invalid factor group {group}")
+            for f in group:
+                _check_count("plan factor", f, 1)
 
     @property
     def physical_shape(self) -> tuple:

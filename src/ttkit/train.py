@@ -9,11 +9,14 @@ factor, kept as the core, and a carry for the neighbour.
 :func:`qr_split` keeps the rank; :func:`svd_split` takes it from the
 caller's rule, the noise floor of an exact split (:func:`nonzero_rank`) or a
 tail budget (:func:`select_rank`).  A wide unfolding of at least 4096
-entries, such as the first unfoldings of a TT-SVD of a long sample, is
-factored QR-first: one blocked Householder QR of its transpose, of which
-only the triangular factor is kept, and an SVD of that small factor; no
-orthogonal factor of the unfolding's size is formed.  Smaller splits, the
-sweep solvers' among them, keep ``numpy.linalg.svd``.
+entries is read through the triangular factor of one blocked Householder
+QR of its transpose (:func:`_r_factor`); no orthogonal factor of the
+unfolding's size is formed.  :func:`svd_split` does so for one bond, in
+rounding and the sweep solvers' wide splits; :func:`tt_svd` does so once
+for a block of consecutive bonds whose unfolding has at most 32 rows, so a
+2^18 sample takes three QRs, not one per early bond.  Smaller
+splits, the sweep solvers' at the benchmark's ranks among them, keep
+``numpy.linalg.svd``.
 
 A TT vector is a chain of order-3 cores ``G[n]`` of shape
 ``(R[n], I[n], R[n+1])`` with boundary ranks ``R[0] = R[N] = 1``; the
@@ -303,6 +306,18 @@ _QR_FIRST_SIZE = 4096
 _QR_BLOCK = 32
 
 
+def _r_factor(m: np.ndarray):
+    """The wide ``m`` as ``small @ qᵀ``, with ``small`` (rows × rows) the
+    transposed triangular factor of ``mᵀ = q·r``, by LAPACK's blocked
+    Householder QR ``dgeqrt`` of the column-contiguous ``mᵀ`` (recursive
+    within each block of ``_QR_BLOCK`` columns: Elmroth & Gustavson, IBM J.
+    Res. Dev. 44(4), 2000).  Returns ``(small, reflectors, t)``: ``q`` stays
+    as the compact-WY reflectors ``(reflectors, t)`` and is never formed."""
+    rows = m.shape[0]
+    reflectors, t, _ = scipy.linalg.lapack.dgeqrt(min(rows, _QR_BLOCK), m.T)
+    return np.triu(reflectors[:rows]).T, reflectors, t
+
+
 def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
     """Split the unfolding ``m`` of a core across its bond by a truncated SVD:
     returns ``(a, b)`` with ``a @ b`` the best approximation of ``m`` at the
@@ -311,29 +326,23 @@ def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
     the carry is ``a = u·s``.  Signs follow :func:`fix_svd_signs`.
 
     A wide ``m`` (more columns than rows) of at least ``_QR_FIRST_SIZE``
-    entries, such as the first unfoldings of a TT-SVD, is factored QR-first:
-    ``mᵀ = q·r`` by LAPACK's blocked Householder QR ``dgeqrt`` of the
-    column-contiguous ``mᵀ`` (recursive within each block of
-    ``_QR_BLOCK`` columns: Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
-    2000), which keeps ``q`` as compact-WY reflectors, then the SVD of the
-    small ``rᵀ = u·s·wᵀ``.  Moving right, the carry is ``uᵀ·m`` (which
-    equals ``s·wᵀ·qᵀ``), one product with ``m`` itself, so ``q`` is never
-    formed.  Moving left, ``vᵀ = (q·w)ᵀ`` is the reflectors applied to
-    ``w`` by ``dgemqrt``.  The QR runs at BLAS-3 speed where
+    entries, such as a rounding sweep's split of a product at its full
+    rank or a sweep solver's wide split, is factored QR-first:
+    ``m = rᵀ·qᵀ`` by :func:`_r_factor`, then the SVD of the small
+    ``rᵀ = u·s·wᵀ``.  Moving right, the carry is ``uᵀ·m`` (which equals
+    ``s·wᵀ·qᵀ``), one product with ``m`` itself.  Moving left,
+    ``vᵀ = (q·w)ᵀ`` is the reflectors applied to ``w`` by ``dgemqrt``.
+    (:func:`tt_svd` reads a block of bonds through one such factor.)  The
+    QR runs at BLAS-3 speed where
     ``np.linalg.svd`` of a wide C-ordered matrix copies it to Fortran order
-    and walks its rows with a stride: at 2 × 131072 to 44 × 4096 the route
-    takes 15–27 % of its time.  The singular values agree to about
+    and walks its rows with a stride.  The singular values agree to about
     n·eps·s[0], so the rank rule picks the same ranks.  Smaller splits,
     among them every split the sweep solvers make at the ranks of the
     benchmark (at most 768 entries), keep ``np.linalg.svd``; at 2 × 8 the
     route would take 1.4 times its time."""
     rows = m.shape[0]
     wide = m.shape[1] > rows and m.size >= _QR_FIRST_SIZE
-    if wide:
-        reflectors, t, _ = scipy.linalg.lapack.dgeqrt(min(rows, _QR_BLOCK), m.T)
-        small = np.triu(reflectors[:rows]).T  # m is small @ qᵀ
-    else:
-        small = m
+    small, reflectors, t = _r_factor(m) if wide else (m, None, None)
     u, s, vt = np.linalg.svd(small, full_matrices=False)
     keep = rank(s)
     u, vt = fix_svd_signs(u[:, :keep], vt[:keep])
@@ -350,17 +359,43 @@ def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
 # TT-SVD and reconstruction
 
 
+def _left_splits(rest: np.ndarray, modes: Sequence[int], rule: Callable[[np.ndarray], int]):
+    """Split ``modes`` off the rows of ``rest`` one by one, moving right by
+    :func:`svd_split`: returns the cores and the last carry."""
+    cores = []
+    for i in modes:
+        u, rest = svd_split(rest.reshape(rest.shape[0] * i, -1), 1, rule)
+        cores.append(u.reshape(-1, i, u.shape[1]))
+    return cores, rest
+
+
 def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
-    """Decompose a dense tensor by a sequence of truncated SVDs.
+    """Decompose a dense tensor by a sequence of truncated SVDs (Oseledets,
+    SISC 33(5), 2011).
 
     The per-bond threshold is ``policy.tol * ||t||_F / sqrt(N-1)``, which
     guarantees overall relative reconstruction error at most ``policy.tol``.
     ``||t||_F`` is taken as the norm of the first split's singular values,
     all of them, before any is discarded, so the tensor is not read a second
     time for its norm.  Cores left of the last are left-orthogonal by
-    construction.  The first unfoldings are wide (``R·I`` rows, the rest of
-    the tensor as columns); from 4096 entries :func:`svd_split` factors them
-    QR-first, at the same ranks and within the same error bound.
+    construction.
+
+    The bonds are split in blocks: from the current carry, a block takes
+    consecutive modes while its unfolding ``m`` (carry rank times the
+    block's modes as rows, the rest of the tensor as columns) has at most
+    ``_QR_BLOCK`` rows, and at least one mode.  A wide ``m`` of at least
+    ``_QR_FIRST_SIZE`` entries, such as the first unfoldings of a long
+    sample, is read once: ``m = rᵀ·qᵀ`` (:func:`_r_factor`), the block's
+    splits run on the small ``rᵀ``, and the carry is ``fᵀ·m``, one product
+    with ``m``, where ``f`` is the block's cores contracted into its left
+    frame.  As ``qᵀ`` has orthonormal rows, every unfolding inside the
+    block has the singular values and left vectors of the matching
+    unfolding of ``rᵀ``, so the ranks, cores and error bound are those of
+    the sequential TT-SVD, with singular values that agree to about
+    n·eps·s[0] (a communication-avoiding QR: Demmel, Grigori, Hoemmen &
+    Langou, SISC 34(1), 2012).  A one-mode block gives the bits of
+    :func:`svd_split`'s QR-first branch.  Every other block is split one
+    bond at a time by :func:`svd_split`.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     if t.ndim == 0:
@@ -381,10 +416,23 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
 
     cores = []
     rest = t.reshape(1, -1)
-    for n in range(n_modes - 1):
-        mat = rest.reshape(rest.shape[0] * shape[n], -1)
-        u, rest = svd_split(mat, 1, rule)
-        cores.append(u.reshape(-1, shape[n], u.shape[1]))
+    n = 0
+    while n < n_modes - 1:
+        rows, end = rest.shape[0] * shape[n], n + 1
+        while end < n_modes - 1 and rows * shape[end] <= _QR_BLOCK:
+            rows, end = rows * shape[end], end + 1
+        m = rest.reshape(rows, -1)
+        if m.shape[1] > rows and m.size >= _QR_FIRST_SIZE:
+            small = _r_factor(m)[0]  # m = small @ qᵀ, qᵀ with orthonormal rows
+            block, _ = _left_splits(small.reshape(rest.shape[0], -1), shape[n:end], rule)
+            frame = block[0].reshape(-1, block[0].shape[2])
+            for core in block[1:]:
+                frame = (frame @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+            rest = frame.T @ m
+        else:
+            block, rest = _left_splits(rest, shape[n:end], rule)
+        cores += block
+        n = end
     cores.append(rest.reshape(-1, shape[-1], 1))
     return TTVector(cores, copy=False)
 

@@ -383,11 +383,12 @@ def qtt_laplacian(d: int) -> TTMatrix:
 # TT-SVD by plain SVDs
 
 
-def tt_svd_plain(t: np.ndarray, tol: float) -> TTVector:
+def tt_svd_plain(t: np.ndarray, tol: float, max_rank=None) -> TTVector:
     """TT-SVD with ``numpy.linalg.svd`` of every unfolding (Oseledets, SISC
     33(5), 2011, Algorithm 1).  Each bond keeps the fewest singular values
     whose discarded tail has 2-norm at most ``tol·‖t‖_F / √(N−1)``, so the
-    relative reconstruction error is at most ``tol``."""
+    relative reconstruction error is at most ``tol``, and at most
+    ``max_rank`` of them when that is given."""
     shape = t.shape
     threshold = tol * np.linalg.norm(t) / np.sqrt(len(shape) - 1)
     cores, rest = [], t.reshape(1, -1)
@@ -395,6 +396,7 @@ def tt_svd_plain(t: np.ndarray, tol: float) -> TTVector:
         u, s, vt = np.linalg.svd(rest.reshape(rest.shape[0] * n, -1), full_matrices=False)
         tail = np.cumsum(s[::-1] ** 2)[::-1]
         rank = max(1, int(np.count_nonzero(tail > threshold**2)))
+        rank = rank if max_rank is None else min(rank, max_rank)
         cores.append(u[:, :rank].reshape(-1, n, rank))
         rest = s[:rank, None] * vt[:rank]
     cores.append(rest.reshape(-1, shape[-1], 1))

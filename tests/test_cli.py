@@ -633,3 +633,16 @@ def test_cli_digest_against_names_value_deltas_and_changed_decisions(tmp_path, c
     out = capsys.readouterr().out
     assert "    gone: no-such-output.txt\n" in out
     assert f"2 of {outputs} outputs differ from {listing}\n" in out
+
+
+def test_cli_digest_lists_raw_numbers_and_compares_them_by_norm():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    values = tool._values("x.raw", np.array([3.0, -4.0, 0.1], dtype="<f8").tobytes())
+    assert values == "count=3 norm=5.0009999000199947 min=-4 max=3"
+    # min moves by 1e-3 of itself, 8e-4 of the norm
+    moved = tool._values("x.raw", np.array([3.0, -4.004, 0.1], dtype="<f8").tobytes())
+    assert tool._changes(moved, values, "x.raw") == "max rel delta 0.0008"
+    assert tool._changes(moved, values) == "max rel delta 0.001"

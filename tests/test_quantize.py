@@ -45,6 +45,20 @@ def test_plan_determinism():
     assert plan_auto((4, 8), 2) == QuantizationPlan(((2, 2), (2, 2, 2)))
 
 
+@pytest.mark.parametrize("group", [(2, 2.5), (4, 2.0), (2, True, 4), (2, "4"), (0,), (2, -1), ()])
+def test_plan_rejects_non_integer_factors(group):
+    with pytest.raises(ValueError) as info:
+        QuantizationPlan((group,))
+    assert "\n" not in str(info.value)
+
+
+def test_plan_accepts_numpy_integers():
+    plan = QuantizationPlan(((np.int64(2), np.int32(4)), (np.uint8(3),)))
+    assert plan.physical_shape == (8, 3)
+    x = quantize_vector(np.arange(24.0), plan, TruncationPolicy(1e-12))
+    assert np.allclose(dequantize(x, plan).reshape(-1), np.arange(24.0))
+
+
 def test_quantize_constant_vector_rank_one():
     plan = plan_auto(2 ** 10, 2)
     x = quantize_vector(np.full(2 ** 10, 3.25), plan, TIGHT)

@@ -8,9 +8,11 @@ import scipy.linalg
 
 import ttkit
 from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd_plain, tt_to_full_chain
+from ttkit.quantize import plan_auto, quantize_matrix
 from ttkit.train import (
     _QR_FIRST_SIZE,
     _fused,
+    _norm,
     BlockTT,
     TruncationPolicy,
     TTMatrix,
@@ -271,6 +273,7 @@ def test_tt_svd_zero_long_tensor(policy):
     x = tt_svd(np.zeros((2,) * 13), policy)
     assert set(x.ranks) == {1}
     assert not np.any(x.full())
+    _check_against_plain(x, np.zeros((2,) * 13), policy.tol)
 
 
 def test_tt_svd_nan_raises():
@@ -278,6 +281,110 @@ def test_tt_svd_nan_raises():
     t[100] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         tt_svd(t.reshape((2,) * 13))
+
+
+# ---------------------------------------------------------------------------
+# tt_svd: one R factor per block of bonds
+
+
+def _smooth(shape):
+    """A smooth sample of ``prod(shape)`` points, folded to ``shape``."""
+    x = np.arange(np.prod(shape)) / np.prod(shape)
+    return (1.0 / (1.0 + 25.0 * (x - 0.4) ** 2) + np.cos(3.0 * x)).reshape(shape)
+
+
+def _kernel(rows, cols):
+    """A Gaussian kernel matrix, sampled on [0, 1) both ways."""
+    i, j = np.arange(rows) / rows, np.arange(cols) / cols
+    return np.exp(-(((i[:, None] - j[None, :]) / 0.25) ** 2))
+
+
+def _interleaved(mat, rows, cols):
+    """``mat`` as the (i_n, j_n)-fused tensor that ``mpo_svd`` decomposes."""
+    n = len(rows)
+    perm = [x for k in range(n) for x in (k, n + k)]
+    return mat.reshape(tuple(rows) + tuple(cols)).transpose(perm).reshape([i * j for i, j in zip(rows, cols)])
+
+
+def _check_against_plain(x, t, tol, max_rank=None):
+    """``x`` has the ranks of the plain TT-SVD of ``t``, an error within the
+    bound (within the plain error under a cap) and left-orthogonal cores."""
+    plain = tt_svd_plain(t, tol, max_rank)
+    assert x.ranks == plain.ranks
+    err = np.linalg.norm(tt_to_full(x) - t)
+    norm = np.linalg.norm(t)
+    if max_rank is None:
+        assert err <= max(tol, 1e-13) * norm
+    else:
+        assert abs(err - np.linalg.norm(plain.full() - t)) <= 1e-12 * norm
+    for c in x.cores[:-1]:
+        u = c.reshape(-1, c.shape[2])
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-13
+
+
+BLOCK_CASES = {
+    "binary-smooth": ((2,) * 16, 1e-10, None),
+    "mixed-radix": ((3, 5, 2, 7, 3, 2, 5, 4), 1e-10, None),
+    "trailing-ones": ((2,) * 13 + (1, 1), 1e-10, None),
+    "capped": ((2,) * 16, 1e-10, 5),
+    "under-4096": ((2,) * 11, 1e-10, None),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_tt_svd_blocks_match_plain_svds(case):
+    shape, tol, max_rank = BLOCK_CASES[case]
+    t = _smooth(shape)
+    _check_against_plain(tt_svd(t, TruncationPolicy(tol, max_rank)), t, tol, max_rank)
+
+
+def test_tt_svd_blocks_exact_random():
+    t = np.random.default_rng(8).standard_normal((2,) * 13)
+    x = tt_svd(t, EXACT)
+    _check_against_plain(x, t, 0.0)
+    assert x.ranks == tuple(feasible_ranks((2,) * 13, [2**13] * 12))
+
+
+@pytest.mark.parametrize("cols", [256, 16])
+def test_quantize_matrix_blocks_match_plain_svds(cols):
+    # rows (2,)*8 against cols (2,)*8, fused modes (4,)*8, or (2,)*4 padded
+    # with trailing size-1 modes to (4,)*4 + (2,)*4
+    mat = _kernel(256, cols)
+    row_plan, col_plan = plan_auto(256), plan_auto(cols)
+    a = quantize_matrix(mat, row_plan, col_plan, TruncationPolicy(1e-12))
+    rows, col_modes = row_plan.virtual_shape, col_plan.virtual_shape
+    col_modes += (1,) * (len(rows) - len(col_modes))
+    _check_against_plain(_fused(a), _interleaved(mat, rows, col_modes), 1e-12)
+
+
+def test_tt_svd_one_qr_per_block(monkeypatch):
+    # (2,)*16 is read in blocks of 2^5 rows: 1 x 2^5, then r·2·2 <= 32
+    # (r = 8, a 32 x 512 unfolding); everything after is under 4096 entries
+    calls = _counting_qr(monkeypatch)
+    tt_svd(_long_sample(), TruncationPolicy(1e-10))
+    assert len(calls) == 2
+
+
+def test_tt_svd_one_mode_block_is_the_split(monkeypatch):
+    # 3 · 40 rows exceed a block, so the first block holds one mode: its
+    # 3 x 4000 unfolding takes svd_split's QR-first route, and the result is
+    # that of svd_split bond by bond, bit for bit
+    t = _smooth((3, 40, 100))
+    calls = _counting_qr(monkeypatch)
+    x = tt_svd(t, TruncationPolicy(1e-8))
+    assert len(calls) == 1
+    seen = []
+
+    def rule(s):  # tt_svd's rule: the threshold from the first split
+        seen.append(s)
+        return select_rank(s, 1e-8 * _norm(seen[0]) / np.sqrt(2), None)
+
+    rest = t.reshape(1, -1)
+    for core, i in zip(x.cores[:-1], t.shape):
+        u, rest = svd_split(rest.reshape(rest.shape[0] * i, -1), 1, rule)
+        assert np.array_equal(core, u.reshape(-1, i, u.shape[1]))
+    assert np.array_equal(x.cores[-1], rest.reshape(-1, 100, 1))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ signal and a 64 × 64 kernel) back through ``info`` and ``reconstruct``,
 and prints one SHA-256 per output file, per captured stdout/stderr
 stream, and a total over all of them.  Two source trees that print the same
 total produce byte-identical outputs.  After each hash it also prints the numbers of every
-``.values.csv`` and the ``converged=``, ``sweeps=``, ``objective=``,
-``ranks=`` and ``regularized=`` lines of every report, so that two
+``.values.csv``, the ``converged=``, ``sweeps=``, ``objective=``,
+``ranks=`` and ``regularized=`` lines of every report, and the count,
+2-norm, min and max of every reconstructed ``.raw``, so that two
 checkouts whose bits differ can be compared number by number, and a changed
 decision shows without a rerun; the total covers only the hash lines.
 The ``cca-identity-mixed`` outputs differ in their last bits between one
@@ -27,10 +28,11 @@ thread count.
 To compare with another checkout, save its listing (run this script with
 ``PYTHONPATH`` at its ``src``) and pass that file to ``--against``: under
 each output whose hash differs from the saved one, a line gives the largest
-relative delta of its numbers and every changed ``converged=``, ``sweeps=``,
-``ranks=`` or ``regularized=``, and the count of differing outputs comes
-just before the TOTAL line, which stays last.  The exit code is then 1 if
-any output differs or is gone, so a script can gate on it, and 0 otherwise.
+relative delta of its numbers (a ``.raw``'s relative to its 2-norm) and
+every changed ``converged=``, ``sweeps=``, ``ranks=`` or ``regularized=``,
+and the count of differing outputs comes just before the TOTAL line, which
+stays last.  The exit code is then 1 if any output differs or is gone, so a
+script can gate on it, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -144,9 +146,12 @@ def _run(name: str, argv: list) -> dict:
 
 
 def _values(label: str, data: bytes) -> str:
-    """The numbers a solver output carries: each value of a ``.values.csv``
-    and the ``REPORT_KEYS`` lines of a ``.report.txt``; empty for other
-    files."""
+    """The numbers an output carries: each value of a ``.values.csv``, the
+    ``REPORT_KEYS`` lines of a ``.report.txt``, and the count, 2-norm, min
+    and max of a reconstructed ``.raw``; empty for other files."""
+    if label.endswith(".raw"):
+        a = np.frombuffer(data, dtype="<f8")
+        return f"count={a.size} norm={np.linalg.norm(a):.17g} min={a.min():.17g} max={a.max():.17g}"
     if label.endswith(".values.csv"):
         return " ".join(row.split(",")[1] for row in data.decode().splitlines()[1:])
     if label.endswith(".report.txt"):
@@ -197,10 +202,12 @@ def _read_listing(path: str) -> dict:
     return listing
 
 
-def _changes(values: str, old: str) -> str:
+def _changes(values: str, old: str, label: str = "") -> str:
     """How the numbers of one output moved from ``old`` (both as in
     :func:`_values`): the largest relative delta, then every changed
-    decision line."""
+    decision line.  Each number is taken relative to its own size, except
+    in a ``.raw``, whose numbers are taken relative to its 2-norm: a
+    reconstruction's small entries move by rounding of its large ones."""
 
     def numbers(text):
         return [float(tok.split("=")[-1]) for tok in text.split() if not tok.startswith(DECISION_KEYS)]
@@ -213,7 +220,10 @@ def _changes(values: str, old: str) -> str:
     if len(new_nums) != len(old_nums):
         notes.append(f"{len(old_nums)} -> {len(new_nums)} numbers")
     elif new_nums:
-        delta = max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in zip(new_nums, old_nums))
+        scales = [max(abs(a), abs(b)) for a, b in zip(new_nums, old_nums)]
+        if label.endswith(".raw"):  # count, norm, min, max
+            scales = [scales[1] or 1.0] * len(scales)
+        delta = max(abs(a - b) / s if a != b else 0.0 for a, b, s in zip(new_nums, old_nums, scales))
         notes.append(f"max rel delta {delta:.2g}")
     was = decisions(old)
     notes += [f"{was.get(key)} -> {tok}" for key, tok in decisions(values).items() if was.get(key) != tok]
@@ -233,7 +243,7 @@ def main(argv=None) -> int:
         print(f"{line}  {values}" if values else line)
         if old is not None and (label not in old or old[label][0] != digest):
             differ += 1
-            note = _changes(values, old[label][1]) if label in old else "new output"
+            note = _changes(values, old[label][1], label) if label in old else "new output"
             print(f"    differs: {note}")
     if old is not None:
         gone = sorted(set(old) - {label for label, _, _ in rows})
