@@ -6,7 +6,9 @@ by flags); compressed objects travel as TTK1 containers.  Every command
 prints a human-readable summary and writes machine-readable key=value
 reports (plus a trajectory CSV for the solvers) beside its output file.
 All randomness is controlled by --seed, so identical invocations produce
-byte-identical outputs.
+byte-identical outputs at a fixed BLAS thread count: rounding a large
+composed operator runs threaded LAPACK, whose last bits depend on the count
+(``OMP_NUM_THREADS``/``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ the half rank and every rank-R step starts warm; that sweep is not counted
 in ``max_sweeps`` or reported.  A sweep is two half-sweeps, left to right
 and back, over one site schedule: each step solves the local problem over
 its span, installs the solution and moves the active site one bond on.
+A run ends after a right-to-left half-sweep, so every iterate comes back as
+a block TT with its K index on site 0 (``_Chain.snapshot``), whatever K is;
+``eig_min``, ``svd_dominant`` and ``linsolve`` return its column 0.
 Because the frames are orthonormal, every local solve of an eigen-, SVD or
 CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone.  The same holds for ``linsolve`` on symmetric
@@ -268,12 +271,11 @@ class _Chain:
         self.pos = 0
         self.x = self.cores[0][:, :, :, None].copy()
 
-    def snapshot(self):
-        """Freeze the current iterate as a TTVector (K=1) or BlockTT."""
+    def snapshot(self) -> BlockTT:
+        """Freeze the current iterate, for every K, as a block TT whose K
+        index sits on the active site; after a full sweep that is site 0.
+        A K = 1 vector is its column 0 (``train.block_extract``)."""
         cores = [c.copy() for c in self.cores]
-        if self.k == 1:
-            cores[self.pos] = np.ascontiguousarray(self.x[:, :, :, 0])
-            return TTVector(cores, copy=False)
         cores[self.pos] = np.ascontiguousarray(self.x.transpose(0, 1, 3, 2))
         return BlockTT(cores, self.pos, copy=False)
 
@@ -351,13 +353,13 @@ def _run_sweeps(
     report.ranks = chains[0].ranks()
 
 
-def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: str, tries: int = 4):
-    """``attempt(m + mu·I)`` for mu = 0, then 1e-12·s, 1e-10·s, 1e-8·s, ...
-    with s = max(|tr m| / dim, 1), stopping at the first success; each
-    failure is counted in ``report``.  After ``tries`` failures, raises
-    ``LinAlgError`` naming ``what`` and the last shift tried."""
+def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: str):
+    """``attempt(m + mu·I)`` for mu = 0, 1e-12·s, 1e-10·s and 1e-8·s, with
+    s = max(|tr m| / dim, 1), stopping at the first success; each failure is
+    counted in ``report``.  After four failures, raises ``LinAlgError``
+    naming ``what`` and the last shift tried."""
     mu = 0.0
-    for _ in range(tries):
+    for _ in range(4):
         try:
             return attempt(m + mu * np.eye(m.shape[0]) if mu else m)
         except scipy.linalg.LinAlgError:
@@ -375,14 +377,6 @@ def _cholesky_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     condition estimate is made, so an ill-conditioned but factorable h gives
     no ``LinAlgWarning``."""
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(h.T), rhs)
-
-
-def _solve_spd(h: np.ndarray, rhs: np.ndarray, report: SolveReport) -> np.ndarray:
-    """SPD solve with one regularizing shift, then least squares (``pinvh``)."""
-    try:
-        return _shift_ladder(h, lambda hm: _cholesky_solve(hm, rhs), report, "local system", tries=2)
-    except scipy.linalg.LinAlgError:
-        return scipy.linalg.pinvh(h) @ rhs
 
 
 def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
@@ -527,9 +521,10 @@ def _block_eig(
         return float(np.sum(w)), [v]
 
     def residual():
-        vectors = _block_columns(chain.snapshot())
+        snap = chain.snapshot()
         out = []
-        for lam, vec in zip(state["values"], vectors):
+        for j, lam in enumerate(state["values"]):
+            vec = block_extract(snap, j)
             left = mpo_apply(op, vec)
             right = (
                 tt_scale(mpo_apply(metric, vec), lam)
@@ -548,22 +543,7 @@ def _block_eig(
         chain.pad(config.rank, rng)
         stacks[0] = env_build(chain.cores, op, chain.cores)
     _run_sweeps([chain], stacks, solve, residual, config, report)
-    snap = chain.snapshot()
-    return state["values"], snap, report
-
-
-def _block_columns(snap):
-    if isinstance(snap, TTVector):
-        return [snap]
-    return [block_extract(snap, j) for j in range(snap.num_vectors)]
-
-
-def _as_block(snap) -> BlockTT:
-    if isinstance(snap, BlockTT):
-        return snap
-    last = len(snap.cores) - 1
-    cores = [c[:, :, None, :] if j == last else c for j, c in enumerate(snap.cores)]
-    return BlockTT(cores, last)
+    return state["values"], chain.snapshot(), report
 
 
 def eig_min(op: TTMatrix, config: SweepConfig = SweepConfig()):
@@ -585,8 +565,8 @@ def eig_min(op: TTMatrix, config: SweepConfig = SweepConfig()):
     (‖A − Aᵀ‖_F > 1e-12·‖A‖_F, checked in TT form) raises ``ValueError``.
     """
     _require_symmetric(op, "operator")
-    values, snap, report = _block_eig(op, 1, config)
-    return float(values[0]), snap, report
+    values, block, report = _block_eig(op, 1, config)
+    return float(values[0]), block_extract(block, 0), report
 
 
 def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
@@ -596,14 +576,15 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     is built as in :func:`eig_min`, by one uncounted sweep at half the rank.
     A non-symmetric operator raises ``ValueError``, as in :func:`eig_min`."""
     _require_symmetric(op, "operator")
-    values, snap, report = _block_eig(op, k, config)
-    return np.asarray(values), _as_block(snap), report
+    values, block, report = _block_eig(op, k, config)
+    return np.asarray(values), block, report
 
 
 def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     """``(sigmas, u, v, report)``: the K largest (``largest``) or smallest
     singular values of A and their right singular vectors v as a block TT;
-    for the largest also the left ones u (else None).
+    for the largest also the left ones u (else None).  Both carry their K
+    index on site 0, where the sweeps end.
 
     The sweeps solve the block eigenproblem of −BᵀB or BᵀB, composed in TT
     form from B = 2^-e·A (A with its first core scaled, which is exact): e
@@ -615,8 +596,8 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A, not from the Ritz values
     (absolute error eps·σ₁²), and orders v's columns.  The objective, scale
     restored, is √(Σσ_k²) for the largest (``sense="max"``) and Σσ_k² for
-    the smallest.  u is A·v orthogonalized toward v's block position, its
-    block core's (p·i·q) × K unfolding orthonormalized by
+    the smallest.  u is A·v orthogonalized toward site 0, v's block
+    position, its block core's (p·i·q) × K unfolding orthonormalized by
     ``train.qr_split`` (uᵀA·v has a nonnegative diagonal), then rounded at
     a relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0."""
     _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
@@ -624,12 +605,10 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     gram = mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND)
     if largest:
         gram = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
-    _, snap, report = _block_eig(gram, k, config)
-    sigmas = np.array(
-        [np.ldexp(tt_norm(mpo_apply(scaled, v)) / tt_norm(v), exp) for v in _block_columns(snap)]
-    )
+    _, v, report = _block_eig(gram, k, config)
+    columns = (block_extract(v, j) for j in range(k))
+    sigmas = np.array([np.ldexp(tt_norm(mpo_apply(scaled, c)) / tt_norm(c), exp) for c in columns])
     order = np.argsort(-sigmas if largest else sigmas, kind="stable")
-    v = _as_block(snap)
     pos = v.position
     v.cores[pos] = v.cores[pos][:, :, order, :]
     if not largest:
@@ -689,8 +668,8 @@ def gevd(
     _require_symmetric(a_op, "inner operator")
     _require_symmetric(b_op, "metric operator")
     m_op = mpo_mul(mpo_mul(x_op, a_op, _OP_ROUND), mpo_transpose(x_op), _OP_ROUND)
-    values, snap, report = _block_eig(m_op, k, config, metric=b_op)
-    return np.asarray(values), _as_block(snap), report
+    values, block, report = _block_eig(m_op, k, config, metric=b_op)
+    return np.asarray(values), block, report
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +738,7 @@ def cca(
         return [state["constraint"]]
 
     _run_sweeps([wx, wy], stacks, solve, residual, config, report)
-    return state["corr"], _as_block(wx.snapshot()), _as_block(wy.snapshot()), report
+    return state["corr"], wx.snapshot(), wy.snapshot(), report
 
 
 # ---------------------------------------------------------------------------
@@ -785,16 +764,19 @@ def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: boo
     def solve(site, span):
         h = effective_operator(s_op, site, span)
         b = effective_rhs(s_rhs, site, span)
-        z = _cholesky_solve(h, b) if energy else _solve_spd(h, b, report)
+        if energy:
+            z = _cholesky_solve(h, b)
+        else:
+            z = _shift_ladder(h, lambda hm: _cholesky_solve(hm, b), report, "local system")
         objective = float(z @ scipy.linalg.blas.dsymv(1.0, h.T, z, lower=0) - 2.0 * (z @ b))
         return objective, [z[:, None]]
 
     def residual():
-        x = chain.snapshot()
+        x = block_extract(chain.snapshot(), 0)
         return [_residual_norm(mpo_apply(op, x), rhs) / max(rhs_norm, 1e-300)]
 
     _run_sweeps([chain], stacks, solve, residual, config, report)
-    return chain.snapshot(), report
+    return block_extract(chain.snapshot(), 0), report
 
 
 def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
@@ -824,8 +806,11 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
 
     The normal-equation route serves every other operator, rectangular ones
     included: local systems use the Gram operator transpose(A)·A (composed
-    in TT form) and the projected right-hand side; singular local systems
-    fall back to a regularized solve, counted in the report.  Squaring the
+    in TT form) and the projected right-hand side; a local system without a
+    Cholesky factor is shifted on the ladder that ``gevd``'s metrics and
+    ``cca``'s Grams share (1e-12·s, 1e-10·s, then 1e-8·s with s = max(|tr
+    h| / dim, 1)); each failed factorization is counted in the report, and
+    a system that fails at every shift raises ``LinAlgError``.  Squaring the
     condition number costs accuracy: on ill-conditioned operators the
     trajectory need not be monotone and the residual can stall above
     ``tol``.

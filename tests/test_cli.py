@@ -646,3 +646,85 @@ def test_cli_digest_lists_raw_numbers_and_compares_them_by_norm():
     moved = tool._values("x.raw", np.array([3.0, -4.004, 0.1], dtype="<f8").tobytes())
     assert tool._changes(moved, values, "x.raw") == "max rel delta 0.0008"
     assert tool._changes(moved, values) == "max rel delta 0.001"
+
+
+def _with_block_position(path, position):
+    """Rewrite the 1-based block position field of a saved block container."""
+    raw = bytearray(path.read_bytes())
+    order = int.from_bytes(raw[6:10], "little")
+    offset = 10 + 8 * order + 8 * (order + 1)  # header, mode sizes, ranks
+    raw[offset:offset + 4] = position.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("shape-not-integer", "bad shape '2,x'"),
+        ("shape-zero", "bad shape '0,8'"),
+        ("empty-raw", "holds no float64 data"),
+        ("eig-on-vector", "does not hold a TT matrix"),
+        ("solve-rhs-matrix", "does not hold a TT vector"),
+        ("no-cores", "TTK1 container with no cores"),
+        ("block-position-0", "corrupt TTK1 container: block position 0"),
+        ("block-position-past-end", "corrupt TTK1 container: block position 3"),
+        ("k-beyond-capped-local-dimension", "local dimension 2 cannot hold K=4 vectors"),
+    ],
+)
+def test_refusal_is_one_line_error(tmp_path, capsys, case, message):
+    raw, vec, op, blk = (tmp_path / name for name in ("x.raw", "v.tt", "op.tt", "b.tt"))
+    write_raw(raw, np.arange(16.0))
+    container.save(random_tt((2, 2), 2, np.random.default_rng(0)), vec)
+    container.save(mpo_svd(laplacian(64), (2,) * 6, (2,) * 6, TruncationPolicy(1e-13)), op)
+    container.save(BlockTT([np.ones((1, 2, 2, 2)), np.ones((2, 2, 1))], 0), blk)
+    out = tmp_path / "out"
+    argv = {
+        "shape-not-integer": ["compress", raw, "--shape", "2,x", "-o", out],
+        "shape-zero": ["compress", raw, "--shape", "0,8", "-o", out],
+        "empty-raw": ["compress", raw, "--shape", "8", "-o", out],
+        "eig-on-vector": ["eig", vec, "-o", out],
+        "solve-rhs-matrix": ["solve", op, "--rhs", op, "-o", out],
+        "no-cores": ["info", vec],
+        "block-position-0": ["info", blk],
+        "block-position-past-end": ["info", blk],
+        "k-beyond-capped-local-dimension": ["eig", op, "--k", 4, "--rank", 4, "--max-rank", 1, "-o", out],
+    }[case]
+    if case == "empty-raw":
+        raw.write_bytes(b"")
+    elif case == "no-cores":
+        vec.write_bytes(vec.read_bytes()[:6] + (0).to_bytes(4, "little"))
+    elif case.startswith("block-position"):
+        _with_block_position(blk, 0 if case == "block-position-0" else 3)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_digest_lists_container_numbers_and_refuses_another_thread_setting(tmp_path, monkeypatch, capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.chdir(tmp_path)
+    container.save(BlockTT([np.full((1, 2, 2, 1), 3.0), np.array([[[1.0], [-4.0 / 3.0]]])], 0), "b.tt")
+    values = tool._values("b.tt", b"")
+    assert values == "kind=BlockTT position=0 ranks=1,1,1 count=8 norm=10 min=-4 max=3"
+    # the dense numbers move relative to the 2-norm; position and ranks are decisions
+    moved = "kind=BlockTT position=1 ranks=1,2,1 count=8 norm=10 min=-4.01 max=3"
+    assert tool._changes(moved, values, "b.tt") == (
+        "max rel delta 0.001; position=0 -> position=1; ranks=1,1,1 -> ranks=1,2,1"
+    )
+    # a listing made under another BLAS thread setting is refused before any run
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    listing = tmp_path / "listing.txt"
+    listing.write_text("a" * 64 + "  TOTAL (0 outputs)  OMP_NUM_THREADS=2 OPENBLAS_NUM_THREADS=unset\n")
+    assert tool.main(["--against", str(listing)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: {listing} was listed with OMP_NUM_THREADS=2 OPENBLAS_NUM_THREADS=unset, "
+        "this run has OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=unset\n"
+    )

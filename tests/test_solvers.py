@@ -26,7 +26,17 @@ from ttkit.solvers import (
     svd_dominant,
     svd_small_k,
 )
-from ttkit.train import TruncationPolicy, TTMatrix, TTVector, feasible_ranks, mpo_svd, random_tt, tt_svd
+from ttkit.train import (
+    BlockTT,
+    TruncationPolicy,
+    TTMatrix,
+    TTVector,
+    block_extract,
+    feasible_ranks,
+    mpo_svd,
+    random_tt,
+    tt_svd,
+)
 
 OP_TOL = TruncationPolicy(1e-13)
 
@@ -1232,9 +1242,9 @@ def test_chain_pad_keeps_the_vector(pos):
     policy = TruncationPolicy(1e-10)
     for _ in range(pos):  # move the active block right by random local solutions
         chain.install(rng.standard_normal(chain.x.size), 1, 1, policy)
-    before = chain.snapshot()
+    before = block_extract(chain.snapshot(), 0)
     chain.pad(5, rng)
-    after = chain.snapshot()
+    after = block_extract(chain.snapshot(), 0)
     assert chain.ranks() == feasible_ranks(modes, [5] * 5) == list(after.ranks)
     assert chain.pos == 0 and chain.x.shape == (1, 2, after.ranks[1], 1)
     diff = tt_add(after, tt_scale(before, -1.0))
@@ -1425,3 +1435,77 @@ def test_local_solves_read_only_the_lower_triangle(monkeypatch, solver, adaptive
     np.testing.assert_allclose(rep_dirty.objective, rep.objective, rtol=1e-12, atol=0)
     value, value_dirty = (np.atleast_1d(v.full() if isinstance(v, TTVector) else v) for v in (clean[0], dirty[0]))
     np.testing.assert_allclose(value_dirty, value, rtol=1e-12, atol=1e-12 * np.abs(value).max())
+
+
+# ---------------------------------------------------------------------------
+# one result type: a block TT with its K index where the last half-sweep ended
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_results_carry_their_index_on_site_0(k, adaptive):
+    op = qtt_laplacian(4)
+    eye = eye_mpo(op.row_sizes)
+    data = mpo_svd(np.random.default_rng(0).standard_normal((16, 16)), (2,) * 4, (2,) * 4, OP_TOL)
+    config = SweepConfig(max_sweeps=2, rank=3, seed=0, adaptive=adaptive)
+    blocks = {
+        "eig_block": eig_block(op, k, config)[1],
+        "svd_small_k": svd_small_k(op, k, config)[1],
+        "gevd": gevd(eye, op, eye, k, config)[1],
+    }
+    blocks["cca.wx"], blocks["cca.wy"] = cca(data, op, k, config)[1:3]
+    _, blocks["_svd.u"], blocks["_svd.v"], _ = solvers._svd(data, k, config, largest=True)
+    for name, block in blocks.items():
+        assert isinstance(block, BlockTT) and block.num_vectors == k, name
+        assert block.position == 0, name
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_eig_block_k1_column_is_eig_min_vector_bit_for_bit(adaptive):
+    op = qtt_laplacian(6)
+    config = SweepConfig(max_sweeps=3, rank=4, seed=1, adaptive=adaptive)
+    value, x, _ = eig_min(op, config)
+    values, block, _ = eig_block(op, 1, config)
+    assert values[0] == value
+    column = block_extract(block, 0)
+    assert all(np.array_equal(a, b) for a, b in zip(column.cores, x.cores))
+
+
+def test_linsolve_normal_route_shifts_on_the_shared_ladder(monkeypatch):
+    # lambda_min(h) is about -5e-12: the factorizations at the shifts 0 and
+    # 1e-12 fail, the one at 1e-10 (s = max(|tr h| / 2, 1) = 1) succeeds
+    h = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-11]], order="F")
+    op = TTMatrix([np.array([[1.0, 2.0], [0.0, 1.0]]).reshape(1, 2, 2, 1)])
+    assert not solvers._is_symmetric(op)
+    rhs = TTVector([np.array([1.0, -1.0]).reshape(1, 2, 1)])
+    build_rhs, local_rhs = solvers.effective_rhs, []
+
+    def recording_rhs(stack, site, span):
+        local_rhs.append(build_rhs(stack, site, span))
+        return local_rhs[-1]
+
+    monkeypatch.setattr(solvers, "effective_operator", lambda stack, site, span: h)
+    monkeypatch.setattr(solvers, "effective_rhs", recording_rhs)
+    x, rep = linsolve(op, rhs, SweepConfig(max_sweeps=1, rank=1, seed=0, tol=10.0))
+    assert len(local_rhs) == 1 and rep.regularized == 2
+    # h + 1e-10·I has condition number ~2e10: the tolerance covers rounding
+    want = np.linalg.solve(h + 1e-10 * np.eye(2), local_rhs[0])
+    np.testing.assert_allclose(x.full().reshape(-1), want, rtol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (lambda op, cfg: eig_block(op, 4, cfg), "local dimension 2 cannot hold K=4 vectors"),
+        (lambda op, cfg: svd_small_k(op, 3, cfg), "local dimension 2 cannot hold K=3 vectors"),
+        (lambda op, cfg: gevd(eye_mpo(op.row_sizes), op, eye_mpo(op.row_sizes), 3, cfg),
+         "local dimension 2 cannot hold K=3 vectors"),
+        (lambda op, cfg: cca(op, op, 3, cfg), r"local dimension \(2, 2\) cannot hold K=3$"),
+    ],
+    ids=["eig_block", "svd_small_k", "gevd", "cca"],
+)
+def test_k_beyond_a_capped_local_dimension_is_refused_mid_sweep(solve, message):
+    # the start holds K columns at rank 4; max_rank=1 then caps the bonds a
+    # move leaves, until a site's local dimension is 1·2·1
+    with pytest.raises(ValueError, match=f"^{message}"):
+        solve(qtt_laplacian(6), SweepConfig(rank=4, max_rank=1))

@@ -13,14 +13,16 @@ and prints one SHA-256 per output file, per captured stdout/stderr
 stream, and a total over all of them.  Two source trees that print the same
 total produce byte-identical outputs.  After each hash it also prints the numbers of every
 ``.values.csv``, the ``converged=``, ``sweeps=``, ``objective=``,
-``ranks=`` and ``regularized=`` lines of every report, and the count,
-2-norm, min and max of every reconstructed ``.raw``, so that two
-checkouts whose bits differ can be compared number by number, and a changed
-decision shows without a rerun; the total covers only the hash lines.
-The ``cca-identity-mixed`` outputs differ in their last bits between one
-and two BLAS threads (rounding its Gram composition, of rank 1296 before
-rounding, runs threaded LAPACK), so compare listings made with the same
-thread count.
+``ranks=`` and ``regularized=`` lines of every report, the count,
+2-norm, min and max of every reconstructed ``.raw``, and the kind, block
+position, ranks and the count, 2-norm, min and max of the dense form of
+every ``.tt`` container, so that two checkouts whose bits differ can be
+compared number by number, and a changed decision shows without a rerun;
+the total covers only the hash lines.  The ``cca-identity-mixed`` outputs
+differ in their last bits between one and two BLAS threads (rounding its
+Gram composition, of rank 1296 before rounding, runs threaded LAPACK), so
+the TOTAL line also names the environment's ``OMP_NUM_THREADS`` and
+``OPENBLAS_NUM_THREADS``.
 
     PYTHONPATH=src python tools/cli_digest.py
     PYTHONPATH=src python tools/cli_digest.py --against OTHER.txt
@@ -28,11 +30,13 @@ thread count.
 To compare with another checkout, save its listing (run this script with
 ``PYTHONPATH`` at its ``src``) and pass that file to ``--against``: under
 each output whose hash differs from the saved one, a line gives the largest
-relative delta of its numbers (a ``.raw``'s relative to its 2-norm) and
-every changed ``converged=``, ``sweeps=``, ``ranks=`` or ``regularized=``,
-and the count of differing outputs comes just before the TOTAL line, which
-stays last.  The exit code is then 1 if any output differs or is gone, so a
-script can gate on it, and 0 otherwise.
+relative delta of its numbers (a ``.raw``'s or a ``.tt``'s relative to its
+2-norm) and every changed decision (``DECISION_KEYS``), and the count of
+differing outputs comes just before the TOTAL line, which stays last.  The
+exit code is then 1 if any output differs or is gone, so a script can gate
+on it, and 0 otherwise.  A saved listing whose TOTAL line names another
+BLAS thread setting is refused up front with one ``error:`` line and exit
+code 1; one whose TOTAL line names none is compared all the same.
 """
 
 from __future__ import annotations
@@ -47,12 +51,15 @@ import tempfile
 
 import numpy as np
 
-from ttkit import cli
+from ttkit import cli, container
+from ttkit.train import BlockTT, _as_matrix, mpo_to_full
 
 # the report lines printed next to a report's hash
 REPORT_KEYS = ("converged=", "sweeps=", "objective=", "ranks=", "regularized=")
-# the report lines that record a decision, not a number
-DECISION_KEYS = ("converged=", "sweeps=", "ranks=", "regularized=")
+# the report lines and container fields that record a decision, not a number
+DECISION_KEYS = ("converged=", "sweeps=", "ranks=", "regularized=", "kind=", "position=")
+# the environment variables that set the BLAS thread count
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 SOLVER_FLAGS = ["--rank", "4", "--max-sweeps", "3", "--seed", "0", "--allow-nonconverged"]
 
@@ -145,13 +152,25 @@ def _run(name: str, argv: list) -> dict:
     }
 
 
+def _dense_numbers(a: np.ndarray) -> str:
+    return f"count={a.size} norm={np.linalg.norm(a):.17g} min={a.min():.17g} max={a.max():.17g}"
+
+
 def _values(label: str, data: bytes) -> str:
     """The numbers an output carries: each value of a ``.values.csv``, the
-    ``REPORT_KEYS`` lines of a ``.report.txt``, and the count, 2-norm, min
-    and max of a reconstructed ``.raw``; empty for other files."""
+    ``REPORT_KEYS`` lines of a ``.report.txt``, the count, 2-norm, min and
+    max of a reconstructed ``.raw``, and for a ``.tt`` container, read from
+    the file ``label`` in the current directory, its kind, block position
+    (0-based, blocks only), ranks and the count, 2-norm, min and max of its
+    dense form; empty for other files."""
     if label.endswith(".raw"):
-        a = np.frombuffer(data, dtype="<f8")
-        return f"count={a.size} norm={np.linalg.norm(a):.17g} min={a.min():.17g} max={a.max():.17g}"
+        return _dense_numbers(np.frombuffer(data, dtype="<f8"))
+    if label.endswith(".tt"):
+        obj = container.load(label)
+        kind = type(obj).__name__
+        position = f" position={obj.position}" if isinstance(obj, BlockTT) else ""
+        ranks = ",".join(str(r) for r in obj.ranks)
+        return f"kind={kind}{position} ranks={ranks} {_dense_numbers(mpo_to_full(_as_matrix(obj)))}"
     if label.endswith(".values.csv"):
         return " ".join(row.split(",")[1] for row in data.decode().splitlines()[1:])
     if label.endswith(".report.txt"):
@@ -183,11 +202,17 @@ def digests() -> list:
             for path in sorted(set(os.listdir(".")) - inputs):
                 with open(path, "rb") as fh:
                     blobs[path] = fh.read()
+            # a .tt's numbers are read from its file, so list them here
+            return sorted(
+                (label, hashlib.sha256(data).hexdigest(), _values(label, data)) for label, data in blobs.items()
+            )
         finally:
             os.chdir(start)
-    return sorted(
-        (label, hashlib.sha256(data).hexdigest(), _values(label, data)) for label, data in blobs.items()
-    )
+
+
+def _threads() -> str:
+    """This environment's BLAS thread setting, as the TOTAL line names it."""
+    return " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARS)
 
 
 def _read_listing(path: str) -> dict:
@@ -202,12 +227,23 @@ def _read_listing(path: str) -> dict:
     return listing
 
 
+def _listed_threads(path: str):
+    """The BLAS thread setting that a listing's TOTAL line names, or None
+    for a listing printed before the TOTAL line named one."""
+    with open(path) as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("  ", 2)
+            if len(fields) == 3 and len(fields[0]) == 64 and fields[1].startswith("TOTAL"):
+                return fields[2]
+    return None
+
+
 def _changes(values: str, old: str, label: str = "") -> str:
     """How the numbers of one output moved from ``old`` (both as in
     :func:`_values`): the largest relative delta, then every changed
-    decision line.  Each number is taken relative to its own size, except
-    in a ``.raw``, whose numbers are taken relative to its 2-norm: a
-    reconstruction's small entries move by rounding of its large ones."""
+    decision.  Each number is taken relative to its own size, except in a
+    ``.raw`` or a ``.tt``, whose numbers are taken relative to its 2-norm: a
+    dense form's small entries move by rounding of its large ones."""
 
     def numbers(text):
         return [float(tok.split("=")[-1]) for tok in text.split() if not tok.startswith(DECISION_KEYS)]
@@ -221,7 +257,7 @@ def _changes(values: str, old: str, label: str = "") -> str:
         notes.append(f"{len(old_nums)} -> {len(new_nums)} numbers")
     elif new_nums:
         scales = [max(abs(a), abs(b)) for a, b in zip(new_nums, old_nums)]
-        if label.endswith(".raw"):  # count, norm, min, max
+        if label.endswith((".raw", ".tt")):  # count, norm, min, max
             scales = [scales[1] or 1.0] * len(scales)
         delta = max(abs(a - b) / s if a != b else 0.0 for a, b, s in zip(new_nums, old_nums, scales))
         notes.append(f"max rel delta {delta:.2g}")
@@ -234,7 +270,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE", help="listing saved from another checkout")
     args = parser.parse_args(argv)
-    old = _read_listing(args.against) if args.against else None
+    old = None
+    if args.against:
+        threads = _listed_threads(args.against)
+        if threads is not None and threads != _threads():
+            print(f"error: {args.against} was listed with {threads}, this run has {_threads()}", file=sys.stderr)
+            return 1
+        old = _read_listing(args.against)
     rows = digests()
     lines = [f"{digest}  {label}" for label, digest, _ in rows]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -251,7 +293,7 @@ def main(argv=None) -> int:
             print(f"    gone: {label}")
         differ += len(gone)
         print(f"{differ} of {len(lines)} outputs differ from {args.against}")
-    print(f"{total}  TOTAL ({len(lines)} outputs)")
+    print(f"{total}  TOTAL ({len(lines)} outputs)  {_threads()}")
     return 1 if differ else 0
 
 
