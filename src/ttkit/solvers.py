@@ -495,8 +495,6 @@ def _block_eig(
     chain = _Chain(op.row_sizes, -(-config.rank // 2) if warm_up else config.rank, k, rng)
     stacks = [env_build(chain.cores, op, chain.cores)]
     if metric is not None:
-        if metric.row_sizes != op.row_sizes or metric.col_sizes != op.col_sizes:
-            raise ValueError("metric operator must match the main operator's shape")
         stacks.append(env_build(chain.cores, metric, chain.cores))
     report = SolveReport(sense="min")
     state = {"values": np.zeros(k)}
@@ -695,8 +693,6 @@ def cca(
         raise ValueError("k must be at least 1")
     if x_op.col_sizes != y_op.col_sizes:
         raise ValueError("the two operators must share the observation modes")
-    if x_op.order != y_op.order:
-        raise ValueError("the two operators must have the same chain length")
     cross = mpo_mul(x_op, mpo_transpose(y_op), _OP_ROUND)
     if config.identity_grams:
         return _svd(cross, k, config, largest=True)

@@ -6,17 +6,15 @@ reconstruction, orthogonalization and rounding (recompression).
 Construction, orthogonalization, rounding and the sweep solvers' moves rest
 on one bond split: a core unfolding is factored into an orthonormal
 factor, kept as the core, and a carry for the neighbour.
-:func:`qr_split` keeps the rank; :func:`svd_split` takes it from the
-caller's rule, the noise floor of an exact split (:func:`nonzero_rank`) or a
-tail budget (:func:`select_rank`).  A wide unfolding of at least 4096
-entries is read through the triangular factor of one blocked Householder
-QR of its transpose (:func:`_r_factor`); no orthogonal factor of the
-unfolding's size is formed.  :func:`svd_split` does so for one bond, in
-rounding and the sweep solvers' wide splits; :func:`tt_svd` does so once
-for a block of consecutive bonds whose unfolding has at most 32 rows, so a
-2^18 sample takes three QRs, not one per early bond.  Smaller
-splits, the sweep solvers' at the benchmark's ranks among them, keep
-``numpy.linalg.svd``.
+:func:`qr_split` keeps the rank; :func:`svd_split`, one
+``numpy.linalg.svd`` of the unfolding, takes it from the caller's rule, the
+noise floor of an exact split (:func:`nonzero_rank`) or a tail budget
+(:func:`select_rank`).  Only :func:`tt_svd` reads an unfolding another
+way: a block of consecutive bonds whose unfolding has at most 32 rows, and
+is wide with at least 4096 entries, is read through the triangular factor
+of one blocked Householder QR of its transpose (:func:`_r_factor`), so a
+2^18 sample takes three QRs, not one per early bond, and no orthogonal
+factor of the unfolding's size is formed.
 
 A TT vector is a chain of order-3 cores ``G[n]`` of shape
 ``(R[n], I[n], R[n+1])`` with boundary ranks ``R[0] = R[N] = 1``; the
@@ -300,63 +298,38 @@ def qr_split(m: np.ndarray, step: int):
     return (q, r) if step > 0 else (r.T, np.ascontiguousarray(q.T))
 
 
-# entries from which a wide unfolding (more columns than rows) is split QR-first
-_QR_FIRST_SIZE = 4096
-# block size of that QR: LAPACK's default for Householder QR
-_QR_BLOCK = 32
-
-
-def _r_factor(m: np.ndarray):
-    """The wide ``m`` as ``small @ qᵀ``, with ``small`` (rows × rows) the
-    transposed triangular factor of ``mᵀ = q·r``, by LAPACK's blocked
-    Householder QR ``dgeqrt`` of the column-contiguous ``mᵀ`` (recursive
-    within each block of ``_QR_BLOCK`` columns: Elmroth & Gustavson, IBM J.
-    Res. Dev. 44(4), 2000).  Returns ``(small, reflectors, t)``: ``q`` stays
-    as the compact-WY reflectors ``(reflectors, t)`` and is never formed."""
-    rows = m.shape[0]
-    reflectors, t, _ = scipy.linalg.lapack.dgeqrt(min(rows, _QR_BLOCK), m.T)
-    return np.triu(reflectors[:rows]).T, reflectors, t
-
-
 def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
     """Split the unfolding ``m`` of a core across its bond by a truncated SVD:
     returns ``(a, b)`` with ``a @ b`` the best approximation of ``m`` at the
     rank ``rank(s)`` chosen from the singular values ``s``.  For ``step > 0``
     ``a = u`` and the carry is ``b = s·vᵀ``; for ``step < 0`` ``b = vᵀ`` and
-    the carry is ``a = u·s``.  Signs follow :func:`fix_svd_signs`.
-
-    A wide ``m`` (more columns than rows) of at least ``_QR_FIRST_SIZE``
-    entries, such as a rounding sweep's split of a product at its full
-    rank or a sweep solver's wide split, is factored QR-first:
-    ``m = rᵀ·qᵀ`` by :func:`_r_factor`, then the SVD of the small
-    ``rᵀ = u·s·wᵀ``.  Moving right, the carry is ``uᵀ·m`` (which equals
-    ``s·wᵀ·qᵀ``), one product with ``m`` itself.  Moving left,
-    ``vᵀ = (q·w)ᵀ`` is the reflectors applied to ``w`` by ``dgemqrt``.
-    (:func:`tt_svd` reads a block of bonds through one such factor.)  The
-    QR runs at BLAS-3 speed where
-    ``np.linalg.svd`` of a wide C-ordered matrix copies it to Fortran order
-    and walks its rows with a stride.  The singular values agree to about
-    n·eps·s[0], so the rank rule picks the same ranks.  Smaller splits,
-    among them every split the sweep solvers make at the ranks of the
-    benchmark (at most 768 entries), keep ``np.linalg.svd``; at 2 × 8 the
-    route would take 1.4 times its time."""
-    rows = m.shape[0]
-    wide = m.shape[1] > rows and m.size >= _QR_FIRST_SIZE
-    small, reflectors, t = _r_factor(m) if wide else (m, None, None)
-    u, s, vt = np.linalg.svd(small, full_matrices=False)
+    the carry is ``a = u·s``.  Signs follow :func:`fix_svd_signs`."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     keep = rank(s)
     u, vt = fix_svd_signs(u[:, :keep], vt[:keep])
-    if step > 0:
-        return u, (u.T @ m if wide else s[:keep, None] * vt)
-    if wide:
-        w = np.zeros((m.shape[1], keep), order="F")
-        w[:rows] = vt.T
-        vt = scipy.linalg.lapack.dgemqrt(reflectors, t, w, overwrite_c=1)[0].T
-    return u * s[:keep], vt
+    return (u, s[:keep, None] * vt) if step > 0 else (u * s[:keep], vt)
 
 
 # ---------------------------------------------------------------------------
 # TT-SVD and reconstruction
+
+
+# entries from which tt_svd reads a wide unfolding (more columns than rows)
+# through its triangular factor
+_QR_FIRST_SIZE = 4096
+# block size of that QR: LAPACK's default for Householder QR
+_QR_BLOCK = 32
+
+
+def _r_factor(m: np.ndarray) -> np.ndarray:
+    """The wide ``m`` as ``small @ qᵀ``: returns ``small`` (rows × rows), the
+    transposed triangular factor of ``mᵀ = q·r``, by LAPACK's blocked
+    Householder QR ``dgeqrt`` of the column-contiguous ``mᵀ`` (recursive
+    within each block of ``_QR_BLOCK`` columns: Elmroth & Gustavson, IBM J.
+    Res. Dev. 44(4), 2000).  ``q`` is never formed."""
+    rows = m.shape[0]
+    reflectors = scipy.linalg.lapack.dgeqrt(min(rows, _QR_BLOCK), m.T)[0]
+    return np.triu(reflectors[:rows]).T
 
 
 def _left_splits(rest: np.ndarray, modes: Sequence[int], rule: Callable[[np.ndarray], int]):
@@ -393,9 +366,8 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
     unfolding of ``rᵀ``, so the ranks, cores and error bound are those of
     the sequential TT-SVD, with singular values that agree to about
     n·eps·s[0] (a communication-avoiding QR: Demmel, Grigori, Hoemmen &
-    Langou, SISC 34(1), 2012).  A one-mode block gives the bits of
-    :func:`svd_split`'s QR-first branch.  Every other block is split one
-    bond at a time by :func:`svd_split`.
+    Langou, SISC 34(1), 2012).  Every other block is split one bond at a
+    time by :func:`svd_split`.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     if t.ndim == 0:
@@ -423,7 +395,7 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
             rows, end = rows * shape[end], end + 1
         m = rest.reshape(rows, -1)
         if m.shape[1] > rows and m.size >= _QR_FIRST_SIZE:
-            small = _r_factor(m)[0]  # m = small @ qᵀ, qᵀ with orthonormal rows
+            small = _r_factor(m)  # m = small @ qᵀ, qᵀ with orthonormal rows
             block, _ = _left_splits(small.reshape(rest.shape[0], -1), shape[n:end], rule)
             frame = block[0].reshape(-1, block[0].shape[2])
             for core in block[1:]:

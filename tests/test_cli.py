@@ -369,6 +369,22 @@ def test_reconstruct_beyond_memory_is_one_line_error(tmp_path, cores, refused_up
     assert not (tmp_path / "big.raw").exists()
 
 
+def test_reconstruct_past_physical_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # 64 KiB of physical memory, as os.sysconf reports it; the 2^14 result
+    # and the partial product before it need 8 · (2^14 + 2^13) bytes
+    path, out = tmp_path / "x.tt", tmp_path / "x.raw"
+    container.save(TTVector([np.ones((1, 2, 1))] * 14), path)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    code, stdout, err = run(capsys, "reconstruct", path, "-o", out)
+    assert code == 1 and stdout == ""
+    assert err == (
+        f"error: {path}: reconstruction needs arrays of 196608 bytes, "
+        "more than the 65536 bytes of physical memory\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "obj, largest",
     [

@@ -127,3 +127,10 @@ def test_non_finite_core_is_rejected(tmp_path, bad):
     container.save(x, path)
     with pytest.raises(ValueError, match="core 1 holds a non-finite value"):
         container.load(path)
+
+
+def test_save_refuses_an_unsupported_object(tmp_path):
+    path = tmp_path / "x.tt"
+    with pytest.raises(TypeError, match="^cannot save ndarray$"):
+        container.save(np.ones((1, 2, 1)), path)
+    assert not path.exists()

@@ -350,6 +350,14 @@ def test_stale_environment_rejected():
         stack.update_left(1)
 
 
+@pytest.mark.parametrize("bra_order, ket_order", [(2, 3), (3, 2)])
+def test_chains_of_unequal_length_rejected(bra_order, ket_order):
+    rng = np.random.default_rng(25)
+    bra, ket = (random_tt((2,) * n, 2, rng) for n in (bra_order, ket_order))
+    with pytest.raises(ValueError, match="^bra, operator and ket must have equal length$"):
+        EnvStack(bra, eye_mpo((2, 2, 2)), ket)
+
+
 def test_local_dim_cap(monkeypatch):
     rng = np.random.default_rng(22)
     x = random_tt((2, 2, 2), 2, rng)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ttkit.quantize import (
     QuantizationPlan,
     dequantize,
     format_report,
+    from_fortran_flat,
     plan_auto,
     quantize_matrix,
     quantize_vector,
@@ -38,6 +41,24 @@ def test_plan_auto_minimal_and_strict():
 def test_plan_auto_rejects_base_below_two(base):
     with pytest.raises(ValueError, match=f"^base must be >= 2, got {base}$"):
         plan_auto(16, base, mixed_radix=True)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: plan_auto(0), ValueError, "sizes must be positive, got (0,)"),
+        (lambda: plan_auto((4, -2)), ValueError, "sizes must be positive, got (4, -2)"),
+        (lambda: quantize_matrix(np.ones(8), plan_auto(8), plan_auto(8)), ValueError, "expected a matrix, got shape (8,)"),
+        (lambda: dequantize(tt_svd(np.ones((2, 2))), plan_auto(8)), ValueError, "plan total 8 does not match represented size 4"),
+        (lambda: dequantize(np.ones(4)), TypeError, "cannot dequantize ndarray"),
+        (lambda: from_fortran_flat(np.ones(4), (4, 0)), ValueError, "mode sizes must be positive, got (4, 0)"),
+        (lambda: storage_report(np.ones(4)), TypeError, "cannot report on ndarray"),
+    ],
+    ids=["zero-size", "negative-size", "not-a-matrix", "plan-of-another-size", "dequantize-array", "fortran-zero-size", "report-on-array"],
+)
+def test_bad_input_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_plan_determinism():

@@ -202,7 +202,7 @@ def test_eig_k_too_large_for_rank():
 
 
 @pytest.mark.parametrize("k", [0, -1])
-@pytest.mark.parametrize("solver", ["eig_block", "svd_small_k", "gevd"])
+@pytest.mark.parametrize("solver", ["eig_block", "svd_small_k", "gevd", "cca"])
 def test_k_below_one_is_rejected(solver, k):
     op, _ = laplacian_mpo(4)
     eye = eye_mpo(op.row_sizes)
@@ -210,9 +210,36 @@ def test_k_below_one_is_rejected(solver, k):
         "eig_block": lambda: eig_block(op, k, SweepConfig()),
         "svd_small_k": lambda: svd_small_k(op, k, SweepConfig()),
         "gevd": lambda: gevd(eye, op, eye, k, SweepConfig()),
+        "cca": lambda: cca(op, eye, k, SweepConfig()),
     }[solver]
     with pytest.raises(ValueError, match="^k must be at least 1$"):
         call()
+
+
+GEVD_REFUSALS = {
+    "inner": "^inner operator must act on the sandwich's column space$",
+    "metric": "^metric must act on the sandwich's row space$",
+}
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape, refusal",
+    [
+        (((2, 2), (2, 2)), ((2, 2), (2, 2)), "inner"),  # A on X's rows
+        (((2, 3), (2, 2)), ((2, 2), (2, 2)), "inner"),  # A from X's rows to its columns
+        (((2, 3), (2, 3)), ((2, 3), (2, 3)), "metric"),  # B on X's columns
+        (((2, 3), (2, 3)), ((2, 2), (2, 3)), "metric"),  # B from X's columns to its rows
+    ],
+)
+def test_gevd_refuses_operators_off_the_sandwich(a_shape, b_shape, refusal):
+    from oracles import random_mpo
+
+    # X maps modes (2, 3) to (2, 2): A must act on (2, 3), B on (2, 2)
+    rng = np.random.default_rng(16)
+    shapes = (((2, 2), (2, 3)), a_shape, b_shape)
+    x_op, a_op, b_op = (random_mpo(rows, cols, 1, rng) for rows, cols in shapes)
+    with pytest.raises(ValueError, match=GEVD_REFUSALS[refusal]):
+        gevd(x_op, a_op, b_op, 1, SweepConfig())
 
 
 def test_local_cap_enforced(monkeypatch):

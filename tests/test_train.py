@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from ttkit.quantize import plan_auto, quantize_matrix
 from ttkit.train import (
     _QR_FIRST_SIZE,
     _fused,
-    _norm,
+    _r_factor,
     BlockTT,
     TruncationPolicy,
     TTMatrix,
@@ -111,9 +112,10 @@ def test_exact_rank_recovery_synthetic():
 
 
 # ---------------------------------------------------------------------------
-# svd_split: the QR-first route for wide unfoldings
+# svd_split: one SVD of the unfolding, also where tt_svd goes QR-first
 
-# wide shapes just below and at/above the crossover of the QR-first route
+# wide shapes just below and at/above the size from which tt_svd reads an
+# unfolding through its R factor
 BELOW = [(2, _QR_FIRST_SIZE // 2 - 1), (8, _QR_FIRST_SIZE // 8 - 1)]
 ABOVE = [(2, _QR_FIRST_SIZE // 2), (8, _QR_FIRST_SIZE // 8 + 1), (16, 4 * _QR_FIRST_SIZE // 16)]
 
@@ -157,33 +159,58 @@ RULES = {
 
 @pytest.mark.parametrize("shape", BELOW + ABOVE)
 @pytest.mark.parametrize("step", [1, -1])
-def test_svd_split_route_matches_plain_svd(monkeypatch, shape, step):
+def test_svd_split_route_matches_plain_svd(shape, step):
     # singular values 2^-j: the gaps keep every kept singular vector well
     # defined, so the factors themselves can be compared
     s = 2.0 ** -np.arange(shape[0])
     m = _spectrum_matrix(shape, s, seed=shape[1])
-    calls = _counting_qr(monkeypatch)
-    n = max(shape)
     for name, rule in RULES.items():
         seen = []
         a, b = svd_split(m, step, lambda s, rule=rule: seen.append(s) or rule(s))
         ref_a, ref_b = _plain_split(m, step, rule)
-        want = np.linalg.svd(m, compute_uv=False)
-        assert np.abs(seen[0] - want).max() <= n * np.finfo(float).eps * want[0], name
-        assert a.shape == ref_a.shape and b.shape == ref_b.shape, name
-        assert np.abs(a @ b - ref_a @ ref_b).max() <= 1e-12, name
+        assert np.array_equal(seen[0], np.linalg.svd(m, full_matrices=False)[1]), name
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), name
         ortho = a if step > 0 else b.T
         assert np.abs(ortho.T @ ortho - np.eye(ortho.shape[1])).max() <= 1e-13, name
-        # the same signs as fix_svd_signs gives the plain factors
-        assert np.abs(a - ref_a).max() <= 1e-10 and np.abs(b - ref_b).max() <= 1e-10, name
-    assert len(calls) == (len(RULES) if shape in ABOVE else 0)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_svd_split_is_one_svd_of_the_unfolding(monkeypatch, step):
+    # a wide 16 x 1024 unfolding, past the size from which tt_svd goes
+    # QR-first: svd_split factors m itself, with no QR, either way
+    m = _spectrum_matrix((16, 1024), 2.0 ** -np.arange(16), seed=16)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, vt = fix_svd_signs(u, vt)
+    want = (u, s[:, None] * vt) if step > 0 else (u * s, vt)
+    svd, seen = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("svd_split took a QR")
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", refused)
+    a, b = svd_split(m, step, nonzero_rank)
+    assert len(seen) == 1 and seen[0] is m
+    assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
+
+
+def test_r_factor_returns_the_triangular_factor_alone():
+    # m = small @ qᵀ with orthonormal q, so m·mᵀ = small·smallᵀ
+    m = _spectrum_matrix((16, 1024), 2.0 ** -np.arange(16), seed=16)
+    small = _r_factor(m)
+    assert isinstance(small, np.ndarray) and small.shape == (16, 16)
+    assert np.array_equal(small, np.tril(small))
+    assert np.abs(small @ small.T - m @ m.T).max() <= 1e-14
 
 
 @pytest.mark.parametrize("shape", [(128, 512), (256, 1024)])
 def test_svd_split_route_left_past_one_block(shape):
-    # more rows than one block of the QR, so the reflectors are applied
-    # block by block; evenly spaced singular values keep every singular
-    # vector well defined
+    # a left split with many rows; evenly spaced singular values keep every
+    # singular vector well defined
     s = 2.0 - np.arange(shape[0]) / shape[0]
     m = _spectrum_matrix(shape, s, seed=shape[0])
     for name, rule in RULES.items():
@@ -206,29 +233,25 @@ def _no_orthogonal_factor(monkeypatch):
 def test_svd_split_route_right_forms_no_q(monkeypatch):
     m = _spectrum_matrix((16, 1024), 2.0 ** -np.arange(16), seed=16)
     ref_a, ref_b = _plain_split(m, 1, nonzero_rank)
-    calls = _counting_qr(monkeypatch)
     _no_orthogonal_factor(monkeypatch)
     a, b = svd_split(m, 1, nonzero_rank)
-    assert calls
     assert np.abs(a - ref_a).max() <= 1e-10 and np.abs(b - ref_b).max() <= 1e-10
 
 
 @pytest.mark.parametrize("step", [1, -1])
-def test_svd_split_route_exact_low_rank(monkeypatch, step):
+def test_svd_split_route_exact_low_rank(step):
     rng = np.random.default_rng(5)
     m = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 1024))
-    calls = _counting_qr(monkeypatch)
     a, b = svd_split(m, step, nonzero_rank)
-    assert calls and a.shape == (8, 3) and b.shape == (3, 1024)
+    assert a.shape == (8, 3) and b.shape == (3, 1024)
     assert np.abs(a @ b - m).max() <= 1e-12 * np.abs(m).max()
     assert nonzero_rank(np.linalg.svd(m, compute_uv=False)) == 3
 
 
 @pytest.mark.parametrize("step", [1, -1])
-def test_svd_split_route_zero_matrix(monkeypatch, step):
-    calls = _counting_qr(monkeypatch)
+def test_svd_split_route_zero_matrix(step):
     a, b = svd_split(np.zeros((4, 1024)), step, nonzero_rank)
-    assert calls and a.shape == (4, 1) and b.shape == (1, 1024)
+    assert a.shape == (4, 1) and b.shape == (1, 1024)
     assert not np.any(a @ b)
     ortho = a if step > 0 else b.T
     assert np.allclose(ortho.T @ ortho, 1.0)
@@ -367,24 +390,13 @@ def test_tt_svd_one_qr_per_block(monkeypatch):
 
 def test_tt_svd_one_mode_block_is_the_split(monkeypatch):
     # 3 · 40 rows exceed a block, so the first block holds one mode: its
-    # 3 x 4000 unfolding takes svd_split's QR-first route, and the result is
-    # that of svd_split bond by bond, bit for bit
+    # 3 x 4000 unfolding is read through one R factor, and the result has
+    # the ranks and error of the plain TT-SVD
     t = _smooth((3, 40, 100))
     calls = _counting_qr(monkeypatch)
     x = tt_svd(t, TruncationPolicy(1e-8))
     assert len(calls) == 1
-    seen = []
-
-    def rule(s):  # tt_svd's rule: the threshold from the first split
-        seen.append(s)
-        return select_rank(s, 1e-8 * _norm(seen[0]) / np.sqrt(2), None)
-
-    rest = t.reshape(1, -1)
-    for core, i in zip(x.cores[:-1], t.shape):
-        u, rest = svd_split(rest.reshape(rest.shape[0] * i, -1), 1, rule)
-        assert np.array_equal(core, u.reshape(-1, i, u.shape[1]))
-    assert np.array_equal(x.cores[-1], rest.reshape(-1, 100, 1))
-    assert len(calls) == 2
+    _check_against_plain(x, t, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +691,24 @@ def test_chain_validation():
         TTVector([np.zeros((2, 2, 1))])
     with pytest.raises(ValueError):
         TTVector([])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tt_svd(np.zeros((2, 0, 3))), "cannot decompose an empty tensor"),
+        (lambda: orthogonalize(random_tt((2, 2, 2), 2, np.random.default_rng(0)), 3), "site 3 out of range for order 3"),
+        (lambda: orthogonalize(random_tt((2, 2, 2), 2, np.random.default_rng(0)), -1), "site -1 out of range for order 3"),
+        (lambda: feasible_ranks((2, 2, 2), [2]), "need 2 interior ranks, got 1"),
+        (lambda: TTVector([np.ones((1, 2, 1)), np.ones((1, 2))]), "core 1 must be 3-way, got shape (1, 2)"),
+        (lambda: TTMatrix([np.ones((1, 2, 1))]), "core 0 must be 4-way, got shape (1, 2, 1)"),
+        (lambda: BlockTT([np.ones((1, 2, 1)), np.ones((1, 2, 1))], 1), "core 1 must be 4-way, got shape (1, 2, 1)"),
+    ],
+    ids=["empty-tensor", "site-past-the-end", "site-below-zero", "rank-count", "vector-core", "matrix-core", "block-core"],
+)
+def test_bad_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_feasible_ranks_clipping():

@@ -7,10 +7,11 @@ operator, whose left vector lives on other modes than its right one, and
 ``cca --identity-grams`` on an 81 × 16 Y quantized to modes of size 3 next
 to a 16 × 16 X, so that wx and wy live on different modes),
 reads the block containers that ``eig --k 3`` writes and two containers
-whose TT-SVD takes the QR-first route of ``train.svd_split`` (a 2^14
-signal and a 64 × 64 kernel) back through ``info`` and ``reconstruct``,
-and prints one SHA-256 per output file, per captured stdout/stderr
-stream, and a total over all of them.  Two source trees that print the same
+whose TT-SVD reads a block of bonds through one R factor (``train.tt_svd``:
+a 2^14 signal, first block 32 × 512, and a 64 × 64 kernel, first block
+16 × 256) back through ``info`` and ``reconstruct``, and prints one
+SHA-256 per output file, per captured stdout/stderr stream, and a total
+over all of them.  Two source trees that print the same
 total produce byte-identical outputs.  After each hash it also prints the numbers of every
 ``.values.csv``, the ``converged=``, ``sweeps=``, ``objective=``,
 ``ranks=`` and ``regularized=`` lines of every report, the count,
