@@ -14,6 +14,7 @@ composed operator runs threaded LAPACK, whose last bits depend on the count
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -74,11 +75,16 @@ def _write_raw(path: str, data: np.ndarray):
     np.ascontiguousarray(data, dtype="<f8").tofile(path)
 
 
-def _load(path: str):
+def _load(path: str, kind: str = ""):
+    """The object in the TTK1 container at ``path``; with ``kind`` "matrix"
+    or "vector", refused unless it is a TT matrix or a TT vector."""
     try:
-        return container.load(path)
+        obj = container.load(path)
     except (OSError, ValueError) as exc:
         raise CliError(f"{path}: {exc}")
+    if kind and not isinstance(obj, {"matrix": TTMatrix, "vector": TTVector}[kind]):
+        raise CliError(f"{path} does not hold a TT {kind}")
+    return obj
 
 
 def _write_text(path: str, text: str):
@@ -86,31 +92,23 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _sweep_config(args, identity_grams: bool = False) -> SweepConfig:
-    return SweepConfig(
-        max_sweeps=args.max_sweeps,
-        tol=args.tol,
-        rank=args.rank,
-        adaptive=args.adaptive,
-        trunc_tol=args.trunc_tol,
-        max_rank=args.max_rank,
-        seed=args.seed,
-        identity_grams=identity_grams,
-    )
+def _sweep_config(args) -> SweepConfig:
+    """The solver flags given; ``SweepConfig``'s own defaults fill in the rest."""
+    given = vars(args)
+    names = [f.name for f in dataclasses.fields(SweepConfig)]
+    return SweepConfig(**{name: given[name] for name in names if name in given})
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--tol", type=float, default=1e-8, help="convergence tolerance")
-    parser.add_argument("--max-sweeps", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rank", type=int, default=8, help="bond rank of the iterate")
-    parser.add_argument(
-        "--adaptive", action="store_true", help="two-site sweeps with adaptive ranks"
-    )
-    parser.add_argument(
-        "--trunc-tol", type=float, default=1e-10, help="split tolerance for --adaptive"
-    )
-    parser.add_argument("--max-rank", type=int, default=None)
+    # no defaults here: a flag not given sets no attribute (see _sweep_config)
+    flag = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    flag("--tol", type=float, help="convergence tolerance")
+    flag("--max-sweeps", type=int)
+    flag("--seed", type=int)
+    flag("--rank", type=int, help="bond rank of the iterate")
+    flag("--adaptive", action="store_true", help="two-site sweeps with adaptive ranks")
+    flag("--trunc-tol", type=float, help="split tolerance for --adaptive")
+    flag("--max-rank", type=int)
     parser.add_argument(
         "--allow-nonconverged",
         action="store_true",
@@ -226,20 +224,8 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _expect_matrix(obj, path: str) -> TTMatrix:
-    if not isinstance(obj, TTMatrix):
-        raise CliError(f"{path} does not hold a TT matrix")
-    return obj
-
-
-def _expect_vector(obj, path: str) -> TTVector:
-    if not isinstance(obj, TTVector):
-        raise CliError(f"{path} does not hold a TT vector")
-    return obj
-
-
 def _cmd_eig(args) -> int:
-    op = _expect_matrix(_load(args.operator), args.operator)
+    op = _load(args.operator, "matrix")
     config = _sweep_config(args)
     if args.k == 1:
         value, vec, report = eig_min(op, config)
@@ -252,7 +238,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_svd(args) -> int:
-    op = _expect_matrix(_load(args.operator), args.operator)
+    op = _load(args.operator, "matrix")
     config = _sweep_config(args)
     if args.k < 1:
         raise CliError("k must be at least 1")
@@ -270,9 +256,9 @@ def _cmd_svd(args) -> int:
 
 
 def _cmd_gevd(args) -> int:
-    x_op = _expect_matrix(_load(args.x), args.x)
-    a_op = _expect_matrix(_load(args.a), args.a)
-    b_op = _expect_matrix(_load(args.b), args.b)
+    x_op = _load(args.x, "matrix")
+    a_op = _load(args.a, "matrix")
+    b_op = _load(args.b, "matrix")
     config = _sweep_config(args)
     values, block, report = gevd(x_op, a_op, b_op, args.k, config)
     container.save(block, args.out + ".tt")
@@ -280,9 +266,9 @@ def _cmd_gevd(args) -> int:
 
 
 def _cmd_cca(args) -> int:
-    x_op = _expect_matrix(_load(args.x), args.x)
-    y_op = _expect_matrix(_load(args.y), args.y)
-    config = _sweep_config(args, identity_grams=args.identity_grams)
+    x_op = _load(args.x, "matrix")
+    y_op = _load(args.y, "matrix")
+    config = _sweep_config(args)
     corr, wx, wy, report = cca(x_op, y_op, args.k, config)
     container.save(wx, args.out + ".wx.tt")
     container.save(wy, args.out + ".wy.tt")
@@ -290,8 +276,8 @@ def _cmd_cca(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    op = _expect_matrix(_load(args.operator), args.operator)
-    rhs = _expect_vector(_load(args.rhs), args.rhs)
+    op = _load(args.operator, "matrix")
+    rhs = _load(args.rhs, "vector")
     config = _sweep_config(args)
     x, report = linsolve(op, rhs, config)
     container.save(x, args.out + ".tt")
@@ -377,6 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity-grams",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="approximate the data Grams by identities",
     )
     _add_solver_flags(p)

@@ -35,9 +35,7 @@ LOCAL_DIM_CAP = 4096
 def _cores_of(x) -> list:
     if isinstance(x, (TTVector, TTMatrix)):
         return x.cores
-    if isinstance(x, list):
-        return x  # shared on purpose: sweeps mutate cores in place
-    return list(x)
+    return x  # a list of cores, shared on purpose: sweeps mutate cores in place
 
 
 # ---------------------------------------------------------------------------

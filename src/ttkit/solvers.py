@@ -1,39 +1,43 @@
 """Alternating-sweep optimizers in TT format.
 
-All solvers share one engine: the iterate is kept mixed-canonical with an
-"active" site holding the current local solution (K columns for the block
-solvers); dense local problems are assembled from cached environments by
-one builder, ``frames.effective_operator``/``frames.effective_rhs`` over a
-span of one site or a site pair, and solved exactly.  Their size is bounded
-only by ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the
-sweep keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``),
-of ±AᵀA on the one SVD route, ``_svd``.  A single-site step of a
-K = 1 eigenproblem without a metric at a site solved before starts from the
-site's current core instead: Cholesky factors of shifted local matrices
-certify its Rayleigh quotient as the lowest eigenvalue, or drive inverse
-iteration to one that is, and ``eigh`` runs only when three factorizations
-did not settle it (see ``_lowest_pair``).  Such runs build their start by
-one sweep at rank ⌈R/2⌉ and pad its cores to rank R with the vector
-unchanged (``_Chain.pad``), so the dense first-visit ``eigh`` calls run at
-the half rank and every rank-R step starts warm; that sweep is not counted
-in ``max_sweeps`` or reported.  A sweep is two half-sweeps, left to right
-and back, over one site schedule: each step solves the local problem over
-its span, installs the solution and moves the active site one bond on.
-A run ends after a right-to-left half-sweep, so every iterate comes back as
-a block TT with its K index on site 0 (``_Chain.snapshot``), whatever K is;
+All seven solvers share one engine and one local-problem interface.  The
+iterate is kept mixed-canonical with an "active" site holding the current
+local solution (K columns for the block solvers).  A solver hands
+``_run_sweeps`` its chains, ``(EnvStack, builder)`` pairs (builder
+``frames.effective_operator`` or ``frames.effective_rhs``) and
+``solve(site, span, mats)``: each step assembles the pairs' dense local
+matrices over one site or a site pair, refuses a problem too small for K
+vectors and solves it exactly by ``solve``, whose last values go to the
+residual and are returned.  Their size is bounded only by
+``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the sweep
+keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``), of ±AᵀA
+on the one SVD route, ``_svd``.  A single-site step of a K = 1 eigenproblem
+without a metric at a site solved before starts from the site's current
+core instead: Cholesky factors of shifted local matrices certify its
+Rayleigh quotient as the lowest eigenvalue, or drive inverse iteration to
+one that is, and ``eigh`` runs only when three factorizations did not
+settle it (see ``_lowest_pair``).  Such runs build their start by one sweep
+at rank ⌈R/2⌉ and pad its cores to rank R with the vector unchanged
+(``_Chain.pad``), so the dense first-visit ``eigh`` calls run at the half
+rank and every rank-R step starts warm; that sweep is not counted in
+``max_sweeps`` or reported.  A sweep is two half-sweeps, left to right and
+back, over one site schedule: each step solves the local problem over its
+span, installs the solution and moves the active site one bond on.  A run
+ends after a right-to-left half-sweep, so every iterate comes back as a
+block TT with its K index on site 0 (``_Chain.snapshot``), whatever K is;
 ``eig_min``, ``svd_dominant`` and ``linsolve`` return its column 0.
 Because the frames are orthonormal, every local solve of an eigen-, SVD or
 CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone.  The same holds for ``linsolve`` on symmetric
-positive definite operators, which it sweeps through the energy ½xᵀAx − bᵀx;
-other operators go through the normal equations, where it need not (see its
-docstring).  Local matrices come Fortran-ordered from
+positive definite operators, which it sweeps through the energy
+½xᵀAx − bᵀx; other operators go through the normal equations, where it need
+not (see its docstring).  Local matrices come Fortran-ordered from
 ``frames.effective_operator``.  Every local matrix that is symmetric by
 construction (an operator, a metric or a Gram) is read by its lower
 triangle alone, never averaged: ``eigh`` and the Cholesky factors read it
 there, ``_lowest_pair``'s products use ``dsymv(..., lower=1)`` on h itself,
-and the other products ``dsymv``/``dsymm`` on ``h.T``, whose upper
-triangle it is.
+and the other products ``dsymv``/``dsymm`` on ``h.T``, whose upper triangle
+it is.
 
 Rank policies: the default is single-site updates.  With K = 1 a move
 splits the active core by QR and keeps the initial bond ranks.  With K > 1
@@ -57,7 +61,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import eye_mpo, mpo_apply, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
-from .frames import EnvStack, effective_operator, effective_rhs, env_build
+from .frames import effective_operator, effective_rhs, env_build
 from .train import (
     BlockTT,
     TruncationPolicy,
@@ -180,6 +184,10 @@ class _Chain:
     """
 
     def __init__(self, modes, rank: int, k: int, rng):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k}")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         modes = [int(m) for m in modes]
         n = len(modes)
         profile = feasible_ranks(modes, [rank] * (n - 1))
@@ -280,77 +288,88 @@ class _Chain:
         return BlockTT(cores, self.pos, copy=False)
 
 
-def _half_sweeps(chains: List[_Chain], stacks: List[EnvStack], solve: Callable, config: SweepConfig):
+def _half_sweeps(chains: List[_Chain], problems: List[tuple], solve: Callable, config: SweepConfig):
     """Alternate half-sweeps over one site schedule, left to right and back,
-    and yield the objective after each.
+    and yield the objective and the values after each.
 
-    ``solve(site, span)`` returns the local objective and one local solution
-    per chain for the ``span`` sites starting at ``site``.  A step installs
-    that solution and moves the active site one bond in the sweep direction:
-    with span 1 the steps cover every site and the last step of a half-sweep
-    stays put; with span 2 (adaptive) they cover the pairs ``(site, site+1)``
-    and always move.  Whenever the active site moves, the environments across
-    the bond it crossed are refreshed.  The objective of a half-sweep is that
-    of its last step.
+    A step assembles ``build(stack, site, span)`` for each ``(stack, build)``
+    of ``problems`` over the ``span`` sites starting at ``site``, refuses a
+    local dimension below the chains' K, and passes the matrices, in that
+    order, to ``solve(site, span, mats)``.  That returns the local objective,
+    one local solution per chain and the step's values (whatever the
+    caller's residual reads).  The step installs the solutions and moves the
+    active site one bond in the sweep direction: with span 1 the steps cover
+    every site and the last step of a half-sweep stays put; with span 2
+    (adaptive) they cover the pairs ``(site, site+1)`` and always move.
+    Whenever the active site moves, the environments across the bond it
+    crossed are refreshed.  The objective and values of a half-sweep are
+    those of its last step.
 
     A half-sweep starts where the previous one ended.  That step sees the
     same environments as the step before it (the install in between touched
     no environment it reads), so its local problem is solved once and the
     kept solution is installed again.
     """
-    n_sites = chains[0].order
+    n_sites, k = chains[0].order, chains[0].k
     span = 2 if config.adaptive and n_sites > 1 else 1
     policy = TruncationPolicy(config.trunc_tol, config.max_rank)
     last = n_sites - span  # last site a step starts at
-    solved = None  # (site, objective, solutions) of the latest local solve
+    solved = None  # (site, objective, solutions, values) of the latest local solve
     while True:
         for step, sites in ((1, range(last + 1)), (-1, range(last, -1, -1))):
             for site in sites:
                 if solved is None or solved[0] != site:
-                    solved = (site, *solve(site, span))
-                _, obj, sols = solved
+                    mats = [build(stack, site, span) for stack, build in problems]
+                    dim = min(min(m.shape) for m in mats)
+                    if dim < k:
+                        raise ValueError(f"local dimension {dim} cannot hold K={k} vectors")
+                    solved = (site, *solve(site, span, mats))
+                    del mats  # not held while the next step assembles its own
+                _, obj, sols, values = solved
                 start = chains[0].pos
                 for chain, sol in zip(chains, sols):
                     chain.install(sol, step, span, policy)
                 if chains[0].pos != start:
                     bond = min(start, chains[0].pos)  # cores bond and bond+1 changed
-                    for stack in stacks:
+                    for stack, _ in problems:
                         stack.invalidate(bond)
                         stack.invalidate(bond + 1)
                         if step > 0:
                             stack.update_left(bond)
                         else:
                             stack.update_right(bond + 1)
-            yield obj
+            yield obj, values
 
 
 def _run_sweeps(
     chains: List[_Chain],
-    stacks: List[EnvStack],
+    problems: List[tuple],
     solve: Callable,
     residual_fn: Callable,
     config: SweepConfig,
     report: SolveReport,
 ):
     """Sweep (see ``_half_sweeps``) until convergence or ``max_sweeps``,
-    recording each half-sweep's objective in ``report``.  The residuals are
+    recording each half-sweep's objective in ``report``; returns the last
+    step's values.  The residuals, ``residual_fn`` of those values, are
     computed only where they are read: after a sweep whose objective is
     stable (the convergence test needs them) and after the last sweep (the
     report keeps them)."""
-    half_sweeps = _half_sweeps(chains, stacks, solve, config)
+    half_sweeps = _half_sweeps(chains, problems, solve, config)
     prev = None
     for sweep in range(1, config.max_sweeps + 1):
-        report.objective += [next(half_sweeps), next(half_sweeps)]
+        (first, _), (current, values) = next(half_sweeps), next(half_sweeps)
+        report.objective += [first, current]
         report.sweeps = sweep
-        current = report.objective[-1]
         stable = prev is not None and abs(current - prev) <= config.tol * max(1.0, abs(current))
         prev = current
         if stable or sweep == config.max_sweeps:
-            report.residuals = residual_fn()
+            report.residuals = residual_fn(values)
             report.converged = stable and max(report.residuals) <= config.tol
         if report.converged:
             break
     report.ranks = chains[0].ranks()
+    return values
 
 
 def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: str):
@@ -487,61 +506,49 @@ def _block_eig(
     config: SweepConfig,
     metric: Optional[TTMatrix] = None,
 ):
-    if k < 1:
-        raise ValueError("k must be at least 1")
     rng = np.random.default_rng(config.seed)
     # the steps _lowest_pair serves start from one sweep at half the rank
     warm_up = k == 1 and metric is None and not config.adaptive and config.rank >= 2
     chain = _Chain(op.row_sizes, -(-config.rank // 2) if warm_up else config.rank, k, rng)
-    stacks = [env_build(chain.cores, op, chain.cores)]
-    if metric is not None:
-        stacks.append(env_build(chain.cores, metric, chain.cores))
+    problems = [
+        (env_build(chain.cores, m, chain.cores), effective_operator) for m in (op, metric) if m is not None
+    ]
     report = SolveReport(sense="min")
-    state = {"values": np.zeros(k)}
     solved = set()  # sites solved before: their core is a warm start
 
-    def solve(site, span):
-        h = effective_operator(stacks[0], site, span)
-        if h.shape[0] < k:
-            raise ValueError(f"local dimension {h.shape[0]} cannot hold K={k} vectors")
+    def solve(site, span, mats):
+        h = mats[0]
         kept = [0, k - 1]
         if metric is None and k == 1 and span == 1 and site in solved:
             w, v = _lowest_pair(h, chain.x.reshape(-1))
         elif metric is None:
             w, v = scipy.linalg.eigh(h, subset_by_index=kept)
         else:
-            b = effective_operator(stacks[1], site, span)
             w, v = _shift_ladder(
-                b, lambda bm: scipy.linalg.eigh(h, bm, subset_by_index=kept), report, "local metric"
+                mats[1], lambda bm: scipy.linalg.eigh(h, bm, subset_by_index=kept), report, "local metric"
             )
         solved.add(site)
-        state["values"] = w
-        return float(np.sum(w)), [v]
+        return float(np.sum(w)), [v], w
 
-    def residual():
+    def residual(values):
         snap = chain.snapshot()
         out = []
-        for j, lam in enumerate(state["values"]):
+        for j, lam in enumerate(values):
             vec = block_extract(snap, j)
-            left = mpo_apply(op, vec)
-            right = (
-                tt_scale(mpo_apply(metric, vec), lam)
-                if metric is not None
-                else tt_scale(vec, lam)
-            )
-            out.append(_residual_norm(left, right) / max(1.0, abs(lam)))
+            right = tt_scale(vec if metric is None else mpo_apply(metric, vec), lam)
+            out.append(_residual_norm(mpo_apply(op, vec), right) / max(1.0, abs(lam)))
         return out
 
     if warm_up:
         # part of building the start: not counted, reported or checked; it
         # solves every site, so each rank-R step starts warm
-        half_sweeps = _half_sweeps([chain], stacks, solve, config)
+        half_sweeps = _half_sweeps([chain], problems, solve, config)
         next(half_sweeps)  # left to right
         next(half_sweeps)  # and back: every site solved, the active site at 0
         chain.pad(config.rank, rng)
-        stacks[0] = env_build(chain.cores, op, chain.cores)
-    _run_sweeps([chain], stacks, solve, residual, config, report)
-    return state["values"], chain.snapshot(), report
+        problems = [(env_build(chain.cores, op, chain.cores), effective_operator)]
+    values = _run_sweeps([chain], problems, solve, residual, config, report)
+    return values, chain.snapshot(), report
 
 
 def eig_min(op: TTMatrix, config: SweepConfig = SweepConfig()):
@@ -689,8 +696,6 @@ def cca(
     the problem is the top-K SVD of X·Yᵀ: ``_svd`` returns orthonormal wx and
     wy, and a report with the objective √(Σσ_k²) and the Gram residuals.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if x_op.col_sizes != y_op.col_sizes:
         raise ValueError("the two operators must share the observation modes")
     cross = mpo_mul(x_op, mpo_transpose(y_op), _OP_ROUND)
@@ -699,18 +704,15 @@ def cca(
     rng = np.random.default_rng(config.seed)
     wx = _Chain(x_op.row_sizes, config.rank, k, rng)
     wy = _Chain(y_op.row_sizes, config.rank, k, rng)
-    stacks = [env_build(wx.cores, cross, wy.cores)] + [
-        env_build(w.cores, mpo_mul(op, mpo_transpose(op), _OP_ROUND), w.cores)
-        for w, op in ((wx, x_op), (wy, y_op))
+    gram_x, gram_y = (mpo_mul(op, mpo_transpose(op), _OP_ROUND) for op in (x_op, y_op))
+    problems = [
+        (env_build(bra.cores, m, ket.cores), effective_operator)
+        for bra, m, ket in ((wx, cross, wy), (wx, gram_x, wx), (wy, gram_y, wy))
     ]
     report = SolveReport(sense="max")
-    state = {"corr": np.zeros(k), "constraint": 0.0}
 
-    def solve(site, span):
-        c_loc = effective_operator(stacks[0], site, span)
-        if min(c_loc.shape) < k:
-            raise ValueError(f"local dimension {c_loc.shape} cannot hold K={k}")
-        g_x, g_y = (effective_operator(st, site, span) for st in stacks[1:])
+    def solve(site, span, mats):
+        c_loc, g_x, g_y = mats
         l_x, l_y = (
             _shift_ladder(
                 g, lambda gm: scipy.linalg.cholesky(gm, lower=True), report, "local Gram matrix"
@@ -724,17 +726,14 @@ def cca(
         wy_loc = scipy.linalg.solve_triangular(l_y.T, vvt[:k].T, lower=False)
         wx_loc, wy_t = fix_svd_signs(wx_loc, wy_loc.T)
         wy_loc = wy_t.T
-        state["corr"] = ss[:k].copy()
         cons_x = wx_loc.T @ scipy.linalg.blas.dsymm(1.0, g_x.T, wx_loc, lower=0) - np.eye(k)
         cons_y = wy_loc.T @ scipy.linalg.blas.dsymm(1.0, g_y.T, wy_loc, lower=0) - np.eye(k)
-        state["constraint"] = float(max(np.max(np.abs(cons_x)), np.max(np.abs(cons_y))))
-        return float(np.sum(ss[:k])), [wx_loc, wy_loc]
+        constraint = float(max(np.max(np.abs(cons_x)), np.max(np.abs(cons_y))))
+        return float(np.sum(ss[:k])), [wx_loc, wy_loc], (ss[:k].copy(), constraint)
 
-    def residual():
-        return [state["constraint"]]
-
-    _run_sweeps([wx, wy], stacks, solve, residual, config, report)
-    return state["corr"], wx.snapshot(), wy.snapshot(), report
+    # the residual is the local constraint violation of the last step
+    corr, _ = _run_sweeps([wx, wy], problems, solve, lambda values: [values[1]], config, report)
+    return corr, wx.snapshot(), wy.snapshot(), report
 
 
 # ---------------------------------------------------------------------------
@@ -752,26 +751,27 @@ def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: boo
     else:
         rhs_op = mpo_transpose(op)
         lhs_op = mpo_mul(rhs_op, op, _OP_ROUND)
-    stacks = [env_build(chain.cores, lhs_op, chain.cores), env_build(chain.cores, rhs_op, rhs.cores)]
-    s_op, s_rhs = stacks
+    problems = [
+        (env_build(chain.cores, lhs_op, chain.cores), effective_operator),
+        (env_build(chain.cores, rhs_op, rhs.cores), effective_rhs),
+    ]
     rhs_norm = tt_norm(rhs)
     report = SolveReport(sense="min")
 
-    def solve(site, span):
-        h = effective_operator(s_op, site, span)
-        b = effective_rhs(s_rhs, site, span)
+    def solve(site, span, mats):
+        h, b = mats
         if energy:
             z = _cholesky_solve(h, b)
         else:
             z = _shift_ladder(h, lambda hm: _cholesky_solve(hm, b), report, "local system")
         objective = float(z @ scipy.linalg.blas.dsymv(1.0, h.T, z, lower=0) - 2.0 * (z @ b))
-        return objective, [z[:, None]]
+        return objective, [z[:, None]], None
 
-    def residual():
+    def residual(_):
         x = block_extract(chain.snapshot(), 0)
         return [_residual_norm(mpo_apply(op, x), rhs) / max(rhs_norm, 1e-300)]
 
-    _run_sweeps([chain], stacks, solve, residual, config, report)
+    _run_sweeps([chain], problems, solve, residual, config, report)
     return block_extract(chain.snapshot(), 0), report
 
 

@@ -12,6 +12,7 @@ import ttkit
 from ttkit import container
 from ttkit.cli import main
 from ttkit.quantize import storage_report
+from ttkit.solvers import SweepConfig, eig_min
 from ttkit.train import BlockTT, TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt
 
 
@@ -189,6 +190,21 @@ def test_eig_cli_matches_dense(tmp_path, capsys):
     assert (tmp_path / "eig.trajectory.csv").exists()
     assert (tmp_path / "eig.report.txt").exists()
     assert container.load(tmp_path / "eig.tt").num_vectors == 3
+
+
+def test_eig_cli_runs_on_the_sweep_config_defaults(tmp_path, capsys):
+    # no solver flag: the CLI must solve as the library does by default
+    op = mpo_svd(laplacian(64), (2,) * 6, (2,) * 6, TruncationPolicy(1e-13))
+    op_path, out = tmp_path / "lap.tt", tmp_path / "eig"
+    container.save(op, op_path)
+    code, _, _ = run(capsys, "eig", op_path, "-o", out)
+    value, vec, report = eig_min(op, SweepConfig())
+    assert code == 0
+    assert (tmp_path / "eig.report.txt").read_text() == report.to_keyvalue()
+    assert (tmp_path / "eig.trajectory.csv").read_text() == report.trajectory_csv()
+    assert (tmp_path / "eig.values.csv").read_text() == f"index,eigenvalue\n0,{value:.17g}\n"
+    saved = container.load(tmp_path / "eig.tt")
+    assert all(np.array_equal(a, b) for a, b in zip(saved.cores, vec.cores))
 
 
 def test_info_and_reconstruct_block_container(tmp_path, capsys):
@@ -383,6 +399,21 @@ def test_reconstruct_past_physical_memory_is_one_line_error(tmp_path, capsys, mo
         "more than the 65536 bytes of physical memory\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("", "error: out of memory"), ("no room", "error: out of memory (no room)")],
+)
+def test_memory_error_is_one_line_error(tmp_path, capsys, monkeypatch, message, line):
+    # the parser is built once per process, so the failure is injected
+    # below it, in the container loader every reading command calls
+    def no_memory(path):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(container, "load", no_memory)
+    code, stdout, err = run(capsys, "info", tmp_path / "x.tt")
+    assert (code, stdout, err) == (1, "", line + "\n")
 
 
 @pytest.mark.parametrize(

@@ -348,6 +348,12 @@ def test_stale_environment_rejected():
         effective_operator(stack, 1)
     with pytest.raises(RuntimeError, match="stale"):
         stack.update_left(1)
+    # the core at site 1 changed: right environments 1 and 2 are stale
+    stack.invalidate(1)
+    with pytest.raises(RuntimeError, match="^right environment 1 is stale"):
+        effective_operator(stack, 0)
+    with pytest.raises(RuntimeError, match="^right environment at site 0 is stale$"):
+        stack.update_right(0)
 
 
 @pytest.mark.parametrize("bra_order, ket_order", [(2, 3), (3, 2)])

@@ -33,6 +33,7 @@ def test_plan_auto_mixed_radix():
 
 def test_plan_auto_minimal_and_strict():
     assert plan_auto(2, 2).factors == ((2,),)
+    assert plan_auto(1).factors == ((1,),)
     with pytest.raises(ValueError):
         plan_auto(12, 2)
 

@@ -216,6 +216,22 @@ def test_k_below_one_is_rejected(solver, k):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op: eig_block(op, 2.0),
+        lambda op: eig_block(op, True),
+        lambda op: cca(op, op, 2.5),
+        lambda op: svd_small_k(op, np.float64(2)),
+    ],
+    ids=["eig_block-float", "eig_block-bool", "cca-float", "svd_small_k-numpy-float"],
+)
+def test_non_integer_k_is_one_line_error(call):
+    op, _ = laplacian_mpo(4)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got [^\n]+$"):
+        call(op)
+
+
 GEVD_REFUSALS = {
     "inner": "^inner operator must act on the sandwich's column space$",
     "metric": "^metric must act on the sandwich's row space$",
@@ -1527,7 +1543,7 @@ def test_linsolve_normal_route_shifts_on_the_shared_ladder(monkeypatch):
         (lambda op, cfg: svd_small_k(op, 3, cfg), "local dimension 2 cannot hold K=3 vectors"),
         (lambda op, cfg: gevd(eye_mpo(op.row_sizes), op, eye_mpo(op.row_sizes), 3, cfg),
          "local dimension 2 cannot hold K=3 vectors"),
-        (lambda op, cfg: cca(op, op, 3, cfg), r"local dimension \(2, 2\) cannot hold K=3$"),
+        (lambda op, cfg: cca(op, op, 3, cfg), "local dimension 2 cannot hold K=3 vectors"),
     ],
     ids=["eig_block", "svd_small_k", "gevd", "cca"],
 )

@@ -61,6 +61,13 @@ def test_tt_svd_order_one():
     assert np.array_equal(x.cores[0][0, :, 0], v)
 
 
+def test_tt_svd_order_zero():
+    # a 0-d array is read as a vector of length one
+    x = tt_svd(np.array(3.0))
+    assert x.order == 1 and x.cores[0].shape == (1, 1, 1)
+    assert x.cores[0][0, 0, 0] == 3.0
+
+
 def test_tt_svd_exact_random():
     rng = np.random.default_rng(0)
     t = rng.standard_normal((3, 4, 5))
