@@ -41,7 +41,6 @@ from .solvers import (
     svd_small_k,
 )
 from .train import (
-    BlockTT,
     TruncationPolicy,
     TTMatrix,
     TTVector,

@@ -196,10 +196,10 @@ def _cmd_info(args) -> int:
 def _largest_intermediate(cores) -> int:
     """Entries of the largest two arrays that coexist while
     ``train.mpo_to_full``, the one loop that forms dense arrays, contracts
-    these cores (of a TT vector, a TT matrix or a block TT, each read as a
-    TT matrix): each partial product, the sizes of the sites so far times
-    the next rank, together with the one before it; the last partial product
-    is the dense result."""
+    these cores (of a TT matrix, or of a TT vector read as one): each
+    partial product, the sizes of the sites so far times the next rank,
+    together with the one before it; the last partial product is the dense
+    result."""
     size, before, peak = 1, 0, 0
     for c in cores:
         size *= math.prod(c.shape[1:-1])

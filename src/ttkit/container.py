@@ -12,6 +12,12 @@ Layout (all integers and floats little-endian):
   laid out with the first rank slowest, then the mode index (then the column
   mode for a matrix, then the block index for the block core), last rank
   fastest.
+
+Kind 2 is read, never written.  It holds K vectors jointly, with the K
+index on the core at the block position, so it loads as the TT matrix
+whose column size is K there and 1 on every other core: the form in which
+the block solvers return K vectors, and which :func:`save` writes as
+kind 1.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ import struct
 
 import numpy as np
 
-from .train import BlockTT, TTMatrix, TTVector
+from .train import TTMatrix, TTVector
 
 __all__ = ["MAGIC", "save", "load"]
 
 MAGIC = b"TTK1"
 VERSION = 1
-KIND_VECTOR, KIND_MATRIX, KIND_BLOCK = 0, 1, 2
+KIND_VECTOR, KIND_MATRIX = 0, 1
 
 
 def _write_u64s(fh, values):
@@ -54,13 +60,11 @@ def _read_u64s(fh, count: int) -> list:
 
 
 def save(obj, path):
-    """Write a TT vector / TT matrix / block TT to ``path``."""
+    """Write a TT vector or a TT matrix to ``path``."""
     if isinstance(obj, TTVector):
         kind = KIND_VECTOR
     elif isinstance(obj, TTMatrix):
         kind = KIND_MATRIX
-    elif isinstance(obj, BlockTT):
-        kind = KIND_BLOCK
     else:
         raise TypeError(f"cannot save {type(obj).__name__}")
     buf = io.BytesIO()
@@ -71,9 +75,6 @@ def save(obj, path):
         modes = list(obj.mode_sizes)
     _write_u64s(buf, modes)
     _write_u64s(buf, obj.ranks)
-    if kind == KIND_BLOCK:
-        buf.write(struct.pack("<I", obj.position + 1))
-        _write_u64s(buf, [obj.num_vectors])
     for core in obj.cores:
         buf.write(np.ascontiguousarray(core, dtype="<f8").tobytes())
     data = buf.getvalue()
@@ -82,7 +83,9 @@ def save(obj, path):
 
 
 def load(path):
-    """Read a TTK1 container; returns a TTVector, TTMatrix or BlockTT."""
+    """Read a TTK1 container; returns a TTVector for kind 0 and a TTMatrix
+    for kinds 1 and 2."""
+    KIND_BLOCK = 2  # read, never written
     with open(path, "rb") as fh:
         header = _read_exact(fh, 10)
         magic, version, kind, order = struct.unpack("<4sBBI", header)
@@ -98,27 +101,21 @@ def load(path):
         if kind == KIND_MATRIX:
             rows, cols = sizes[0::2], sizes[1::2]
         else:
-            modes = sizes
+            rows, cols = sizes, [1] * order
         ranks = _read_u64s(fh, order + 1)
         if ranks[0] != 1 or ranks[-1] != 1:
             raise ValueError("corrupt TTK1 container: boundary ranks differ from 1")
-        position = k_cols = None
         if kind == KIND_BLOCK:
             (position,) = struct.unpack("<I", _read_exact(fh, 4))
             (k_cols,) = _read_u64s(fh, 1)
             if not 1 <= position <= order:
                 raise ValueError(f"corrupt TTK1 container: block position {position}")
-            sizes = sizes + [k_cols]
-        if min(sizes + ranks) < 1:
+            cols[position - 1] = k_cols
+        if min(rows + cols + ranks) < 1:
             raise ValueError("corrupt TTK1 container: zero mode size, rank or block size")
         cores = []
         for n in range(order):
-            if kind == KIND_MATRIX:
-                shape = (ranks[n], rows[n], cols[n], ranks[n + 1])
-            elif kind == KIND_BLOCK and n == position - 1:
-                shape = (ranks[n], modes[n], k_cols, ranks[n + 1])
-            else:
-                shape = (ranks[n], modes[n], ranks[n + 1])
+            shape = (ranks[n], rows[n], cols[n], ranks[n + 1])
             count = math.prod(shape)
             data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
             if not np.isfinite(data).all():
@@ -127,7 +124,5 @@ def load(path):
         if fh.read(1):
             raise ValueError("trailing bytes after TTK1 payload")
     if kind == KIND_VECTOR:
-        return TTVector(cores, copy=False)
-    if kind == KIND_MATRIX:
-        return TTMatrix(cores, copy=False)
-    return BlockTT(cores, position - 1, copy=False)
+        return TTVector([c[:, :, 0] for c in cores], copy=False)
+    return TTMatrix(cores, copy=False)

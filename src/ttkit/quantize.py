@@ -15,7 +15,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .train import (
-    BlockTT,
     TruncationPolicy,
     TTMatrix,
     TTVector,
@@ -186,16 +185,16 @@ def storage_report(x) -> dict:
     """Raw element count, TT parameter count and compression ratio.
 
     The parameter count is the total number of core entries,
-    ``sum_n R[n] * I[n] * R[n+1]`` for a TT vector (column modes and the
-    block index multiply in for the other kinds); the ratio is parameters
-    over raw count, so values below 1 mean compression.
+    ``sum_n R[n] * I[n] * R[n+1]`` for a TT vector (column modes multiply
+    in for a TT matrix); the ratio is parameters over raw count, so values
+    below 1 mean compression.
     """
-    kind = {TTVector: "vector", TTMatrix: "matrix", BlockTT: "block"}.get(type(x))
+    kind = {TTVector: "vector", TTMatrix: "matrix"}.get(type(x))
     if kind is None:
         raise TypeError(f"cannot report on {type(x).__name__}")
     raw = math.prod(_as_matrix(x).shape)
     params = sum(c.size for c in x.cores)
-    report = {
+    return {
         "kind": kind,
         "order": x.order,
         "modes": ",".join(str(i) for i in x.mode_sizes)
@@ -207,10 +206,6 @@ def storage_report(x) -> dict:
         "parameter_count": params,
         "compression_ratio": params / raw,
     }
-    if isinstance(x, BlockTT):
-        report["num_vectors"] = x.num_vectors
-        report["block_position"] = x.position
-    return report
 
 
 def format_report(report: dict) -> str:

@@ -24,8 +24,8 @@ rank and every rank-R step starts warm; that sweep is not counted in
 back, over one site schedule: each step solves the local problem over its
 span, installs the solution and moves the active site one bond on.  A run
 ends after a right-to-left half-sweep, so every iterate comes back as a
-block TT with its K index on site 0 (``_Chain.snapshot``), whatever K is;
-``eig_min``, ``svd_dominant`` and ``linsolve`` return its column 0.
+TT matrix with its K columns on site 0 (``_Chain.snapshot``), whatever K
+is; ``eig_min``, ``svd_dominant`` and ``linsolve`` return its column 0.
 Because the frames are orthonormal, every local solve of an eigen-, SVD or
 CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone.  The same holds for ``linsolve`` on symmetric
@@ -63,7 +63,6 @@ import scipy.linalg
 from .algebra import eye_mpo, mpo_apply, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
 from .frames import effective_operator, effective_rhs, env_build
 from .train import (
-    BlockTT,
     TruncationPolicy,
     TTMatrix,
     TTVector,
@@ -184,8 +183,7 @@ class _Chain:
     """
 
     def __init__(self, modes, rank: int, k: int, rng):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, got {k}")
+        _check_count("k", k)
         if k < 1:
             raise ValueError("k must be at least 1")
         modes = [int(m) for m in modes]
@@ -279,13 +277,14 @@ class _Chain:
         self.pos = 0
         self.x = self.cores[0][:, :, :, None].copy()
 
-    def snapshot(self) -> BlockTT:
-        """Freeze the current iterate, for every K, as a block TT whose K
-        index sits on the active site; after a full sweep that is site 0.
-        A K = 1 vector is its column 0 (``train.block_extract``)."""
-        cores = [c.copy() for c in self.cores]
+    def snapshot(self) -> TTMatrix:
+        """Freeze the current iterate, for every K, as a TT matrix whose K
+        columns sit on the active site, column size 1 everywhere else; after
+        a full sweep that is site 0.  A K = 1 vector is its column 0
+        (``train.block_extract``)."""
+        cores = [c[:, :, None, :].copy() for c in self.cores]
         cores[self.pos] = np.ascontiguousarray(self.x.transpose(0, 1, 3, 2))
-        return BlockTT(cores, self.pos, copy=False)
+        return TTMatrix(cores, copy=False)
 
 
 def _half_sweeps(chains: List[_Chain], problems: List[tuple], solve: Callable, config: SweepConfig):
@@ -576,7 +575,8 @@ def eig_min(op: TTMatrix, config: SweepConfig = SweepConfig()):
 
 def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     """K smallest eigenvalues (ascending) with jointly represented
-    eigenvectors in block TT form; local trace problems keep the K columns
+    eigenvectors, the columns of a TT matrix with its K columns on site 0
+    and column size 1 elsewhere; local trace problems keep the K columns
     orthonormal, which transfers to the global vectors.  At k = 1 the start
     is built as in :func:`eig_min`, by one uncounted sweep at half the rank.
     A non-symmetric operator raises ``ValueError``, as in :func:`eig_min`."""
@@ -587,9 +587,9 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
 
 def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     """``(sigmas, u, v, report)``: the K largest (``largest``) or smallest
-    singular values of A and their right singular vectors v as a block TT;
-    for the largest also the left ones u (else None).  Both carry their K
-    index on site 0, where the sweeps end.
+    singular values of A and their right singular vectors v, the columns of
+    a TT matrix; for the largest also the left ones u (else None).  Both
+    carry their K columns on site 0, where the sweeps end.
 
     The sweeps solve the block eigenproblem of −BᵀB or BᵀB, composed in TT
     form from B = 2^-e·A (A with its first core scaled, which is exact): e
@@ -601,10 +601,10 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A, not from the Ritz values
     (absolute error eps·σ₁²), and orders v's columns.  The objective, scale
     restored, is √(Σσ_k²) for the largest (``sense="max"``) and Σσ_k² for
-    the smallest.  u is A·v orthogonalized toward site 0, v's block
-    position, its block core's (p·i·q) × K unfolding orthonormalized by
-    ``train.qr_split`` (uᵀA·v has a nonnegative diagonal), then rounded at
-    a relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0."""
+    the smallest.  u is A·v orthogonalized toward site 0, its first core's
+    (i·q) × K unfolding orthonormalized by ``train.qr_split`` (uᵀA·v has a
+    nonnegative diagonal), then rounded at a relative 1e-14: unlike
+    A·v_k / σ_k it stays orthonormal as σ_k → 0."""
     _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
     scaled = TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
     gram = mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND)
@@ -614,30 +614,30 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     columns = (block_extract(v, j) for j in range(k))
     sigmas = np.array([np.ldexp(tt_norm(mpo_apply(scaled, c)) / tt_norm(c), exp) for c in columns])
     order = np.argsort(-sigmas if largest else sigmas, kind="stable")
-    pos = v.position
-    v.cores[pos] = v.cores[pos][:, :, order, :]
+    v.cores[0] = v.cores[0][:, :, order, :]
     if not largest:
         with np.errstate(over="ignore"):  # past ‖A‖_F ≈ 1e154 the objective reads inf
             report.objective = [float(np.ldexp(w, 2 * exp)) for w in report.objective]
         return sigmas[order], None, v, report
     report.sense = "max"
     report.objective = [float(np.ldexp(math.sqrt(max(-w, 0.0)), exp)) for w in report.objective]
-    cores = orthogonalize(mpo_apply(scaled, v), pos).cores
-    p, _, q = cores[pos].shape
-    unfolding = cores[pos].reshape(p, -1, k, q).transpose(0, 1, 3, 2).reshape(-1, k)
+    cores = orthogonalize(mpo_apply(scaled, v), 0).cores
+    _, _, q = cores[0].shape
+    unfolding = cores[0].reshape(-1, k, q).transpose(0, 2, 1).reshape(-1, k)
     if unfolding.shape[0] < k:
         raise ValueError(f"K={k} exceeds the local dimension {unfolding.shape[0]} of the left vectors")
-    cores[pos] = qr_split(unfolding, 1)[0].reshape(p, -1, q, k).transpose(0, 1, 3, 2).reshape(p, -1, q)
+    cores[0] = qr_split(unfolding, 1)[0].reshape(1, -1, q, k).transpose(0, 1, 3, 2).reshape(1, -1, q)
     u = tt_round(TTVector(cores, copy=False), _OP_ROUND).cores
-    u[pos] = u[pos].reshape(u[pos].shape[0], -1, k, u[pos].shape[2])
-    return sigmas[order], BlockTT(u, pos, copy=False), v, report
+    u = [u[0].reshape(1, -1, k, u[0].shape[2])] + [c[:, :, None, :] for c in u[1:]]
+    return sigmas[order], TTMatrix(u, copy=False), v, report
 
 
 def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     """K smallest singular values (ascending) and their right singular
-    vectors (block TT) via the Gram route, the block eigenproblem of AᵀA in
-    TT form; σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A itself.  The report's
-    objective is Σσ_k², its residuals those of the Gram eigenproblem."""
+    vectors (a TT matrix's K columns) via the Gram route, the block
+    eigenproblem of AᵀA in TT form; σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A
+    itself.  The report's objective is Σσ_k², its residuals those of the
+    Gram eigenproblem."""
     sigmas, _, v, report = _svd(op, k, config, largest=False)
     return sigmas, v, report
 

@@ -1,4 +1,4 @@
-"""Tensor trains: TT/MPS vectors, TT/MPO matrices and block TT.
+"""Tensor trains: TT/MPS vectors and TT/MPO matrices.
 
 Construction from dense data by successive truncated SVDs, dense
 reconstruction, orthogonalization and rounding (recompression).
@@ -20,15 +20,16 @@ A TT vector is a chain of order-3 cores ``G[n]`` of shape
 ``(R[n], I[n], R[n+1])`` with boundary ranks ``R[0] = R[N] = 1``; the
 represented entry is the product of the slice matrices ``G[n][:, i_n, :]``.
 A TT matrix uses order-4 cores ``(P[n], I[n], J[n], P[n+1])`` with the row
-and column indices of each site paired up.  A block TT is a TT vector whose
-core at one position carries an extra index of size K, representing K
-vectors jointly.
+and column indices of each site paired up.  K vectors held jointly in one
+chain (the block TT format of Dolgov, Khoromskij, Oseledets & Savostyanov,
+Comput. Phys. Commun. 185(4), 2014) are the K columns of a TT matrix whose
+column sizes are K on one core and 1 on every other; :func:`block_extract`
+takes one of them out.
 
-A TT vector is a TT matrix whose column indices have size 1, and a block TT
-one whose only column index is its K vectors (:func:`_as_matrix` reads them
-so, with no copy).  So one loop, :func:`mpo_to_full`, forms every dense
-array, and the operator products of :mod:`ttkit.algebra` have one
-contraction between them.
+A TT vector is a TT matrix whose column indices have size 1
+(:func:`_as_matrix` reads it so, with no copy).  So one loop,
+:func:`mpo_to_full`, forms every dense array, and the operator products of
+:mod:`ttkit.algebra` have one contraction between them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "TruncationPolicy",
     "TTVector",
     "TTMatrix",
-    "BlockTT",
     "tt_svd",
     "tt_to_full",
     "mpo_svd",
@@ -71,11 +71,12 @@ class TruncationPolicy:
             _check_count("max_rank", self.max_rank, 1)
 
 
-def _check_count(name: str, value, least: int):
+def _check_count(name: str, value, least: Optional[int] = None):
     """Refuse a ``value`` that is not an integer (Python's or numpy's, not a
-    bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    bool), or, given ``least``, one below it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
 
 
 def _check_real(name: str, value, positive: bool):
@@ -89,19 +90,17 @@ def _check_real(name: str, value, positive: bool):
 EXACT = TruncationPolicy(0.0)
 
 
-def _prepare_cores(cores, ndim: int, copy: bool, block: Optional[int] = None):
-    """Validated float64 C-ordered cores: ``ndim``-way each, except the core
-    at ``block``, which carries one extra (block) index before its last rank."""
+def _prepare_cores(cores, ndim: int, copy: bool):
+    """Validated float64 C-ordered cores, ``ndim``-way each."""
     out = []
     for n, c in enumerate(cores):
-        want = ndim + 1 if n == block else ndim
         arr = (
             np.array(c, dtype=np.float64, order="C")
             if copy
             else np.ascontiguousarray(c, dtype=np.float64)
         )
-        if arr.ndim != want:
-            raise ValueError(f"core {n} must be {want}-way, got shape {arr.shape}")
+        if arr.ndim != ndim:
+            raise ValueError(f"core {n} must be {ndim}-way, got shape {arr.shape}")
         out.append(arr)
     if not out:
         raise ValueError("a tensor train needs at least one core")
@@ -177,49 +176,6 @@ class TTMatrix:
         return (
             f"TTMatrix(rows={self.row_sizes}, cols={self.col_sizes}, "
             f"ranks={self.ranks})"
-        )
-
-
-class BlockTT:
-    """TT chain whose core at ``position`` carries an extra index of size K.
-
-    The block core has shape ``(R[p], I[p], K, R[p+1])``; extracting slice k
-    of that index yields an ordinary TT vector.
-    """
-
-    __slots__ = ("cores", "position")
-
-    def __init__(self, cores: Sequence[np.ndarray], position: int, copy: bool = True):
-        position = int(position)
-        if not 0 <= position < len(cores):
-            raise ValueError(f"block position {position} out of range")
-        self.cores = _prepare_cores(cores, 3, copy, block=position)
-        self.position = position
-
-    @property
-    def order(self) -> int:
-        return len(self.cores)
-
-    @property
-    def num_vectors(self) -> int:
-        return self.cores[self.position].shape[2]
-
-    @property
-    def mode_sizes(self) -> tuple:
-        return tuple(c.shape[1] for c in self.cores)
-
-    @property
-    def ranks(self) -> tuple:
-        return (1,) + tuple(c.shape[-1] for c in self.cores)
-
-    def full_matrix(self) -> np.ndarray:
-        """Dense (prod(modes), K) matrix of the represented vectors."""
-        return mpo_to_full(_as_matrix(self))
-
-    def __repr__(self):
-        return (
-            f"BlockTT(modes={self.mode_sizes}, ranks={self.ranks}, "
-            f"K={self.num_vectors}, position={self.position})"
         )
 
 
@@ -444,7 +400,7 @@ def mpo_svd(
 
 def mpo_to_full(a: TTMatrix) -> np.ndarray:
     """Assemble the dense matrix (prod(rows) x prod(cols)) core by core; the
-    one loop that forms dense arrays, for TT vectors and block TTs too.
+    one loop that forms dense arrays, for TT vectors too.
     One ``matmul`` per core writes (rows so far · i, columns so far · j,
     rank) in C order, so no transposing copy follows, and the peak is the
     result plus the one partial product before it.  Each is oriented so that
@@ -473,12 +429,10 @@ def _fused(a: TTMatrix) -> TTVector:
 
 def _as_matrix(x) -> TTMatrix:
     """``x`` read as a TT matrix, with no copy: a TT vector with one column
-    per site, a block TT with its K columns at its position, and a TT matrix
-    as itself."""
+    per site, and a TT matrix as itself."""
     if isinstance(x, TTMatrix):
         return x
-    position = x.position if isinstance(x, BlockTT) else None
-    return TTMatrix([c if n == position else c[:, :, None, :] for n, c in enumerate(x.cores)], copy=False)
+    return TTMatrix([c[:, :, None, :] for c in x.cores], copy=False)
 
 
 def _unfused(v: TTVector, rows: Sequence[int], cols: Sequence[int]) -> TTMatrix:
@@ -539,17 +493,18 @@ def mpo_round(a: TTMatrix, policy: TruncationPolicy) -> TTMatrix:
 
 
 # ---------------------------------------------------------------------------
-# block TT
+# columns and direct sums
 
 
-def block_extract(x: BlockTT, k: int) -> TTVector:
-    """Column ``k`` of a block TT as an ordinary TT vector."""
-    if not 0 <= k < x.num_vectors:
-        raise IndexError(f"block column {k} out of range [0, {x.num_vectors})")
-    cores = []
-    for n, c in enumerate(x.cores):
-        cores.append(c[:, :, k, :] if n == x.position else c)
-    return TTVector(cores)
+def block_extract(x: TTMatrix, k: int) -> TTVector:
+    """Column ``k`` of a TT matrix as a TT vector, such as one of the K
+    vectors a block solver returns: each core gives its column of the
+    multi-index that ``k`` unravels to over the column sizes."""
+    _check_count("k", k)
+    if not 0 <= k < x.shape[1]:
+        raise IndexError(f"block column {k} out of range [0, {x.shape[1]})")
+    index = np.unravel_index(k, x.col_sizes)
+    return TTVector([c[:, :, j, :] for c, j in zip(x.cores, index)])
 
 
 def _block_diag(parts, axes) -> np.ndarray:

@@ -4,9 +4,10 @@ Dense N-way tensors and the basic multilinear operations, block matrices
 with the strong Kronecker and AC products, the explicit interface and
 frame matrices of a TT vector, a QTT operator whose cores are exact, a
 TT-SVD by plain SVDs of every unfolding, the TT-format helpers only tests
-need (random TT matrices, inner products, diagonal operators and block TTs
-joined from TT vectors), and the per-site contractions that the library's
-dense forms and operator-vector products equal bit for bit.  None of this
+need (random TT matrices, inner products, diagonal operators, TT matrices
+whose columns are given TT vectors, and the TTK1 kind-2 bytes of a block
+TT), and the per-site contractions that the library's dense forms and
+operator-vector products equal bit for bit.  None of this
 lies on a library path: the library works on cores and cached environments
 and never forms a dense N-way tensor or a frame.
 
@@ -29,11 +30,12 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 import numpy as np
 
-from ttkit.train import BlockTT, TTMatrix, TTVector, _block_diag, feasible_ranks
+from ttkit.train import TTMatrix, TTVector, _block_diag, feasible_ranks
 
 FRAME_ROW_CAP = 1 << 16
 
@@ -449,11 +451,11 @@ def diagonal_mpo(x: TTVector) -> TTMatrix:
     return TTMatrix(cores, copy=False)
 
 
-def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
-    """Join K TT vectors of identical mode sizes into one block TT by a
+def block_from_tts(tts: Sequence[TTVector]) -> TTMatrix:
+    """Join K TT vectors of identical mode sizes into one TT matrix by a
     direct sum: interior bond ranks add, chain j fills the j-th diagonal
-    block, and the last core gains the block index, whose column j holds
-    vector j."""
+    block, and the last core's column index, of size K, picks vector j;
+    every other core has column size 1."""
     if not tts:
         raise ValueError("need at least one TT vector")
     modes = tts[0].mode_sizes
@@ -463,11 +465,28 @@ def block_from_tts(tts: Sequence[TTVector]) -> BlockTT:
     last = len(modes) - 1
     cores = []
     for n in range(last + 1):
-        parts = [t.cores[n] for t in tts]
-        if n == last:
-            parts = [p[:, :, None, :] for p in parts]
-        cores.append(_block_diag(parts, ((0,) if n > 0 else ()) + (2,)))
-    return BlockTT(cores, last, copy=False)
+        parts = [t.cores[n][:, :, None, :] for t in tts]
+        cores.append(_block_diag(parts, ((0,) if n > 0 else ()) + (2 if n == last else 3,)))
+    return TTMatrix(cores, copy=False)
+
+
+def block_container(x: TTMatrix, position: int) -> bytes:
+    """The TTK1 kind-2 (block TT) container of ``x``, a TT matrix whose
+    column size is 1 on every core but the one at ``position``: magic,
+    version 1, kind 2 and N, the row sizes and the ranks as u64, the 1-based
+    position as u32 and the column size there (K) as u64, then the cores in
+    chain order as f64, the column index of each before its last rank."""
+    if any(j != 1 for n, j in enumerate(x.col_sizes) if n != position):
+        raise ValueError(f"column sizes {x.col_sizes} are not 1 off position {position}")
+    return b"".join(
+        [
+            struct.pack("<4sBBI", b"TTK1", 1, 2, x.order),
+            np.asarray(x.row_sizes + x.ranks, dtype="<u8").tobytes(),
+            struct.pack("<I", position + 1),
+            np.asarray([x.col_sizes[position]], dtype="<u8").tobytes(),
+        ]
+        + [np.ascontiguousarray(c, dtype="<f8").tobytes() for c in x.cores]
+    )
 
 
 # ---------------------------------------------------------------------------

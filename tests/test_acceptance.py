@@ -182,7 +182,7 @@ def test_criterion_07_laplacian_eigensolvers():
     elapsed = time.perf_counter() - start
     err1 = abs(lam - w[0])
     err3 = np.abs(vals - w[:3]).max()
-    cols = blk.full_matrix()
+    cols = blk.full()
     orth = np.abs(cols.T @ cols - np.eye(3)).max()
     ok = (
         err1 < 1e-7

@@ -10,7 +10,6 @@ import ttkit
 # A new export needs a user in the library, the CLI or the README; helpers
 # that only tests need live in tests/oracles.py.
 PUBLIC = {
-    "BlockTT",
     "EnvStack",
     "QuantizationPlan",
     "SolveReport",
@@ -63,7 +62,7 @@ def test_public_names_are_pinned():
         for name, value in vars(ttkit).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 43
     assert names == PUBLIC
 
 

@@ -157,3 +157,39 @@ def test_main_stops_on_an_incorrect_run(tmp_path, capsys):
     assert lines == ["error: change run, seed 0, pair 0: correct=false "
                      "(quantize-sine: outputs differ between processes)"]
     assert not list(tmp_path.glob("BENCH_*"))
+
+
+
+def test_verdict_per_kernel_divides_each_run_by_its_kernel_time():
+    # the machine's speed moves by up to 40 % from run to run, on both sides
+    # alike: the times' spread hides a 6 % gain that the ratios show
+    speed = [1.0, 1.4, 1.1, 1.3, 1.0, 1.2, 1.35, 1.05, 1.25, 1.15]
+    parent = [dict(_run(0.35 * s * (1 + 0.002 * i)), kernel_s=0.05 * s) for i, s in enumerate(speed)]
+    change = [dict(_run(0.33 * s), kernel_s=0.05 * s) for s in speed[::-1]]
+    plain = tool.verdict(parent, change, "batch_s", lower=True)
+    assert not all(plain["wins"]) and not plain["met"]
+    ratio = tool.verdict(parent, change, "batch_s", lower=True, per_kernel=True)
+    assert ratio["wins"] == [True] * 10 and ratio["met"]
+    assert ratio["parent_median"] == pytest.approx(7.0 * (1 + 0.002 * 4.5))
+    assert ratio["change_median"] == pytest.approx(6.6)
+    # exclusive quartiles of i = 0..9 lie at 1.75 and 7.25
+    assert ratio["parent_iqr"] == pytest.approx(7.0 * 0.002 * (7.25 - 1.75))
+
+
+def test_main_records_the_kernel_time_and_prints_the_ratio_verdict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tool, "kernel_seconds", lambda: 0.5)  # the kernel patched to be instant
+    parent = _checkout(tmp_path / "parent", 0.2)
+    change = _checkout(tmp_path / "change", 0.1)
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "compress-io",
+            "--seeds", "0,1", "--pairs", "2", "--seconds", "1", "--pr", "7", "--out", str(tmp_path)]
+    assert tool.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:] == [
+        "seed 0: change better in 2 of 2 pairs (++); batch_s median 0.2 -> 0.1, parent IQR 0: claim met",
+        "seed 0: change better in 2 of 2 pairs (++); batch_s / kernel_s median 0.4 -> 0.2, parent IQR 0: claim met",
+        "seed 1: change better in 2 of 2 pairs (++); batch_s median 1.2 -> 1.1, parent IQR 0: claim met",
+        "seed 1: change better in 2 of 2 pairs (++); batch_s / kernel_s median 2.4 -> 2.2, parent IQR 0: claim met",
+    ]
+    for side in ("parent", "change"):
+        doc = json.loads((tmp_path / f"BENCH_pr7_compress-io_{side}.json").read_text())
+        assert [run["kernel_s"] for run in doc["runs"]] == [0.5] * 4

@@ -13,7 +13,7 @@ from ttkit import container
 from ttkit.cli import main
 from ttkit.quantize import storage_report
 from ttkit.solvers import SweepConfig, eig_min
-from ttkit.train import BlockTT, TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt
+from ttkit.train import TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt
 
 
 def write_raw(path, data):
@@ -189,7 +189,7 @@ def test_eig_cli_matches_dense(tmp_path, capsys):
     assert (tmp_path / "eig.values.csv").exists()
     assert (tmp_path / "eig.trajectory.csv").exists()
     assert (tmp_path / "eig.report.txt").exists()
-    assert container.load(tmp_path / "eig.tt").num_vectors == 3
+    assert container.load(tmp_path / "eig.tt").shape[1] == 3
 
 
 def test_eig_cli_runs_on_the_sweep_config_defaults(tmp_path, capsys):
@@ -208,21 +208,20 @@ def test_eig_cli_runs_on_the_sweep_config_defaults(tmp_path, capsys):
 
 
 def test_info_and_reconstruct_block_container(tmp_path, capsys):
-    # eig --k 3 writes a block TT: info reports it as one, and reconstruct
-    # writes its 32 x 3 dense matrix of orthonormal eigenvectors
+    # eig --k 3 writes a TT matrix with its 3 columns on site 0: info shows
+    # them as the first column size, and reconstruct writes its 32 x 3 dense
+    # matrix of orthonormal eigenvectors
     dense = laplacian(32)
     op_path = tmp_path / "lap.tt"
     container.save(mpo_svd(dense, (2,) * 5, (2,) * 5, TruncationPolicy(1e-13)), op_path)
     out = tmp_path / "eig"
     code, _, _ = run(capsys, "eig", op_path, "--k", 3, "--rank", 4, "--seed", 0, "-o", out)
     assert code == 0
-    block = container.load(tmp_path / "eig.tt")
     code, stdout, _ = run(capsys, "info", tmp_path / "eig.tt")
     assert code == 0
     lines = stdout.splitlines()
-    assert "kind=block" in lines
-    assert "num_vectors=3" in lines
-    assert f"block_position={block.position}" in lines
+    assert "kind=matrix" in lines
+    assert "modes=2x3,2x1,2x1,2x1,2x1" in lines
     assert "raw_count=96" in lines
     back = tmp_path / "eig.raw"
     code, stdout, _ = run(capsys, "reconstruct", tmp_path / "eig.tt", "-o", back)
@@ -244,12 +243,29 @@ def test_reconstruct_writes_the_dense_form_of_every_kind(tmp_path, capsys, kind)
         "matrix": random_mpo((2, 3), (4, 1), 2, rng),
         "block": block_from_tts([random_tt((3, 2, 2), 2, rng) for _ in range(3)]),
     }[kind]
-    dense = obj.full_matrix() if kind == "block" else obj.full()
+    dense = obj.full()
     container.save(obj, tmp_path / "x.tt")
     code, stdout, _ = run(capsys, "reconstruct", tmp_path / "x.tt", "-o", tmp_path / "x.raw")
     assert code == 0
     assert stdout == f"wrote {dense.size} float64 values to {tmp_path / 'x.raw'}\n"
     assert (tmp_path / "x.raw").read_bytes() == np.ascontiguousarray(dense, dtype="<f8").tobytes()
+
+
+def test_info_and_reconstruct_read_a_block_container(tmp_path, capsys):
+    # TTK1 kind 2, a block TT with K = 3 on site 1: read as the TT matrix
+    # with column sizes (1, 3, 1)
+    from oracles import block_container
+
+    rng = np.random.default_rng(41)
+    x = TTMatrix([rng.standard_normal(shape) for shape in ((1, 2, 1, 2), (2, 3, 3, 2), (2, 2, 1, 1))])
+    path = tmp_path / "b.tt"
+    path.write_bytes(block_container(x, 1))
+    code, stdout, _ = run(capsys, "info", path)
+    assert code == 0
+    assert "kind=matrix" in stdout.splitlines() and "modes=2x1,3x3,2x1" in stdout.splitlines()
+    code, _, _ = run(capsys, "reconstruct", path, "-o", tmp_path / "b.raw")
+    assert code == 0
+    assert (tmp_path / "b.raw").read_bytes() == np.ascontiguousarray(x.full(), dtype="<f8").tobytes()
 
 
 def test_solve_cli(tmp_path, capsys):
@@ -422,7 +438,7 @@ def test_memory_error_is_one_line_error(tmp_path, capsys, monkeypatch, message, 
         # the result and the partial product before it: 2 x 3 after the first core
         (TTVector([np.ones((1, 2, 3)), np.ones((3, 2, 1))]), 6 + 4),
         (TTMatrix([np.ones((1, 2, 3, 5)), np.ones((5, 2, 3, 1))]), 30 + 36),  # the 6 x 6 result
-        (BlockTT([np.ones((1, 2, 1)), np.ones((1, 3, 4, 1))], 1), 2 + 24),  # 6 x K = 4
+        (TTMatrix([np.ones((1, 2, 1, 1)), np.ones((1, 3, 4, 1))]), 2 + 24),  # 6 x K = 4
     ],
     ids=["vector", "matrix", "block"],
 )
@@ -719,11 +735,13 @@ def _with_block_position(path, position):
     ],
 )
 def test_refusal_is_one_line_error(tmp_path, capsys, case, message):
+    from oracles import block_container
+
     raw, vec, op, blk = (tmp_path / name for name in ("x.raw", "v.tt", "op.tt", "b.tt"))
     write_raw(raw, np.arange(16.0))
     container.save(random_tt((2, 2), 2, np.random.default_rng(0)), vec)
     container.save(mpo_svd(laplacian(64), (2,) * 6, (2,) * 6, TruncationPolicy(1e-13)), op)
-    container.save(BlockTT([np.ones((1, 2, 2, 2)), np.ones((2, 2, 1))], 0), blk)
+    blk.write_bytes(block_container(TTMatrix([np.ones((1, 2, 2, 2)), np.ones((2, 2, 1, 1))]), 0))
     out = tmp_path / "out"
     argv = {
         "shape-not-integer": ["compress", raw, "--shape", "2,x", "-o", out],
@@ -755,14 +773,15 @@ def test_cli_digest_lists_container_numbers_and_refuses_another_thread_setting(t
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     monkeypatch.chdir(tmp_path)
-    container.save(BlockTT([np.full((1, 2, 2, 1), 3.0), np.array([[[1.0], [-4.0 / 3.0]]])], 0), "b.tt")
+    container.save(TTMatrix([np.full((1, 2, 2, 1), 3.0), np.array([[[[1.0]], [[-4.0 / 3.0]]]])]), "b.tt")
     values = tool._values("b.tt", b"")
-    assert values == "kind=BlockTT position=0 ranks=1,1,1 count=8 norm=10 min=-4 max=3"
-    # the dense numbers move relative to the 2-norm; position and ranks are decisions
-    moved = "kind=BlockTT position=1 ranks=1,2,1 count=8 norm=10 min=-4.01 max=3"
-    assert tool._changes(moved, values, "b.tt") == (
-        "max rel delta 0.001; position=0 -> position=1; ranks=1,1,1 -> ranks=1,2,1"
-    )
+    assert values == "kind=TTMatrix ranks=1,1,1 count=8 norm=10 min=-4 max=3"
+    # the dense numbers move relative to the 2-norm; kind and ranks are decisions
+    moved = "kind=TTMatrix ranks=1,2,1 count=8 norm=10 min=-4.01 max=3"
+    assert tool._changes(moved, values, "b.tt") == "max rel delta 0.001; ranks=1,1,1 -> ranks=1,2,1"
+    # a listing made while .tt lines held a block position reads it as a decision
+    listed = "kind=TTMatrix position=0 ranks=1,1,1 count=8 norm=10 min=-4 max=3"
+    assert tool._changes(values, listed, "b.tt") == "max rel delta 0"
     # a listing made under another BLAS thread setting is refused before any run
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

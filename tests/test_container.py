@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import block_from_tts, random_mpo
+from oracles import block_container, block_from_tts, random_mpo
 from ttkit import container
-from ttkit.train import BlockTT, TTMatrix, TTVector, random_tt
+from ttkit.train import TTMatrix, TTVector, mpo_to_full, random_tt
 
 
 def test_vector_round_trip(tmp_path):
@@ -38,10 +38,35 @@ def test_block_round_trip(tmp_path):
     path = tmp_path / "b.tt"
     container.save(blk, path)
     back = container.load(path)
-    assert isinstance(back, BlockTT)
-    assert back.position == blk.position
-    assert back.num_vectors == 3
-    assert np.allclose(back.full_matrix(), blk.full_matrix())
+    assert isinstance(back, TTMatrix)
+    assert back.col_sizes == blk.col_sizes
+    assert back.shape[1] == 3
+    assert np.allclose(back.full(), blk.full())
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_block_container_loads_as_a_tt_matrix(tmp_path, position):
+    # TTK1 kind 2 is read, never written: a block TT with K = 3 at
+    # ``position`` is the TT matrix with column size 3 there, 1 elsewhere
+    rng = np.random.default_rng(6)
+    shapes = [(1, 2, 1, 2), (2, 3, 1, 2), (2, 2, 1, 1)]
+    shapes[position] = shapes[position][:2] + (3,) + shapes[position][3:]
+    # small integers: every product is exact, so the dense form is known
+    x = TTMatrix([rng.integers(-3, 4, shape).astype(np.float64) for shape in shapes])
+    path = tmp_path / "b.tt"
+    path.write_bytes(block_container(x, position))
+    back = container.load(path)
+    assert isinstance(back, TTMatrix)
+    assert back.col_sizes == x.col_sizes and back.ranks == x.ranks
+    for a, b in zip(back.cores, x.cores):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    dense = back.full()
+    assert dense.tobytes() == mpo_to_full(x).tobytes()
+    exact = np.einsum("aijb,bklc,cmnd->ikmjln", *x.cores).reshape(12, 3)
+    assert np.array_equal(dense, exact)
+    # saved again, it is a kind-1 container
+    container.save(back, tmp_path / "m.tt")
+    assert (tmp_path / "m.tt").read_bytes()[5] == 1
 
 
 def test_header_layout(tmp_path):

@@ -1,6 +1,7 @@
 """Property tests of the TTK1 container: random TT vectors and matrices
-survive ``save``/``load`` bit for bit, and a corrupted file is refused with
-``ValueError`` and nothing else."""
+survive ``save``/``load`` bit for bit, and a corrupted file, a block TT
+container (kind 2) among them, is refused with ``ValueError`` and nothing
+else."""
 
 import os
 import tempfile
@@ -10,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import block_container
 from ttkit import container
-from ttkit.train import BlockTT, TTMatrix, TTVector
+from ttkit.train import TTMatrix, TTVector
 
 SETTINGS = settings(
     max_examples=150,
@@ -26,8 +28,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 @st.composite
 def trains(draw, kind=None):
-    """A TTVector, TTMatrix or BlockTT with small random shapes and finite
-    entries, signed zeros and subnormals included."""
+    """A TTVector, a TTMatrix, or a TTMatrix whose column size is 1 on every
+    core but one ("block"), with small random shapes and finite entries,
+    signed zeros and subnormals included."""
     kind = draw(st.sampled_from(["vector", "matrix", "block"])) if kind is None else kind
     order = draw(st.integers(1, 4))
     ranks = [1] + [draw(st.integers(1, 3)) for _ in range(order - 1)] + [1]
@@ -35,18 +38,17 @@ def trains(draw, kind=None):
     if kind == "matrix":
         cols = [draw(st.integers(1, 3)) for _ in range(order)]
         shapes = [(ranks[n], modes[n], cols[n], ranks[n + 1]) for n in range(order)]
-    else:
+    elif kind == "vector":
         shapes = [(ranks[n], modes[n], ranks[n + 1]) for n in range(order)]
-    if kind == "block":
+    else:
+        shapes = [(ranks[n], modes[n], 1, ranks[n + 1]) for n in range(order)]
         position = draw(st.integers(0, order - 1))
-        r0, i, r1 = shapes[position]
+        r0, i, _, r1 = shapes[position]
         shapes[position] = (r0, i, draw(st.integers(1, 3)), r1)
     cores = [draw(arrays(np.float64, shape, elements=finite)) for shape in shapes]
     if kind == "vector":
         return TTVector(cores)
-    if kind == "matrix":
-        return TTMatrix(cores)
-    return BlockTT(cores, position)
+    return TTMatrix(cores)
 
 
 @SETTINGS
@@ -59,8 +61,6 @@ def test_round_trip_is_bit_exact(tmp_path, obj):
     assert len(back.cores) == len(obj.cores)
     for a, b in zip(obj.cores, back.cores):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    if isinstance(obj, BlockTT):
-        assert back.position == obj.position
 
 
 @st.composite
@@ -87,7 +87,7 @@ _rng = np.random.default_rng(0)
 _SAVED = [
     _saved(TTVector([_rng.standard_normal((1, 2, 2)), _rng.standard_normal((2, 3, 1))])),
     _saved(TTMatrix([_rng.standard_normal((1, 2, 3, 2)), _rng.standard_normal((2, 2, 1, 1))])),
-    _saved(BlockTT([_rng.standard_normal((1, 2, 2)), _rng.standard_normal((2, 2, 3, 1))], 1)),
+    block_container(TTMatrix([_rng.standard_normal((1, 2, 1, 2)), _rng.standard_normal((2, 2, 3, 1))]), 1),
 ]
 
 

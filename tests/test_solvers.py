@@ -27,7 +27,6 @@ from ttkit.solvers import (
     svd_small_k,
 )
 from ttkit.train import (
-    BlockTT,
     TruncationPolicy,
     TTMatrix,
     TTVector,
@@ -130,13 +129,13 @@ def test_eig_block_k1_matches_eig_min():
     lam, _, _ = eig_min(op, cfg)
     vals, blk, _ = eig_block(op, 1, cfg)
     assert vals[0] == pytest.approx(lam, abs=1e-10)
-    assert blk.num_vectors == 1
+    assert blk.shape[1] == 1
 
 
 def test_eig_block_identity():
     vals, blk, rep = eig_block(eye_mpo((2, 2, 2)), 3, SweepConfig(max_sweeps=5, rank=3, seed=0, tol=1e-9))
     assert np.allclose(vals, 1.0, atol=1e-12)
-    cols = blk.full_matrix()
+    cols = blk.full()
     assert np.abs(cols.T @ cols - np.eye(3)).max() < 1e-10
 
 
@@ -146,7 +145,7 @@ def test_eig_block_laplacian_three_smallest():
     vals, blk, rep = eig_block(op, 3, SweepConfig(max_sweeps=20, rank=8, seed=0))
     assert np.abs(vals - w[:3]).max() < 1e-7
     assert np.all(np.diff(vals) >= -1e-12)  # ascending
-    cols = blk.full_matrix()
+    cols = blk.full()
     assert np.abs(cols.T @ cols - np.eye(3)).max() < 1e-10
     assert rep.is_monotone()
 
@@ -160,7 +159,7 @@ def test_local_eigenpairs_match_eigvalsh(modes, k):
     vals, blk, _ = eig_block(op, k, SweepConfig(max_sweeps=1, rank=1, seed=0))
     scale = np.linalg.norm(dense, 2)
     assert np.abs(vals - np.linalg.eigvalsh(dense)[:k]).max() <= 1e-13 * scale
-    cols = blk.full_matrix()
+    cols = blk.full()
     assert np.abs(cols.T @ cols - np.eye(k)).max() < 1e-12
 
 
@@ -461,7 +460,7 @@ def test_svd_extreme_scale(solve, scale):
     # relative to 1 (pytest.approx's absolute 1e-12 would pass any 1e-160 value)
     assert np.ravel(scaled)[0] / scale == pytest.approx(sigma, rel=1e-12)
     for x in vectors:
-        assert np.all(np.isfinite(x.full() if isinstance(x, TTVector) else x.full_matrix()))
+        assert np.all(np.isfinite(x.full()))
 
 
 @SVD_SOLVERS
@@ -504,7 +503,7 @@ def test_svd_small_k_vs_dense():
     s = np.sort(np.linalg.svd(dense, compute_uv=False))
     sigmas, vblk, rep = svd_small_k(op, 2, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     assert np.abs(sigmas - s[:2]).max() < 1e-6
-    cols = vblk.full_matrix()
+    cols = vblk.full()
     assert np.abs(cols.T @ cols - np.eye(2)).max() < 1e-8
 
 
@@ -554,7 +553,7 @@ def test_gevd_desk_scale_vs_dense():
     w = scipy.linalg.eigh(x_dense @ a_dense @ x_dense.T, b_dense, eigvals_only=True)
     vals, vblk, rep = gevd(x_op, a_op, b_op, 3, SweepConfig(max_sweeps=30, rank=6, seed=0, tol=1e-7))
     assert np.abs(vals - w[:3]).max() < 1e-6
-    vm = vblk.full_matrix()
+    vm = vblk.full()
     assert np.abs(vm.T @ b_dense @ vm - np.eye(3)).max() < 1e-8
 
 
@@ -571,7 +570,7 @@ def test_local_generalized_eigenpairs_match_eigvalsh(modes, k):
     whitened = np.linalg.solve(chol, np.linalg.solve(chol, a_dense).T)
     want = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[:k]
     assert np.abs(vals - want).max() <= 1e-13 * np.linalg.norm(whitened, 2)
-    vm = vblk.full_matrix()
+    vm = vblk.full()
     assert np.abs(vm.T @ b_dense @ vm - np.eye(k)).max() < 1e-12
 
 
@@ -622,7 +621,7 @@ def test_cca_vs_dense_oracle():
     assert np.all(np.diff(corr) <= 1e-12)  # non-increasing
     assert rep.is_monotone()
     # constraints hold globally
-    wxm, wym = wx.full_matrix(), wy.full_matrix()
+    wxm, wym = wx.full(), wy.full()
     assert np.abs(wxm.T @ (x_dense @ x_dense.T) @ wxm - np.eye(2)).max() < 1e-8
     assert np.abs(wym.T @ (y_dense @ y_dense.T) @ wym - np.eye(2)).max() < 1e-8
 
@@ -667,7 +666,7 @@ def test_cca_identity_grams_is_the_top_k_svd_of_the_cross_matrix():
     cross, (corr, wx, wy, rep) = _identity_cca_mixed()
     s = np.linalg.svd(cross, compute_uv=False)[:2]
     np.testing.assert_allclose(corr, s, rtol=1e-12, atol=0)
-    u, v = wx.full_matrix(), wy.full_matrix()
+    u, v = wx.full(), wy.full()
     assert u.shape == (16, 2) and v.shape == (81, 2)
     assert np.abs(u.T @ cross @ v - np.diag(corr)).max() <= 1e-12 * corr[0]
     assert np.abs(u.T @ u - np.eye(2)).max() <= 1e-12
@@ -696,7 +695,7 @@ def test_cca_identity_grams_rank_one_cross_keeps_u_orthonormal():
     assert corr[0] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(y_dense @ b), rel=1e-12)
     assert corr[1] <= 1e-12 * corr[0]
     for w in (wx, wy):
-        m = w.full_matrix()
+        m = w.full()
         assert np.abs(m.T @ m - np.eye(2)).max() <= 1e-12
 
 
@@ -708,13 +707,13 @@ def test_cca_identity_grams_zero_cross_returns_orthonormal_vectors(tmp_path):
     corr, wx, wy, _ = cca(zero, y_op, 3, SweepConfig(max_sweeps=2, rank=4, seed=0, identity_grams=True))
     assert np.all(corr == 0.0)
     for w in (wx, wy):
-        m = w.full_matrix()
+        m = w.full()
         assert np.all(np.isfinite(m))
         assert np.abs(m.T @ m - np.eye(3)).max() <= 1e-12
     container.save(wx, tmp_path / "wx.tt")
     back = container.load(tmp_path / "wx.tt")
-    assert back.position == wx.position
-    np.testing.assert_array_equal(back.full_matrix(), wx.full_matrix())
+    assert back.col_sizes == wx.col_sizes
+    np.testing.assert_array_equal(back.full(), wx.full())
 
 
 def test_cca_identity_grams_refuses_k_beyond_the_left_vectors_ranks():
@@ -839,7 +838,7 @@ def test_adaptive_mode_block_eigensolver():
         op, 3, SweepConfig(max_sweeps=20, rank=3, seed=0, adaptive=True, trunc_tol=1e-12)
     )
     assert np.abs(vals - w[:3]).max() < 1e-7
-    cols = blk.full_matrix()
+    cols = blk.full()
     assert np.abs(cols.T @ cols - np.eye(3)).max() < 1e-9
     assert rep.is_monotone()
 
@@ -1106,7 +1105,7 @@ def test_svd_small_k_one_site_matches_numpy():
     ref = np.sort(np.linalg.svd(dense, compute_uv=False))[:3]
     assert np.all(np.diff(sigmas) > 0)
     assert np.abs(sigmas - ref).max() < 1e-14
-    cols = vblk.full_matrix()
+    cols = vblk.full()
     assert np.abs(np.linalg.norm(dense @ cols, axis=0) - sigmas).max() < 1e-14
 
 
@@ -1499,8 +1498,8 @@ def test_block_results_carry_their_index_on_site_0(k, adaptive):
     blocks["cca.wx"], blocks["cca.wy"] = cca(data, op, k, config)[1:3]
     _, blocks["_svd.u"], blocks["_svd.v"], _ = solvers._svd(data, k, config, largest=True)
     for name, block in blocks.items():
-        assert isinstance(block, BlockTT) and block.num_vectors == k, name
-        assert block.position == 0, name
+        assert isinstance(block, TTMatrix) and block.shape[1] == k, name
+        assert block.col_sizes == (k,) + (1,) * (block.order - 1), name
 
 
 @pytest.mark.parametrize("adaptive", [False, True])

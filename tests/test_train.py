@@ -14,7 +14,6 @@ from ttkit.train import (
     _QR_FIRST_SIZE,
     _fused,
     _r_factor,
-    BlockTT,
     TruncationPolicy,
     TTMatrix,
     TTVector,
@@ -646,7 +645,7 @@ def test_block_k1_round_trip_with_vector():
     rng = np.random.default_rng(20)
     x = random_tt((2, 3, 2), 2, rng)
     blk = block_from_tts([x])
-    assert blk.num_vectors == 1
+    assert blk.shape[1] == 1
     back = block_extract(blk, 0)
     assert rel_err(back.full(), x.full()) < 1e-13
 
@@ -655,7 +654,7 @@ def test_block_from_tts_extracts_originals():
     rng = np.random.default_rng(21)
     tts = [random_tt((2, 3, 2, 2), 2, rng) for _ in range(3)]
     blk = block_from_tts(tts)
-    assert blk.num_vectors == 3
+    assert blk.shape[1] == 3
     for k, t in enumerate(tts):
         assert rel_err(block_extract(blk, k).full(), t.full()) < 1e-12
 
@@ -666,11 +665,11 @@ def test_full_matrix_columns_are_the_extracted_vectors(position):
     modes, k = (2, 3, 2, 4), 3
     r = feasible_ranks(modes, [3, 4, 3])
     cores = [
-        rng.standard_normal((r[n], modes[n]) + ((k,) if n == position else ()) + (r[n + 1],))
+        rng.standard_normal((r[n], modes[n]) + ((k,) if n == position else (1,)) + (r[n + 1],))
         for n in range(len(modes))
     ]
-    blk = BlockTT(cores, position)
-    dense = blk.full_matrix()
+    blk = TTMatrix(cores)
+    dense = blk.full()
     assert dense.shape == (48, k)
     for j in range(k):
         assert np.array_equal(dense[:, j], block_extract(blk, j).full().reshape(-1))
@@ -682,9 +681,15 @@ def test_block_extract_out_of_range():
         block_extract(blk, 5)
 
 
-def test_block_requires_valid_position():
-    with pytest.raises(ValueError):
-        BlockTT([np.zeros((1, 2, 1))], position=1)
+@pytest.mark.parametrize("k", [True, 1.5, np.float64(1.0), "1"], ids=["bool", "float", "numpy-float", "str"])
+def test_block_extract_refuses_a_non_integer_column(k):
+    blk = block_from_tts([random_tt((2, 3), 2, np.random.default_rng(25)) for _ in range(3)])
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(str(k))}$"):
+        block_extract(blk, k)
+    # numpy's integers are columns; a negative one is out of range
+    assert np.array_equal(block_extract(blk, np.int64(1)).full(), block_extract(blk, 1).full())
+    with pytest.raises(IndexError, match=re.escape("block column -1 out of range [0, 3)")):
+        block_extract(blk, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +714,8 @@ def test_chain_validation():
         (lambda: feasible_ranks((2, 2, 2), [2]), "need 2 interior ranks, got 1"),
         (lambda: TTVector([np.ones((1, 2, 1)), np.ones((1, 2))]), "core 1 must be 3-way, got shape (1, 2)"),
         (lambda: TTMatrix([np.ones((1, 2, 1))]), "core 0 must be 4-way, got shape (1, 2, 1)"),
-        (lambda: BlockTT([np.ones((1, 2, 1)), np.ones((1, 2, 1))], 1), "core 1 must be 4-way, got shape (1, 2, 1)"),
     ],
-    ids=["empty-tensor", "site-past-the-end", "site-below-zero", "rank-count", "vector-core", "matrix-core", "block-core"],
+    ids=["empty-tensor", "site-past-the-end", "site-below-zero", "rank-count", "vector-core", "matrix-core"],
 )
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -12,8 +12,9 @@ into ``--out`` (default: the working directory).  Each holds the
 workload, the side, the bench command, a description of the pairing, the
 environment that ``bench/run.py`` reports, the median and quartiles of every
 end-to-end metric over the first seed's runs, and every run: its pair, seed,
-whether it ran first in its pair, its per-job medians and digits, and the
-bench's result line.
+whether it ran first in its pair, the reference kernel's time before it
+(``kernel_s``, below), its per-job medians and digits, and the bench's
+result line.
 
 It prints, per seed, which side won each pair on ``--metric`` (default
 ``batch_s``) and the verdict: the claim is met when the change's median
@@ -22,16 +23,27 @@ direction of each metric ("lower" or "higher" is better) comes from the
 change checkout's ``BENCHMARK.json``.  A run that exits non-zero, prints no
 result, or reports ``"correct": false`` stops the driver with one ``error:``
 line and exit code 1; no file is written then.
+
+The machine's CPU speed drifts from run to run by more than most gains, so
+before each bench run a fixed reference kernel is timed in a fresh process
+with BLAS pinned to one thread: 60 times a subset ``eigh`` (the 8 lowest
+pairs) of a seeded 96 × 96 SPD matrix, its QR and a 2000-step Python loop,
+the small LAPACK calls and interpreter work of the sweep solvers.  Its
+median over five timings is the run's ``kernel_s``.  After each verdict
+it prints the same wins and rule on ``--metric`` / ``kernel_s``:
+the run's time in units of the machine's speed at that moment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -78,27 +90,71 @@ def run_once(checkout: Path, command: list) -> tuple:
     return env, jobs, result
 
 
+def kernel_seconds() -> float:
+    """The reference kernel's median time, from a fresh process with BLAS
+    pinned to one thread."""
+    kernel = textwrap.dedent(
+        """\
+        import statistics, time
+        import numpy as np
+        import scipy.linalg
+
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((96, 96))
+        spd = a @ a.T + 96.0 * np.eye(96)
+
+        def unit():
+            for _ in range(60):
+                scipy.linalg.eigh(spd, subset_by_index=[0, 7])
+                np.linalg.qr(spd)
+                total = 0
+                for i in range(2000):
+                    total += i
+
+        unit()  # warm-up
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            unit()
+            times.append(time.perf_counter() - start)
+        print(statistics.median(times))
+        """
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(["python3", "-c", kernel], env=env, capture_output=True, text=True)
+    try:
+        return float(proc.stdout)
+    except ValueError:
+        tail = (proc.stderr.strip() or "no output").splitlines()[-1]
+        raise PairError(f"reference kernel: exit {proc.returncode}: {tail}") from None
+
+
+def _spread(values: list) -> tuple:
+    """``(median, [first quartile, third quartile])`` of ``values``."""
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return statistics.median(values), [q[0], q[2]]
+
+
 def summarize(runs: list) -> tuple:
     """``(median, quartiles)`` of every metric over ``runs``."""
     median, quartiles = {}, {}
     for name in runs[0]["metrics"]:
-        values = [run["metrics"][name]["value"] for run in runs]
-        median[name] = statistics.median(values)
-        q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
-        quartiles[name] = [q[0], q[2]]
+        median[name], quartiles[name] = _spread([run["metrics"][name]["value"] for run in runs])
     return median, quartiles
 
 
-def verdict(parent: list, change: list, metric: str, lower: bool) -> dict:
+def verdict(parent: list, change: list, metric: str, lower: bool, per_kernel: bool = False) -> dict:
     """Wins per pair and the claim test on one seed's runs, each list in
     pair order: the change's median must beat the parent's by more than
-    the parent's interquartile distance."""
-    old = [run["metrics"][metric]["value"] for run in parent]
-    new = [run["metrics"][metric]["value"] for run in change]
+    the parent's interquartile distance.  With ``per_kernel`` each run's
+    value is first divided by its ``kernel_s``."""
+    old, new = (
+        [run["metrics"][metric]["value"] / (run["kernel_s"] if per_kernel else 1.0) for run in runs]
+        for runs in (parent, change)
+    )
     sign = 1.0 if lower else -1.0
     wins = [sign * (b - a) < 0 for a, b in zip(old, new)]
-    (old_median, old_q), (new_median, _) = summarize(parent), summarize(change)
-    old_median, old_q, new_median = old_median[metric], old_q[metric], new_median[metric]
+    (old_median, old_q), (new_median, _) = _spread(old), _spread(new)
     gain = sign * (old_median - new_median)
     return {
         "wins": wins,
@@ -169,13 +225,15 @@ def main(argv=None) -> int:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 try:
+                    kernel_s = kernel_seconds()
                     env, jobs, result = run_once(checkouts[side], command)
                 except PairError as exc:
                     print(f"error: {side} run, seed {seed}, pair {pair}: {exc}")
                     return 1
                 envs.setdefault(side, env)
+                first = side == order[0]
                 runs[side].append(
-                    {"pair": pair, "seed": seed, "first_in_pair": side == order[0], "jobs": jobs, **result}
+                    {"pair": pair, "seed": seed, "first_in_pair": first, "kernel_s": kernel_s, "jobs": jobs, **result}
                 )
             old, new = (runs[side][-1]["metrics"][args.metric]["value"] for side in SIDES)
             print(f"seed {seed} pair {pair}: parent {old:.6g}  change {new:.6g}", flush=True)
@@ -186,13 +244,15 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
     for seed in seeds:
         parent, change = ([run for run in runs[side] if run["seed"] == seed] for side in SIDES)
-        v = verdict(parent, change, args.metric, lower[args.metric])
-        print(
-            f"seed {seed}: change better in {sum(v['wins'])} of {len(v['wins'])} pairs "
-            f"({''.join('+' if w else '-' for w in v['wins'])}); {args.metric} median "
-            f"{v['parent_median']:.6g} -> {v['change_median']:.6g}, parent IQR {v['parent_iqr']:.3g}: "
-            f"claim {'met' if v['met'] else 'not met'}"
-        )
+        for per_kernel in (False, True):
+            v = verdict(parent, change, args.metric, lower[args.metric], per_kernel)
+            print(
+                f"seed {seed}: change better in {sum(v['wins'])} of {len(v['wins'])} pairs "
+                f"({''.join('+' if w else '-' for w in v['wins'])}); "
+                f"{args.metric}{' / kernel_s' if per_kernel else ''} median "
+                f"{v['parent_median']:.6g} -> {v['change_median']:.6g}, parent IQR {v['parent_iqr']:.3g}: "
+                f"claim {'met' if v['met'] else 'not met'}"
+            )
     return 0
 
 

@@ -6,7 +6,8 @@ single-site and ``--adaptive``; ``svd`` also on a rectangular 16 × 32
 operator, whose left vector lives on other modes than its right one, and
 ``cca --identity-grams`` on an 81 × 16 Y quantized to modes of size 3 next
 to a 16 × 16 X, so that wx and wy live on different modes),
-reads the block containers that ``eig --k 3`` writes and two containers
+reads the K = 3 eigenvector containers that ``eig --k 3`` writes (TT
+matrices with three columns on site 0) and two containers
 whose TT-SVD reads a block of bonds through one R factor (``train.tt_svd``:
 a 2^14 signal, first block 32 × 512, and a 64 × 64 kernel, first block
 16 × 256) back through ``info`` and ``reconstruct``, and prints one
@@ -15,9 +16,9 @@ over all of them.  Two source trees that print the same
 total produce byte-identical outputs.  After each hash it also prints the numbers of every
 ``.values.csv``, the ``converged=``, ``sweeps=``, ``objective=``,
 ``ranks=`` and ``regularized=`` lines of every report, the count,
-2-norm, min and max of every reconstructed ``.raw``, and the kind, block
-position, ranks and the count, 2-norm, min and max of the dense form of
-every ``.tt`` container, so that two checkouts whose bits differ can be
+2-norm, min and max of every reconstructed ``.raw``, and the kind, ranks
+and the count, 2-norm, min and max of the dense form of every ``.tt``
+container, so that two checkouts whose bits differ can be
 compared number by number, and a changed decision shows without a rerun;
 the total covers only the hash lines.  The ``cca-identity-mixed`` outputs
 differ in their last bits between one and two BLAS threads (rounding its
@@ -53,11 +54,13 @@ import tempfile
 import numpy as np
 
 from ttkit import cli, container
-from ttkit.train import BlockTT, _as_matrix, mpo_to_full
+from ttkit.train import _as_matrix, mpo_to_full
 
 # the report lines printed next to a report's hash
 REPORT_KEYS = ("converged=", "sweeps=", "objective=", "ranks=", "regularized=")
 # the report lines and container fields that record a decision, not a number
+# (``position=``, a block TT's block position, is read only from listings
+# made while block results had a type of their own)
 DECISION_KEYS = ("converged=", "sweeps=", "ranks=", "regularized=", "kind=", "position=")
 # the environment variables that set the BLAS thread count
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
@@ -161,17 +164,14 @@ def _values(label: str, data: bytes) -> str:
     """The numbers an output carries: each value of a ``.values.csv``, the
     ``REPORT_KEYS`` lines of a ``.report.txt``, the count, 2-norm, min and
     max of a reconstructed ``.raw``, and for a ``.tt`` container, read from
-    the file ``label`` in the current directory, its kind, block position
-    (0-based, blocks only), ranks and the count, 2-norm, min and max of its
-    dense form; empty for other files."""
+    the file ``label`` in the current directory, its kind, ranks and the
+    count, 2-norm, min and max of its dense form; empty for other files."""
     if label.endswith(".raw"):
         return _dense_numbers(np.frombuffer(data, dtype="<f8"))
     if label.endswith(".tt"):
         obj = container.load(label)
-        kind = type(obj).__name__
-        position = f" position={obj.position}" if isinstance(obj, BlockTT) else ""
         ranks = ",".join(str(r) for r in obj.ranks)
-        return f"kind={kind}{position} ranks={ranks} {_dense_numbers(mpo_to_full(_as_matrix(obj)))}"
+        return f"kind={type(obj).__name__} ranks={ranks} {_dense_numbers(mpo_to_full(_as_matrix(obj)))}"
     if label.endswith(".values.csv"):
         return " ".join(row.split(",")[1] for row in data.decode().splitlines()[1:])
     if label.endswith(".report.txt"):
