@@ -36,38 +36,33 @@ from .solvers import (
     _fmt,
     cca,
     eig_block,
-    eig_min,
     gevd,
     linsolve,
     svd_dominant,
     svd_small_k,
 )
-from .train import TruncationPolicy, TTMatrix, TTVector, _as_matrix, mpo_to_full, tt_svd
-
-
-class CliError(Exception):
-    pass
+from .train import TruncationPolicy, TTMatrix, TTVector, block_extract, tt_svd
 
 
 def _parse_shape(text: str) -> tuple:
     try:
         shape = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"bad shape {text!r}; expected comma-separated integers")
+        raise ValueError(f"bad shape {text!r}; expected comma-separated integers")
     if not shape or any(s < 1 for s in shape):
-        raise CliError(f"bad shape {text!r}; sizes must be positive")
+        raise ValueError(f"bad shape {text!r}; sizes must be positive")
     return shape
 
 
 def _read_raw(path: str) -> np.ndarray:
     size = os.path.getsize(path)
     if size % 8:
-        raise CliError(f"{path} holds {size} bytes, not a whole number of float64 values")
+        raise ValueError(f"{path} holds {size} bytes, not a whole number of float64 values")
     data = np.fromfile(path, dtype="<f8")
     if data.size == 0:
-        raise CliError(f"{path} holds no float64 data")
+        raise ValueError(f"{path} holds no float64 data")
     if not np.isfinite(data).all():
-        raise CliError(f"{path} holds a non-finite value")
+        raise ValueError(f"{path} holds a non-finite value")
     return data.astype(np.float64)
 
 
@@ -81,15 +76,24 @@ def _load(path: str, kind: str = ""):
     try:
         obj = container.load(path)
     except (OSError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
     if kind and not isinstance(obj, {"matrix": TTMatrix, "vector": TTVector}[kind]):
-        raise CliError(f"{path} does not hold a TT {kind}")
+        raise ValueError(f"{path} does not hold a TT {kind}")
     return obj
 
 
 def _write_text(path: str, text: str):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
+
+
+def _save_with_report(obj, path: str) -> int:
+    """Save ``obj`` to ``path`` and write and print its storage report."""
+    container.save(obj, path)
+    text = format_report(storage_report(obj))
+    _write_text(path + ".report.txt", text)
+    print(text, end="")
+    return 0
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -142,13 +146,8 @@ def _cmd_compress(args) -> int:
     data = _read_raw(args.input)
     total = math.prod(shape)
     if data.size != total:
-        raise CliError(f"file holds {data.size} values but shape {shape} needs {total}")
-    vec = tt_svd(data.reshape(shape), TruncationPolicy(args.tol))
-    container.save(vec, args.out)
-    report = storage_report(vec)
-    _write_text(args.out + ".report.txt", format_report(report))
-    print(format_report(report), end="")
-    return 0
+        raise ValueError(f"file holds {data.size} values but shape {shape} needs {total}")
+    return _save_with_report(tt_svd(data.reshape(shape), TruncationPolicy(args.tol)), args.out)
 
 
 def _matrix_plan(shape: tuple, base: int, mixed_radix: bool):
@@ -157,7 +156,7 @@ def _matrix_plan(shape: tuple, base: int, mixed_radix: bool):
     if len(shape) == 1:
         return plan_auto(shape[0], base, mixed_radix)
     if base < 2:
-        raise CliError(f"base must be >= 2, got {base}")
+        raise ValueError(f"base must be >= 2, got {base}")
     return QuantizationPlan((shape,))
 
 
@@ -166,12 +165,12 @@ def _cmd_quantize(args) -> int:
     policy = TruncationPolicy(args.tol)
     if args.row_shape is not None or args.col_shape is not None:
         if args.row_shape is None or args.col_shape is None:
-            raise CliError("matrix mode needs both --row-shape and --col-shape")
+            raise ValueError("matrix mode needs both --row-shape and --col-shape")
         row_shape = _parse_shape(args.row_shape)
         col_shape = _parse_shape(args.col_shape)
         rows, cols = math.prod(row_shape), math.prod(col_shape)
         if data.size != rows * cols:
-            raise CliError(
+            raise ValueError(
                 f"file holds {data.size} values but {rows}x{cols} needs {rows * cols}"
             )
         row_plan = _matrix_plan(row_shape, args.base, args.mixed_radix)
@@ -180,11 +179,7 @@ def _cmd_quantize(args) -> int:
     else:
         plan = plan_auto(data.size, args.base, args.mixed_radix)
         obj = quantize_vector(data, plan, policy)
-    container.save(obj, args.out)
-    report = storage_report(obj)
-    _write_text(args.out + ".report.txt", format_report(report))
-    print(format_report(report), end="")
-    return 0
+    return _save_with_report(obj, args.out)
 
 
 def _cmd_info(args) -> int:
@@ -214,11 +209,11 @@ def _cmd_reconstruct(args) -> int:
     need = 8 * _largest_intermediate(obj.cores)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise CliError(
+        raise ValueError(
             f"{args.file}: reconstruction needs arrays of {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
-    dense = mpo_to_full(_as_matrix(obj))
+    dense = obj.full()
     _write_raw(args.out, dense)
     print(f"wrote {dense.size} float64 values to {args.out}")
     return 0
@@ -227,13 +222,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_eig(args) -> int:
     op = _load(args.operator, "matrix")
     config = _sweep_config(args)
-    if args.k == 1:
-        value, vec, report = eig_min(op, config)
-        values = [value]
-        container.save(vec, args.out + ".tt")
-    else:
-        values, block, report = eig_block(op, args.k, config)
-        container.save(block, args.out + ".tt")
+    values, block, report = eig_block(op, args.k, config)
+    container.save(block_extract(block, 0) if args.k == 1 else block, args.out + ".tt")
     return _solver_outputs(args, report, values, "index,eigenvalue")
 
 
@@ -241,13 +231,13 @@ def _cmd_svd(args) -> int:
     op = _load(args.operator, "matrix")
     config = _sweep_config(args)
     if args.k < 1:
-        raise CliError("k must be at least 1")
+        raise ValueError("k must be at least 1")
     if args.smallest:
         values, block, report = svd_small_k(op, args.k, config)
         container.save(block, args.out + ".tt")
     else:
         if args.k != 1:
-            raise CliError("--k > 1 needs --smallest (the dominant route is single-triplet)")
+            raise ValueError("--k > 1 needs --smallest (the dominant route is single-triplet)")
         sigma, u, v, report = svd_dominant(op, config)
         container.save(u, args.out + ".u.tt")
         container.save(v, args.out + ".v.tt")
@@ -389,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

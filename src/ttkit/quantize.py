@@ -18,12 +18,9 @@ from .train import (
     TruncationPolicy,
     TTMatrix,
     TTVector,
-    _as_matrix,
     _check_count,
     mpo_svd,
-    mpo_to_full,
     tt_svd,
-    tt_to_full,
 )
 
 __all__ = [
@@ -149,8 +146,10 @@ def dequantize(x, plan: QuantizationPlan = None):
     TT vectors come back with the plan's physical shape (a flat vector for a
     single physical mode); TT matrices come back as dense matrices.
     """
+    if isinstance(x, TTMatrix):
+        return x.full()
     if isinstance(x, TTVector):
-        full = tt_to_full(x)
+        full = x.full()
         if plan is None:
             return full.reshape(-1)
         total = math.prod(plan.physical_shape)
@@ -160,8 +159,6 @@ def dequantize(x, plan: QuantizationPlan = None):
             )
         shape = plan.physical_shape
         return full.reshape(shape if len(shape) > 1 else (-1,))
-    if isinstance(x, TTMatrix):
-        return mpo_to_full(x)
     raise TypeError(f"cannot dequantize {type(x).__name__}")
 
 
@@ -192,7 +189,7 @@ def storage_report(x) -> dict:
     kind = {TTVector: "vector", TTMatrix: "matrix"}.get(type(x))
     if kind is None:
         raise TypeError(f"cannot report on {type(x).__name__}")
-    raw = math.prod(_as_matrix(x).shape)
+    raw = math.prod(x.shape if kind == "matrix" else x.mode_sizes)
     params = sum(c.size for c in x.cores)
     return {
         "kind": kind,

@@ -5,10 +5,10 @@ iterate is kept mixed-canonical with an "active" site holding the current
 local solution (K columns for the block solvers).  A solver hands
 ``_run_sweeps`` its chains, ``(EnvStack, builder)`` pairs (builder
 ``frames.effective_operator`` or ``frames.effective_rhs``) and
-``solve(site, span, mats)``: each step assembles the pairs' dense local
-matrices over one site or a site pair, refuses a problem too small for K
-vectors and solves it exactly by ``solve``, whose last values go to the
-residual and are returned.  Their size is bounded only by
+``solve(mats)``: each step assembles the pairs' dense local matrices over
+one site or a site pair, refuses a problem too small for K vectors and
+solves it exactly by ``solve``, whose last values go to the residual and
+are returned.  Their size is bounded only by
 ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the sweep
 keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``), of ±AᵀA
 on the one SVD route, ``_svd``.  A single-site step of a K = 1 eigenproblem
@@ -26,6 +26,8 @@ span, installs the solution and moves the active site one bond on.  A run
 ends after a right-to-left half-sweep, so every iterate comes back as a
 TT matrix with its K columns on site 0 (``_Chain.snapshot``), whatever K
 is; ``eig_min``, ``svd_dominant`` and ``linsolve`` return its column 0.
+Every product of an operator with an iterate (residuals, σ_k, u) is one
+``mpo_mul`` of its K-column TT matrix, read by ``train.block_extract``.
 Because the frames are orthonormal, every local solve of an eigen-, SVD or
 CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone.  The same holds for ``linsolve`` on symmetric
@@ -60,7 +62,7 @@ from typing import Callable, List, Optional
 import numpy as np
 import scipy.linalg
 
-from .algebra import eye_mpo, mpo_apply, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
+from .algebra import eye_mpo, mpo_mul, mpo_transpose, tt_add, tt_norm, tt_scale
 from .frames import effective_operator, effective_rhs, env_build
 from .train import (
     TruncationPolicy,
@@ -294,7 +296,7 @@ def _half_sweeps(chains: List[_Chain], problems: List[tuple], solve: Callable, c
     A step assembles ``build(stack, site, span)`` for each ``(stack, build)``
     of ``problems`` over the ``span`` sites starting at ``site``, refuses a
     local dimension below the chains' K, and passes the matrices, in that
-    order, to ``solve(site, span, mats)``.  That returns the local objective,
+    order, to ``solve(mats)``.  That returns the local objective,
     one local solution per chain and the step's values (whatever the
     caller's residual reads).  The step installs the solutions and moves the
     active site one bond in the sweep direction: with span 1 the steps cover
@@ -322,7 +324,7 @@ def _half_sweeps(chains: List[_Chain], problems: List[tuple], solve: Callable, c
                     dim = min(min(m.shape) for m in mats)
                     if dim < k:
                         raise ValueError(f"local dimension {dim} cannot hold K={k} vectors")
-                    solved = (site, *solve(site, span, mats))
+                    solved = (site, *solve(mats))
                     del mats  # not held while the next step assembles its own
                 _, obj, sols, values = solved
                 start = chains[0].pos
@@ -506,8 +508,9 @@ def _block_eig(
     metric: Optional[TTMatrix] = None,
 ):
     rng = np.random.default_rng(config.seed)
-    # the steps _lowest_pair serves start from one sweep at half the rank
-    warm_up = k == 1 and metric is None and not config.adaptive and config.rank >= 2
+    # warm: single-site steps at a site solved before, served by _lowest_pair
+    warm = k == 1 and metric is None and not config.adaptive
+    warm_up = warm and config.rank >= 2
     chain = _Chain(op.row_sizes, -(-config.rank // 2) if warm_up else config.rank, k, rng)
     problems = [
         (env_build(chain.cores, m, chain.cores), effective_operator) for m in (op, metric) if m is not None
@@ -515,10 +518,10 @@ def _block_eig(
     report = SolveReport(sense="min")
     solved = set()  # sites solved before: their core is a warm start
 
-    def solve(site, span, mats):
+    def solve(mats):
         h = mats[0]
         kept = [0, k - 1]
-        if metric is None and k == 1 and span == 1 and site in solved:
+        if warm and chain.pos in solved:
             w, v = _lowest_pair(h, chain.x.reshape(-1))
         elif metric is None:
             w, v = scipy.linalg.eigh(h, subset_by_index=kept)
@@ -526,17 +529,17 @@ def _block_eig(
             w, v = _shift_ladder(
                 mats[1], lambda bm: scipy.linalg.eigh(h, bm, subset_by_index=kept), report, "local metric"
             )
-        solved.add(site)
+        solved.add(chain.pos)
         return float(np.sum(w)), [v], w
 
     def residual(values):
         snap = chain.snapshot()
-        out = []
-        for j, lam in enumerate(values):
-            vec = block_extract(snap, j)
-            right = tt_scale(vec if metric is None else mpo_apply(metric, vec), lam)
-            out.append(_residual_norm(mpo_apply(op, vec), right) / max(1.0, abs(lam)))
-        return out
+        av = mpo_mul(op, snap)
+        bv = snap if metric is None else mpo_mul(metric, snap)
+        return [
+            _residual_norm(block_extract(av, j), tt_scale(block_extract(bv, j), lam)) / max(1.0, abs(lam))
+            for j, lam in enumerate(values)
+        ]
 
     if warm_up:
         # part of building the start: not counted, reported or checked; it
@@ -598,30 +601,30 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     itself could overflow or underflow, and the residual test ‖Hv − λv‖ /
     max(1, |λ|) would be absolute, not relative to ‖A‖_F², for ‖A‖_F < 1.
 
-    σ_k = ‖A·v_k‖ / ‖v_k‖ is taken from A, not from the Ritz values
-    (absolute error eps·σ₁²), and orders v's columns.  The objective, scale
-    restored, is √(Σσ_k²) for the largest (``sense="max"``) and Σσ_k² for
-    the smallest.  u is A·v orthogonalized toward site 0, its first core's
-    (i·q) × K unfolding orthonormalized by ``train.qr_split`` (uᵀA·v has a
-    nonnegative diagonal), then rounded at a relative 1e-14: unlike
-    A·v_k / σ_k it stays orthonormal as σ_k → 0."""
+    A·V is formed once.  σ_k = ‖A·v_k‖ / ‖v_k‖ is read off its columns, not
+    from the Ritz values (absolute error eps·σ₁²), and orders the columns of
+    both.  The objective, scale restored, is √(Σσ_k²) for the largest
+    (``sense="max"``) and Σσ_k² for the smallest.  u is A·V orthogonalized
+    toward site 0, its first core's (i·q) × K unfolding orthonormalized by
+    ``train.qr_split`` (uᵀA·v has a nonnegative diagonal), then rounded at a
+    relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0."""
     _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
     scaled = TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
     gram = mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND)
     if largest:
         gram = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
     _, v, report = _block_eig(gram, k, config)
-    columns = (block_extract(v, j) for j in range(k))
-    sigmas = np.array([np.ldexp(tt_norm(mpo_apply(scaled, c)) / tt_norm(c), exp) for c in columns])
+    av = mpo_mul(scaled, v)
+    sigmas = np.array([np.ldexp(tt_norm(block_extract(av, j)) / tt_norm(block_extract(v, j)), exp) for j in range(k)])
     order = np.argsort(-sigmas if largest else sigmas, kind="stable")
-    v.cores[0] = v.cores[0][:, :, order, :]
+    v.cores[0], av.cores[0] = v.cores[0][:, :, order, :], av.cores[0][:, :, order, :]
     if not largest:
         with np.errstate(over="ignore"):  # past ‖A‖_F ≈ 1e154 the objective reads inf
             report.objective = [float(np.ldexp(w, 2 * exp)) for w in report.objective]
         return sigmas[order], None, v, report
     report.sense = "max"
     report.objective = [float(np.ldexp(math.sqrt(max(-w, 0.0)), exp)) for w in report.objective]
-    cores = orthogonalize(mpo_apply(scaled, v), 0).cores
+    cores = orthogonalize(_fused(av), 0).cores
     _, _, q = cores[0].shape
     unfolding = cores[0].reshape(-1, k, q).transpose(0, 2, 1).reshape(-1, k)
     if unfolding.shape[0] < k:
@@ -711,7 +714,7 @@ def cca(
     ]
     report = SolveReport(sense="max")
 
-    def solve(site, span, mats):
+    def solve(mats):
         c_loc, g_x, g_y = mats
         l_x, l_y = (
             _shift_ladder(
@@ -758,7 +761,7 @@ def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: boo
     rhs_norm = tt_norm(rhs)
     report = SolveReport(sense="min")
 
-    def solve(site, span, mats):
+    def solve(mats):
         h, b = mats
         if energy:
             z = _cholesky_solve(h, b)
@@ -768,8 +771,8 @@ def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: boo
         return objective, [z[:, None]], None
 
     def residual(_):
-        x = block_extract(chain.snapshot(), 0)
-        return [_residual_norm(mpo_apply(op, x), rhs) / max(rhs_norm, 1e-300)]
+        ax = block_extract(mpo_mul(op, chain.snapshot()), 0)
+        return [_residual_norm(ax, rhs) / max(rhs_norm, 1e-300)]
 
     _run_sweeps([chain], problems, solve, residual, config, report)
     return block_extract(chain.snapshot(), 0), report

@@ -499,11 +499,12 @@ def mpo_round(a: TTMatrix, policy: TruncationPolicy) -> TTMatrix:
 def block_extract(x: TTMatrix, k: int) -> TTVector:
     """Column ``k`` of a TT matrix as a TT vector, such as one of the K
     vectors a block solver returns: each core gives its column of the
-    multi-index that ``k`` unravels to over the column sizes."""
+    multi-index that ``k`` unravels to over the column sizes, last fastest."""
     _check_count("k", k)
     if not 0 <= k < x.shape[1]:
         raise IndexError(f"block column {k} out of range [0, {x.shape[1]})")
-    index = np.unravel_index(k, x.col_sizes)
+    # in Python integers, which do not overflow past 2^63 columns
+    index = [int(k) // math.prod(x.col_sizes[n + 1 :]) % size for n, size in enumerate(x.col_sizes)]
     return TTVector([c[:, :, j, :] for c, j in zip(x.cores, index)])
 
 

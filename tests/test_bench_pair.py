@@ -2,6 +2,7 @@ import importlib.util
 import json
 import pathlib
 import statistics
+import subprocess
 import textwrap
 
 import pytest
@@ -126,7 +127,8 @@ def _checkout(path, batch_s, correct=True):
     return path
 
 
-def test_main_alternates_and_writes_the_pair(tmp_path, capsys):
+def test_main_alternates_and_writes_the_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tool, "kernel_seconds", lambda: 0.5)  # the kernel patched to be instant
     parent = _checkout(tmp_path / "parent", 0.2)
     change = _checkout(tmp_path / "change", 0.1)
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "compress-io",
@@ -147,7 +149,8 @@ def test_main_alternates_and_writes_the_pair(tmp_path, capsys):
         assert doc["median"]["batch_s"] == pytest.approx(0.2 if side == "parent" else 0.1)
 
 
-def test_main_stops_on_an_incorrect_run(tmp_path, capsys):
+def test_main_stops_on_an_incorrect_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tool, "kernel_seconds", lambda: 0.5)  # the kernel patched to be instant
     parent = _checkout(tmp_path / "parent", 0.2)
     change = _checkout(tmp_path / "change", 0.1, correct=False)
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "compress-io",
@@ -157,7 +160,6 @@ def test_main_stops_on_an_incorrect_run(tmp_path, capsys):
     assert lines == ["error: change run, seed 0, pair 0: correct=false "
                      "(quantize-sine: outputs differ between processes)"]
     assert not list(tmp_path.glob("BENCH_*"))
-
 
 
 def test_verdict_per_kernel_divides_each_run_by_its_kernel_time():
@@ -193,3 +195,30 @@ def test_main_records_the_kernel_time_and_prints_the_ratio_verdict(tmp_path, cap
     for side in ("parent", "change"):
         doc = json.loads((tmp_path / f"BENCH_pr7_compress-io_{side}.json").read_text())
         assert [run["kernel_s"] for run in doc["runs"]] == [0.5] * 4
+
+
+def test_kernel_seconds_runs_the_real_kernel():
+    # one real run (about 0.6 s), so that a broken kernel script fails here
+    seconds = tool.kernel_seconds()
+    assert isinstance(seconds, float) and 0 < seconds < 60
+
+
+def test_kernel_seconds_reads_a_pinned_process(monkeypatch):
+    calls = []
+
+    def run(command, env, **kwargs):
+        calls.append(env)
+        return subprocess.CompletedProcess(command, 0, stdout="0.0625\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.kernel_seconds() == 0.0625
+    assert all(calls[0][var] == "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+
+
+def test_kernel_seconds_stops_on_a_failed_kernel(monkeypatch):
+    def run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, stdout="", stderr="Traceback\nMemoryError: no room\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    with pytest.raises(tool.PairError, match=r"^reference kernel: exit 1: MemoryError: no room$"):
+        tool.kernel_seconds()

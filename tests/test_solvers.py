@@ -1551,3 +1551,37 @@ def test_k_beyond_a_capped_local_dimension_is_refused_mid_sweep(solve, message):
     # move leaves, until a site's local dimension is 1·2·1
     with pytest.raises(ValueError, match=f"^{message}"):
         solve(qtt_laplacian(6), SweepConfig(rank=4, max_rank=1))
+
+
+@pytest.mark.parametrize(
+    "solve, products",
+    [
+        # the residual's A·V
+        (lambda op, k, cfg: eig_block(op, k, cfg), 1),
+        # the sandwich X·A·Xᵀ, then the residual's A·V and B·V
+        (lambda op, k, cfg: gevd(op, eye_mpo(op.row_sizes), op, k, cfg), 4),
+        # the Gram BᵀB, the residual's A·V and σ_k's B·V
+        (lambda op, k, cfg: svd_small_k(op, k, cfg), 3),
+    ],
+    ids=["eig_block", "gevd", "svd_small_k"],
+)
+def test_operator_products_are_one_mpo_mul_for_all_k_columns(solve, products, monkeypatch):
+    # every product of an operator with the iterate takes its K columns at
+    # once; with max_sweeps=2 the residual is computed once, after sweep 2
+    from ttkit import algebra
+
+    op = qtt_laplacian(4)
+    counts = []
+    for k in (1, 3):
+        calls = []
+
+        def counting(*args, _mul=algebra.mpo_mul, **kwargs):
+            calls.append(args)
+            return _mul(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "mpo_mul", counting)
+            patch.setattr(solvers, "mpo_mul", counting)
+            solve(op, k, SweepConfig(rank=4, max_sweeps=2, seed=0))
+        counts.append(len(calls))
+    assert counts == [products, products]

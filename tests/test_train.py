@@ -692,6 +692,33 @@ def test_block_extract_refuses_a_non_integer_column(k):
         block_extract(blk, -1)
 
 
+def _column_of(column) -> tuple:
+    return tuple(int(c[0, 0, 0]) for c in column.cores)
+
+
+def _numbered_columns(col_sizes) -> TTMatrix:
+    """A 1 × prod(col_sizes) TT matrix whose core n holds j in its column j."""
+    return TTMatrix([np.arange(float(size)).reshape(1, 1, size, 1) for size in col_sizes])
+
+
+def test_block_extract_unravels_k_last_fastest():
+    sizes = (2, 3, 1, 4)
+    x = _numbered_columns(sizes)
+    for k in range(24):
+        assert _column_of(block_extract(x, k)) == tuple(int(j) for j in np.unravel_index(k, sizes))
+
+
+def test_block_extract_past_2_to_the_63_columns():
+    # 2^64 columns, more than np.unravel_index takes
+    x = _numbered_columns((2,) * 64)
+    assert _column_of(block_extract(x, 3)) == _column_of(block_extract(x, np.int64(3))) == (0,) * 62 + (1, 1)
+    assert _column_of(block_extract(x, 2**63 + 5)) == (1,) + (0,) * 60 + (1, 0, 1)
+    ones = TTMatrix([np.ones((1, 1, 2, 1))] * 64)
+    assert block_extract(ones, 2**63 + 5).full() == 1.0
+    with pytest.raises(IndexError, match=re.escape(f"block column {2**64} out of range [0, {2**64})")):
+        block_extract(x, 2**64)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -54,7 +54,6 @@ import tempfile
 import numpy as np
 
 from ttkit import cli, container
-from ttkit.train import _as_matrix, mpo_to_full
 
 # the report lines printed next to a report's hash
 REPORT_KEYS = ("converged=", "sweeps=", "objective=", "ranks=", "regularized=")
@@ -171,7 +170,7 @@ def _values(label: str, data: bytes) -> str:
     if label.endswith(".tt"):
         obj = container.load(label)
         ranks = ",".join(str(r) for r in obj.ranks)
-        return f"kind={type(obj).__name__} ranks={ranks} {_dense_numbers(mpo_to_full(_as_matrix(obj)))}"
+        return f"kind={type(obj).__name__} ranks={ranks} {_dense_numbers(obj.full())}"
     if label.endswith(".values.csv"):
         return " ".join(row.split(",")[1] for row in data.decode().splitlines()[1:])
     if label.endswith(".report.txt"):
