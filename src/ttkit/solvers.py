@@ -27,7 +27,7 @@ ends after a right-to-left half-sweep, so every iterate comes back as a
 TT matrix with its K columns on site 0 (``_Chain.snapshot``), whatever K
 is; ``eig_min``, ``svd_dominant`` and ``linsolve`` return its column 0.
 Every product of an operator with an iterate (residuals, σ_k, u) is one
-``mpo_mul`` of its K-column TT matrix, read by ``train.block_extract``.
+``mpo_mul`` of its K-column TT matrix, read in place by ``train._column``.
 Because the frames are orthonormal, every local solve of an eigen-, SVD or
 CCA problem can only improve the global objective, so its per-half-sweep
 trajectory is monotone.  The same holds for ``linsolve`` on symmetric
@@ -70,6 +70,7 @@ from .train import (
     TTVector,
     _check_count,
     _check_real,
+    _column,
     _fused,
     _unit_scaled,
     block_extract,
@@ -537,7 +538,7 @@ def _block_eig(
         av = mpo_mul(op, snap)
         bv = snap if metric is None else mpo_mul(metric, snap)
         return [
-            _residual_norm(block_extract(av, j), tt_scale(block_extract(bv, j), lam)) / max(1.0, abs(lam))
+            _residual_norm(_column(av, j), tt_scale(_column(bv, j), lam)) / max(1.0, abs(lam))
             for j, lam in enumerate(values)
         ]
 
@@ -615,7 +616,7 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
         gram = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
     _, v, report = _block_eig(gram, k, config)
     av = mpo_mul(scaled, v)
-    sigmas = np.array([np.ldexp(tt_norm(block_extract(av, j)) / tt_norm(block_extract(v, j)), exp) for j in range(k)])
+    sigmas = np.array([np.ldexp(tt_norm(_column(av, j)) / tt_norm(_column(v, j)), exp) for j in range(k)])
     order = np.argsort(-sigmas if largest else sigmas, kind="stable")
     v.cores[0], av.cores[0] = v.cores[0][:, :, order, :], av.cores[0][:, :, order, :]
     if not largest:
@@ -771,7 +772,7 @@ def _linear_sweeps(op: TTMatrix, rhs: TTVector, config: SweepConfig, energy: boo
         return objective, [z[:, None]], None
 
     def residual(_):
-        ax = block_extract(mpo_mul(op, chain.snapshot()), 0)
+        ax = _column(mpo_mul(op, chain.snapshot()), 0)
         return [_residual_norm(ax, rhs) / max(rhs_norm, 1e-300)]
 
     _run_sweeps([chain], problems, solve, residual, config, report)

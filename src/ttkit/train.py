@@ -496,16 +496,22 @@ def mpo_round(a: TTMatrix, policy: TruncationPolicy) -> TTMatrix:
 # columns and direct sums
 
 
+def _column(x: TTMatrix, k: int) -> TTVector:
+    """Column ``k`` of ``x``, unchecked and read in place: each core gives
+    its column of the multi-index that ``k`` unravels to over the column
+    sizes, last fastest, as a view wherever that column is contiguous."""
+    # in Python integers, which do not overflow past 2^63 columns
+    index = [int(k) // math.prod(x.col_sizes[n + 1 :]) % size for n, size in enumerate(x.col_sizes)]
+    return TTVector([c[:, :, j, :] for c, j in zip(x.cores, index)], copy=False)
+
+
 def block_extract(x: TTMatrix, k: int) -> TTVector:
-    """Column ``k`` of a TT matrix as a TT vector, such as one of the K
-    vectors a block solver returns: each core gives its column of the
-    multi-index that ``k`` unravels to over the column sizes, last fastest."""
+    """Column ``k`` of a TT matrix as a TT vector of its own, such as one of
+    the K vectors a block solver returns (:func:`_column`, copied)."""
     _check_count("k", k)
     if not 0 <= k < x.shape[1]:
         raise IndexError(f"block column {k} out of range [0, {x.shape[1]})")
-    # in Python integers, which do not overflow past 2^63 columns
-    index = [int(k) // math.prod(x.col_sizes[n + 1 :]) % size for n, size in enumerate(x.col_sizes)]
-    return TTVector([c[:, :, j, :] for c, j in zip(x.cores, index)])
+    return TTVector(_column(x, k).cores)
 
 
 def _block_diag(parts, axes) -> np.ndarray:
@@ -555,7 +561,7 @@ def feasible_ranks(mode_sizes: Sequence[int], bond_ranks: Sequence[int]) -> list
 def random_tt(mode_sizes, rank, rng) -> TTVector:
     """Random TT with interior ranks clipped to a feasible profile."""
     modes = [int(m) for m in mode_sizes]
-    if isinstance(rank, int):
+    if isinstance(rank, (int, np.integer)):
         rank = [rank] * (len(modes) - 1)
     r = feasible_ranks(modes, rank)
     cores = [rng.standard_normal((r[n], modes[n], r[n + 1])) for n in range(len(modes))]

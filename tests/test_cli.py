@@ -1,6 +1,4 @@
-import importlib.util
 import os
-import pathlib
 import resource
 import subprocess
 import sys
@@ -655,62 +653,6 @@ def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys):
     assert [o[0] for o in shared] == [0, ("exit", 2), 0]
 
 
-def test_cli_digest_against_names_value_deltas_and_changed_decisions(tmp_path, capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    saved = tmp_path / "other.txt"
-    saved.write_text(
-        "a" * 64 + "  x.report.txt  converged=true sweeps=2 objective=2.0 ranks=1,2,1 regularized=0\n"
-        + "b" * 64 + "  x.values.csv  1.0 -2.0\n"
-        + "c" * 64 + "  x.tt\n"
-        + "    differs: max rel delta 0\n"
-        + "1 of 3 outputs differ from other.txt\n"
-        + "d" * 64 + "  TOTAL (3 outputs)\n"
-    )
-    old = tool._read_listing(str(saved))
-    assert old == {
-        "x.report.txt": ("a" * 64, "converged=true sweeps=2 objective=2.0 ranks=1,2,1 regularized=0"),
-        "x.values.csv": ("b" * 64, "1.0 -2.0"),
-        "x.tt": ("c" * 64, ""),
-    }
-    report = "converged=false sweeps=3 objective=1.5 ranks=1,2,1 regularized=0"
-    assert tool._changes(report, old["x.report.txt"][1]) == (
-        "max rel delta 0.25; converged=true -> converged=false; sweeps=2 -> sweeps=3"
-    )
-    assert tool._changes("1.0 -2.5", old["x.values.csv"][1]) == "max rel delta 0.2"
-    assert tool._changes("", old["x.tt"][1]) == "no listed numbers"
-    # main gates on the comparison: 0 against its own listing, 1 once an
-    # output's hash differs or a listed output is gone
-    assert tool.main([]) == 0
-    listing = tmp_path / "listing.txt"
-    listing.write_text(capsys.readouterr().out)
-    assert tool.main(["--against", str(listing)]) == 0
-    lines = listing.read_text().splitlines(keepends=True)
-    outputs = len(lines) - 1  # one line per output, then the TOTAL line
-    assert f"0 of {outputs} outputs differ from {listing}\n" in capsys.readouterr().out
-    lines[0] = "0" * 64 + lines[0][64:]
-    listing.write_text("".join(lines) + "e" * 64 + "  no-such-output.txt\n")
-    assert tool.main(["--against", str(listing)]) == 1
-    out = capsys.readouterr().out
-    assert "    gone: no-such-output.txt\n" in out
-    assert f"2 of {outputs} outputs differ from {listing}\n" in out
-
-
-def test_cli_digest_lists_raw_numbers_and_compares_them_by_norm():
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    values = tool._values("x.raw", np.array([3.0, -4.0, 0.1], dtype="<f8").tobytes())
-    assert values == "count=3 norm=5.0009999000199947 min=-4 max=3"
-    # min moves by 1e-3 of itself, 8e-4 of the norm
-    moved = tool._values("x.raw", np.array([3.0, -4.004, 0.1], dtype="<f8").tobytes())
-    assert tool._changes(moved, values, "x.raw") == "max rel delta 0.0008"
-    assert tool._changes(moved, values) == "max rel delta 0.001"
-
-
 def _with_block_position(path, position):
     """Rewrite the 1-based block position field of a saved block container."""
     raw = bytearray(path.read_bytes())
@@ -765,32 +707,3 @@ def test_refusal_is_one_line_error(tmp_path, capsys, case, message):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
     assert not list(tmp_path.glob("out*"))
-
-
-def test_cli_digest_lists_container_numbers_and_refuses_another_thread_setting(tmp_path, monkeypatch, capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    monkeypatch.chdir(tmp_path)
-    container.save(TTMatrix([np.full((1, 2, 2, 1), 3.0), np.array([[[[1.0]], [[-4.0 / 3.0]]]])]), "b.tt")
-    values = tool._values("b.tt", b"")
-    assert values == "kind=TTMatrix ranks=1,1,1 count=8 norm=10 min=-4 max=3"
-    # the dense numbers move relative to the 2-norm; kind and ranks are decisions
-    moved = "kind=TTMatrix ranks=1,2,1 count=8 norm=10 min=-4.01 max=3"
-    assert tool._changes(moved, values, "b.tt") == "max rel delta 0.001; ranks=1,1,1 -> ranks=1,2,1"
-    # a listing made while .tt lines held a block position reads it as a decision
-    listed = "kind=TTMatrix position=0 ranks=1,1,1 count=8 norm=10 min=-4 max=3"
-    assert tool._changes(values, listed, "b.tt") == "max rel delta 0"
-    # a listing made under another BLAS thread setting is refused before any run
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    listing = tmp_path / "listing.txt"
-    listing.write_text("a" * 64 + "  TOTAL (0 outputs)  OMP_NUM_THREADS=2 OPENBLAS_NUM_THREADS=unset\n")
-    assert tool.main(["--against", str(listing)]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == (
-        f"error: {listing} was listed with OMP_NUM_THREADS=2 OPENBLAS_NUM_THREADS=unset, "
-        "this run has OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=unset\n"
-    )

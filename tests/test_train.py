@@ -12,6 +12,7 @@ from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd
 from ttkit.quantize import plan_auto, quantize_matrix
 from ttkit.train import (
     _QR_FIRST_SIZE,
+    _column,
     _fused,
     _r_factor,
     TruncationPolicy,
@@ -717,6 +718,23 @@ def test_block_extract_past_2_to_the_63_columns():
     assert block_extract(ones, 2**63 + 5).full() == 1.0
     with pytest.raises(IndexError, match=re.escape(f"block column {2**64} out of range [0, {2**64})")):
         block_extract(x, 2**64)
+
+
+def test_column_reads_in_place_and_block_extract_copies():
+    # K = 3 columns on site 0, as the block solvers hold them
+    rng = np.random.default_rng(26)
+    blk = TTMatrix([rng.standard_normal(shape) for shape in [(1, 2, 3, 2), (2, 3, 1, 2), (2, 2, 1, 1)]])
+    for k in range(3):
+        view, copy = _column(blk, k), block_extract(blk, k)
+        assert np.array_equal(view.full(), copy.full())
+        for n in range(1, blk.order):
+            assert np.shares_memory(view.cores[n], blk.cores[n])
+            assert not np.shares_memory(copy.cores[n], blk.cores[n])
+
+
+def test_random_tt_takes_a_numpy_integer_rank():
+    x = random_tt((2, 2, 2), np.int64(2), np.random.default_rng(27))
+    assert x.ranks == random_tt((2, 2, 2), 2, np.random.default_rng(27)).ranks == (1, 2, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,44 +1,29 @@
-"""Digest of seeded CLI outputs: the byte-identity gate for refactors.
+"""Digest of seeded CLI outputs and bench jobs: the byte-identity gate.
 
-Builds small dense inputs in a temporary directory, runs ``ttkit.cli.main``
-in-process on every subcommand that writes files (each solver both
-single-site and ``--adaptive``; ``svd`` also on a rectangular 16 × 32
-operator, whose left vector lives on other modes than its right one, and
-``cca --identity-grams`` on an 81 × 16 Y quantized to modes of size 3 next
-to a 16 × 16 X, so that wx and wy live on different modes),
-reads the K = 3 eigenvector containers that ``eig --k 3`` writes (TT
-matrices with three columns on site 0) and two containers
-whose TT-SVD reads a block of bonds through one R factor (``train.tt_svd``:
-a 2^14 signal, first block 32 × 512, and a 64 × 64 kernel, first block
-16 × 256) back through ``info`` and ``reconstruct``, and prints one
-SHA-256 per output file, per captured stdout/stderr stream, and a total
-over all of them.  Two source trees that print the same
-total produce byte-identical outputs.  After each hash it also prints the numbers of every
-``.values.csv``, the ``converged=``, ``sweeps=``, ``objective=``,
-``ranks=`` and ``regularized=`` lines of every report, the count,
-2-norm, min and max of every reconstructed ``.raw``, and the kind, ranks
-and the count, 2-norm, min and max of the dense form of every ``.tt``
-container, so that two checkouts whose bits differ can be
-compared number by number, and a changed decision shows without a rerun;
-the total covers only the hash lines.  The ``cca-identity-mixed`` outputs
-differ in their last bits between one and two BLAS threads (rounding its
-Gram composition, of rank 1296 before rounding, runs threaded LAPACK), so
-the TOTAL line also names the environment's ``OMP_NUM_THREADS`` and
-``OPENBLAS_NUM_THREADS``.
+Prints one row per output, ``sha256  label  numbers``.  First come the files
+and streams that ``ttkit.cli.main`` writes, run in-process on small dense
+inputs (every solver of ``SOLVER_JOBS`` single-site and ``--adaptive``, then
+``info`` and ``reconstruct`` of four containers).  Their numbers are a
+``.values.csv``'s values, a report's ``REPORT_KEYS`` lines, and the count,
+2-norm, min and max of a ``.raw`` or of a ``.tt``'s dense form, after its
+kind and ranks.  Then come the jobs of ``bench/jobs.WORKLOADS`` at each
+seed of ``SEEDS``, checked as the bench checks them, as rows
+``job/<workload>/<seed>/<name>`` with the SHA-256 of ``Check.fingerprint``,
+the job's digits and its report's decisions.  The TOTAL line hashes the
+hash lines and names the BLAS thread setting: some outputs differ in their
+last bits between thread counts.
 
-    PYTHONPATH=src python tools/cli_digest.py
-    PYTHONPATH=src python tools/cli_digest.py --against OTHER.txt
+``ttkit`` comes from ``PYTHONPATH`` and the jobs from the ``bench/`` beside
+it, so one path names the checkout.  To compare two checkouts:
 
-To compare with another checkout, save its listing (run this script with
-``PYTHONPATH`` at its ``src``) and pass that file to ``--against``: under
-each output whose hash differs from the saved one, a line gives the largest
-relative delta of its numbers (a ``.raw``'s or a ``.tt``'s relative to its
-2-norm) and every changed decision (``DECISION_KEYS``), and the count of
-differing outputs comes just before the TOTAL line, which stays last.  The
-exit code is then 1 if any output differs or is gone, so a script can gate
-on it, and 0 otherwise.  A saved listing whose TOTAL line names another
-BLAS thread setting is refused up front with one ``error:`` line and exit
-code 1; one whose TOTAL line names none is compared all the same.
+    PYTHONPATH=../parent/src python tools/digest.py > parent.txt
+    PYTHONPATH=src python tools/digest.py --against parent.txt
+
+With ``--against``, each output whose hash differs is followed by its largest
+relative delta and every changed decision (``DECISION_KEYS``), a gone output
+is named, the count comes before TOTAL, and the exit code is 1 if any output
+differs or is gone.  A listing made under another thread setting is refused
+with one ``error:`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -50,19 +35,22 @@ import io
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import ttkit
 from ttkit import cli, container
 
 # the report lines printed next to a report's hash
 REPORT_KEYS = ("converged=", "sweeps=", "objective=", "ranks=", "regularized=")
 # the report lines and container fields that record a decision, not a number
-# (``position=``, a block TT's block position, is read only from listings
-# made while block results had a type of their own)
-DECISION_KEYS = ("converged=", "sweeps=", "ranks=", "regularized=", "kind=", "position=")
+DECISION_KEYS = ("converged=", "sweeps=", "ranks=", "regularized=", "kind=")
 # the environment variables that set the BLAS thread count
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+SEEDS = (0, 1, 2)  # the workload seeds each bench job runs at
+# the bench of the checkout that ttkit is imported from
+BENCH = Path(ttkit.__file__).resolve().parents[2] / "bench"
 
 SOLVER_FLAGS = ["--rank", "4", "--max-sweeps", "3", "--seed", "0", "--allow-nonconverged"]
 
@@ -131,7 +119,7 @@ SOLVER_JOBS = [
     ("eig-nonsymmetric", ["eig", "square.tt", "--k", "1"]),
     ("svd-dominant", ["svd", "square.tt"]),
     ("svd-smallest", ["svd", "square.tt", "--k", "2", "--smallest"]),
-    ("svd-wide", ["svd", "wide.tt"]),
+    ("svd-wide", ["svd", "wide.tt"]),  # u and v on different modes
     ("gevd", ["gevd", "square.tt", "eye.tt", "spd.tt", "--k", "2"]),
     ("gevd-semidefinite", ["gevd", "eye.tt", "diag.tt", "semidef.tt", "--k", "1"]),
     ("cca", ["cca", "data_x.tt", "data_y.tt", "--k", "2"]),
@@ -178,7 +166,7 @@ def _values(label: str, data: bytes) -> str:
     return ""
 
 
-def digests() -> list:
+def _cli_rows() -> list:
     """Sorted (label, sha256 hex, values) triples for every stream and
     output file; ``values`` as in :func:`_values`."""
     blobs = {}
@@ -194,6 +182,7 @@ def digests() -> list:
                 for mode in ("single", "adaptive"):
                     extra = ["--adaptive"] if mode == "adaptive" else []
                     jobs.append((f"{name}-{mode}", argv + SOLVER_FLAGS + extra + ["-o", f"{name}-{mode}"]))
+            # K = 3 TT matrices, and TT-SVDs that read a block of bonds through one R factor
             for stem in ("eig-k3-single", "eig-k3-adaptive", "long", "kernel-q"):
                 jobs.append((f"info-{stem}", ["info", f"{stem}.tt"]))
                 jobs.append((f"reconstruct-{stem}", ["reconstruct", f"{stem}.tt", "-o", f"{stem}.raw"]))
@@ -208,6 +197,38 @@ def digests() -> list:
             )
         finally:
             os.chdir(start)
+
+
+def _job_rows(workloads: dict, seeds) -> list:
+    """(label, sha256 hex, values) triples for every job of ``workloads``
+    (name -> build(seed, workdir), as ``jobs.WORKLOADS``), each run and
+    checked once per seed, in build order: the hash is that of the job's
+    ``Check.fingerprint``, and the values are its digits, then for a job
+    with a solver report that report's decisions."""
+    rows = []
+    for seed in seeds:
+        for workload, build in workloads.items():
+            with tempfile.TemporaryDirectory() as workdir:
+                for job in build(seed, workdir):
+                    check = job.check(job.run())
+                    values = f"digits={check.digits!r}"
+                    if check.report is not None:
+                        ranks = ",".join(str(r) for r in check.report.ranks)
+                        values += (
+                            f" sweeps={check.report.sweeps} converged={str(check.report.converged).lower()}"
+                            f" ranks={ranks} regularized={check.report.regularized}"
+                        )
+                    digest = hashlib.sha256(check.fingerprint.encode()).hexdigest()
+                    rows.append((f"job/{workload}/{seed}/{job.name}", digest, values))
+    return rows
+
+
+def digests() -> list:
+    """The CLI rows, sorted by label, then the rows of the bench jobs."""
+    sys.path.insert(0, str(BENCH))  # jobs.py imports its neighbours
+    import jobs
+
+    return _cli_rows() + _job_rows(jobs.WORKLOADS, SEEDS)
 
 
 def _threads() -> str:
@@ -270,6 +291,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE", help="listing saved from another checkout")
     args = parser.parse_args(argv)
+    if not (BENCH / "jobs.py").is_file():
+        print(f"error: no bench/jobs.py beside {ttkit.__file__}", file=sys.stderr)
+        return 1
     old = None
     if args.against:
         threads = _listed_threads(args.against)
