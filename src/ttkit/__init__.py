@@ -22,12 +22,10 @@ from .quantize import (
     QuantizationPlan,
     dequantize,
     format_report,
-    from_fortran_flat,
     plan_auto,
     quantize_matrix,
     quantize_vector,
     storage_report,
-    to_fortran_flat,
 )
 from .solvers import (
     SolveReport,

@@ -157,7 +157,7 @@ def _matrix_plan(shape: tuple, base: int, mixed_radix: bool):
         return plan_auto(shape[0], base, mixed_radix)
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    return QuantizationPlan((shape,))
+    return QuantizationPlan(shape)
 
 
 def _cmd_quantize(args) -> int:

@@ -3,21 +3,16 @@
 Layout (all integers and floats little-endian):
 
 * magic ``TTK1`` (4 bytes), version u8 = 1, kind u8
-  (0 = TT vector, 1 = TT matrix, 2 = block TT);
+  (0 = TT vector, 1 = TT matrix);
 * N as u32;
 * mode sizes as u64 (N values; interleaved pairs I_n, J_n for kind 1);
 * ranks as u64 (N + 1 values);
-* kind 2 only: block position as u32 (1-based), K as u64;
 * core payloads concatenated in chain order as finite IEEE-754 f64, each
   laid out with the first rank slowest, then the mode index (then the column
-  mode for a matrix, then the block index for the block core), last rank
-  fastest.
+  mode for a matrix), last rank fastest.
 
-Kind 2 is read, never written.  It holds K vectors jointly, with the K
-index on the core at the block position, so it loads as the TT matrix
-whose column size is K there and 1 on every other core: the form in which
-the block solvers return K vectors, and which :func:`save` writes as
-kind 1.
+K vectors held jointly are a TT matrix and are saved as kind 1; any other
+kind is refused.
 """
 
 from __future__ import annotations
@@ -60,7 +55,8 @@ def _read_u64s(fh, count: int) -> list:
 
 
 def save(obj, path):
-    """Write a TT vector or a TT matrix to ``path``."""
+    """Write a TT vector or a TT matrix to ``path``; a core holding a NaN or
+    an infinity is refused before the file is opened."""
     if isinstance(obj, TTVector):
         kind = KIND_VECTOR
     elif isinstance(obj, TTMatrix):
@@ -75,7 +71,9 @@ def save(obj, path):
         modes = list(obj.mode_sizes)
     _write_u64s(buf, modes)
     _write_u64s(buf, obj.ranks)
-    for core in obj.cores:
+    for n, core in enumerate(obj.cores):
+        if not np.isfinite(core).all():
+            raise ValueError(f"cannot save core {n}: it holds a non-finite value")
         buf.write(np.ascontiguousarray(core, dtype="<f8").tobytes())
     data = buf.getvalue()
     with open(path, "wb") as fh:
@@ -84,8 +82,7 @@ def save(obj, path):
 
 def load(path):
     """Read a TTK1 container; returns a TTVector for kind 0 and a TTMatrix
-    for kinds 1 and 2."""
-    KIND_BLOCK = 2  # read, never written
+    for kind 1."""
     with open(path, "rb") as fh:
         header = _read_exact(fh, 10)
         magic, version, kind, order = struct.unpack("<4sBBI", header)
@@ -93,7 +90,7 @@ def load(path):
             raise ValueError(f"not a TTK1 container (magic {magic!r})")
         if version != VERSION:
             raise ValueError(f"unsupported TTK1 version {version}")
-        if kind not in (KIND_VECTOR, KIND_MATRIX, KIND_BLOCK):
+        if kind not in (KIND_VECTOR, KIND_MATRIX):
             raise ValueError(f"unknown TTK1 kind {kind}")
         if order < 1:
             raise ValueError("TTK1 container with no cores")
@@ -105,14 +102,8 @@ def load(path):
         ranks = _read_u64s(fh, order + 1)
         if ranks[0] != 1 or ranks[-1] != 1:
             raise ValueError("corrupt TTK1 container: boundary ranks differ from 1")
-        if kind == KIND_BLOCK:
-            (position,) = struct.unpack("<I", _read_exact(fh, 4))
-            (k_cols,) = _read_u64s(fh, 1)
-            if not 1 <= position <= order:
-                raise ValueError(f"corrupt TTK1 container: block position {position}")
-            cols[position - 1] = k_cols
         if min(rows + cols + ranks) < 1:
-            raise ValueError("corrupt TTK1 container: zero mode size, rank or block size")
+            raise ValueError("corrupt TTK1 container: zero mode size or rank")
         cores = []
         for n in range(order):
             shape = (ranks[n], rows[n], cols[n], ranks[n + 1])

@@ -1,16 +1,17 @@
 """Tensorization and quantization: fold long vectors and large matrices into
 high-order low-mode tensors, compress them as (Q)TT, and unfold back.
 
-Quantizing a vector of length ``q**K`` reshapes it (big-endian) into a
-``(q, ..., q)`` tensor of order K before running the TT-SVD; storage then
-scales like O(K * q * max_rank^2) instead of O(q**K).
+A plan is one flat tuple of virtual mode sizes ``(I_1, ..., I_K)`` for a
+length ``I_1 * ... * I_K``; a matrix takes one plan for its rows and one for
+its columns.  Quantizing a vector of length ``q**K`` reshapes it
+(big-endian) into a ``(q, ..., q)`` tensor of order K before running the
+TT-SVD; storage then scales like O(K * q * max_rank^2) instead of O(q**K).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -31,32 +32,22 @@ __all__ = [
     "dequantize",
     "storage_report",
     "format_report",
-    "from_fortran_flat",
-    "to_fortran_flat",
 ]
 
 
 @dataclass(frozen=True)
 class QuantizationPlan:
-    """Per-physical-mode factorizations ``I_n = I_{n,1} * ... * I_{n,K_n}``;
-    each factor an integer (Python's or numpy's, not a bool) of at least 1."""
+    """Virtual mode sizes ``(I_1, ..., I_K)`` of a length ``I_1 * ... * I_K``:
+    a non-empty tuple, each size an integer (Python's or numpy's, not a
+    bool) of at least 1."""
 
     factors: tuple
 
     def __post_init__(self):
-        for group in self.factors:
-            if not group:
-                raise ValueError(f"invalid factor group {group}")
-            for f in group:
-                _check_count("plan factor", f, 1)
-
-    @property
-    def physical_shape(self) -> tuple:
-        return tuple(math.prod(g) for g in self.factors)
-
-    @property
-    def virtual_shape(self) -> tuple:
-        return tuple(f for g in self.factors for f in g)
+        if not self.factors:
+            raise ValueError("a quantization plan needs at least one factor")
+        for f in self.factors:
+            _check_count("plan factor", f, 1)
 
 
 def _factorize(size: int, base: int, mixed_radix: bool) -> tuple:
@@ -84,23 +75,17 @@ def _factorize(size: int, base: int, mixed_radix: bool) -> tuple:
     return tuple(factors)
 
 
-def plan_auto(
-    shape: Union[int, Sequence[int]], base: int = 2, mixed_radix: bool = False
-) -> QuantizationPlan:
-    """Finest deterministic quantization plan for a length or a shape.
+def plan_auto(size: int, base: int = 2, mixed_radix: bool = False) -> QuantizationPlan:
+    """Finest deterministic quantization plan for a length.
 
-    Each physical size is split into as many base-``base`` factors as
-    possible; any remainder is either an error (strict mode) or factored
-    into ascending primes (``mixed_radix=True``).
+    The size is split into as many base-``base`` factors as possible; any
+    remainder is either an error (strict mode) or factored into ascending
+    primes (``mixed_radix=True``).
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError(f"sizes must be positive, got {shape}")
-    return QuantizationPlan(tuple(_factorize(s, base, mixed_radix) for s in shape))
+    _check_count("size", size, 1)
+    return QuantizationPlan(_factorize(int(size), base, mixed_radix))
 
 
 def quantize_vector(
@@ -108,14 +93,14 @@ def quantize_vector(
 ) -> TTVector:
     """Reshape a flat vector to the plan's virtual modes and run TT-SVD."""
     v = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
-    total = math.prod(plan.virtual_shape)
+    total = math.prod(plan.factors)
     if v.size != total:
         raise ValueError(f"length {v.size} does not match plan total {total}")
-    return tt_svd(v.reshape(plan.virtual_shape), policy)
+    return tt_svd(v.reshape(plan.factors), policy)
 
 
-def _pad_to(groups: tuple, length: int) -> list:
-    out = list(groups)
+def _pad_to(factors: tuple, length: int) -> list:
+    out = list(factors)
     out.extend([1] * (length - len(out)))
     return out
 
@@ -134,48 +119,25 @@ def quantize_matrix(
     m = np.ascontiguousarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    rows = row_plan.virtual_shape
-    cols = col_plan.virtual_shape
+    rows, cols = row_plan.factors, col_plan.factors
     depth = max(len(rows), len(cols))
     return mpo_svd(m, _pad_to(rows, depth), _pad_to(cols, depth), policy)
 
 
 def dequantize(x, plan: QuantizationPlan = None):
-    """Reconstruct the dense data and undo the tensorizing reshape.
-
-    TT vectors come back with the plan's physical shape (a flat vector for a
-    single physical mode); TT matrices come back as dense matrices.
-    """
+    """Reconstruct the dense data: a flat vector for a TT vector, whose
+    length must be the plan's when one is given, and the dense matrix for a
+    TT matrix."""
     if isinstance(x, TTMatrix):
         return x.full()
-    if isinstance(x, TTVector):
-        full = x.full()
-        if plan is None:
-            return full.reshape(-1)
-        total = math.prod(plan.physical_shape)
-        if full.size != total:
-            raise ValueError(
-                f"plan total {total} does not match represented size {full.size}"
-            )
-        shape = plan.physical_shape
-        return full.reshape(shape if len(shape) > 1 else (-1,))
-    raise TypeError(f"cannot dequantize {type(x).__name__}")
-
-
-def from_fortran_flat(flat: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Import utility: reinterpret a flat array linearized with the FIRST
-    index fastest (Fortran style) under this package's convention."""
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError(f"mode sizes must be positive, got {shape}")
-    return np.ascontiguousarray(
-        np.asarray(flat, dtype=np.float64).reshape(shape, order="F")
-    )
-
-
-def to_fortran_flat(t: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`from_fortran_flat`."""
-    return np.ascontiguousarray(t, dtype=np.float64).reshape(-1, order="F")
+    if not isinstance(x, TTVector):
+        raise TypeError(f"cannot dequantize {type(x).__name__}")
+    full = x.full().reshape(-1)
+    if plan is not None and full.size != math.prod(plan.factors):
+        raise ValueError(
+            f"plan total {math.prod(plan.factors)} does not match represented size {full.size}"
+        )
+    return full
 
 
 def storage_report(x) -> dict:

@@ -330,6 +330,8 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
         t = t.reshape(1)
     if t.size == 0:
         raise ValueError("cannot decompose an empty tensor")
+    if not np.isfinite(t).all():
+        raise ValueError("cannot decompose a tensor holding inf or NaN")
     shape = t.shape
     n_modes = len(shape)
     if n_modes == 1:
@@ -448,6 +450,7 @@ def _unfused(v: TTVector, rows: Sequence[int], cols: Sequence[int]) -> TTMatrix:
 def orthogonalize(x: TTVector, site: int) -> TTVector:
     """Mixed-canonical form: cores left of ``site`` left-orthogonal, cores
     right of it right-orthogonal; the represented tensor is unchanged."""
+    _check_count("site", site)
     if not 0 <= site < x.order:
         raise ValueError(f"site {site} out of range for order {x.order}")
     cores = [c.copy() for c in x.cores]

@@ -27,7 +27,6 @@ PUBLIC = {
     "env_build",
     "eye_mpo",
     "format_report",
-    "from_fortran_flat",
     "gevd",
     "linsolve",
     "load",
@@ -46,7 +45,6 @@ PUBLIC = {
     "storage_report",
     "svd_dominant",
     "svd_small_k",
-    "to_fortran_flat",
     "tt_add",
     "tt_norm",
     "tt_round",
@@ -62,7 +60,7 @@ def test_public_names_are_pinned():
         for name, value in vars(ttkit).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 41
     assert names == PUBLIC
 
 

@@ -249,21 +249,17 @@ def test_reconstruct_writes_the_dense_form_of_every_kind(tmp_path, capsys, kind)
     assert (tmp_path / "x.raw").read_bytes() == np.ascontiguousarray(dense, dtype="<f8").tobytes()
 
 
-def test_info_and_reconstruct_read_a_block_container(tmp_path, capsys):
-    # TTK1 kind 2, a block TT with K = 3 on site 1: read as the TT matrix
-    # with column sizes (1, 3, 1)
+def test_info_and_reconstruct_refuse_a_block_container(tmp_path, capsys):
+    # TTK1 kind 2, a block TT with K = 3 on site 1, is not a kind ttkit reads
     from oracles import block_container
 
     rng = np.random.default_rng(41)
     x = TTMatrix([rng.standard_normal(shape) for shape in ((1, 2, 1, 2), (2, 3, 3, 2), (2, 2, 1, 1))])
     path = tmp_path / "b.tt"
     path.write_bytes(block_container(x, 1))
-    code, stdout, _ = run(capsys, "info", path)
-    assert code == 0
-    assert "kind=matrix" in stdout.splitlines() and "modes=2x1,3x3,2x1" in stdout.splitlines()
-    code, _, _ = run(capsys, "reconstruct", path, "-o", tmp_path / "b.raw")
-    assert code == 0
-    assert (tmp_path / "b.raw").read_bytes() == np.ascontiguousarray(x.full(), dtype="<f8").tobytes()
+    for argv in (["info", path], ["reconstruct", path, "-o", tmp_path / "b.raw"]):
+        assert run(capsys, *argv) == (1, "", f"error: {path}: unknown TTK1 kind 2\n")
+    assert not (tmp_path / "b.raw").exists()
 
 
 def test_solve_cli(tmp_path, capsys):
@@ -282,6 +278,20 @@ def test_solve_cli(tmp_path, capsys):
     x = container.load(tmp_path / "sol.tt")
     err = np.linalg.norm(x.full().reshape(-1) - x_star.full().reshape(-1))
     assert err < 1e-7 * np.linalg.norm(x_star.full())
+
+
+def test_solver_result_that_overflowed_is_one_line_error_and_no_file(tmp_path, capsys, monkeypatch):
+    # a result the container would refuse to load is never written
+    def overflowed(op, rhs, config):
+        return TTVector([np.full((1, 2, 1), np.inf), np.ones((1, 2, 1))]), None
+
+    monkeypatch.setattr("ttkit.cli.linsolve", overflowed)
+    op_path, y_path = tmp_path / "a.tt", tmp_path / "y.tt"
+    container.save(mpo_svd(laplacian(4) + np.eye(4), (2, 2), (2, 2)), op_path)
+    container.save(random_tt((2, 2), 1, np.random.default_rng(0)), y_path)
+    code, stdout, err = run(capsys, "solve", op_path, "--rhs", y_path, "-o", tmp_path / "sol")
+    assert (code, stdout, err) == (1, "", "error: cannot save core 0: it holds a non-finite value\n")
+    assert not list(tmp_path.glob("sol*"))
 
 
 def test_solve_missing_rhs_is_usage_error(tmp_path, capsys):
@@ -493,9 +503,10 @@ def test_non_finite_raw_data_names_the_file(tmp_path, capsys, command):
 
 def test_non_finite_container_names_the_file(tmp_path, capsys):
     op = mpo_svd(laplacian(16), (2,) * 4, (2,) * 4, TruncationPolicy(1e-13))
-    op.cores[2][0, 0, 0, 0] = np.inf
     op_path = tmp_path / "op.tt"
     container.save(op, op_path)
+    # the payload ends the file: its last entry is the last core's
+    op_path.write_bytes(op_path.read_bytes()[:-8] + np.float64(np.inf).tobytes())
     code, stdout, err = run(capsys, "eig", op_path, "-o", tmp_path / "o")
     assert code == 1
     assert stdout == ""
@@ -653,15 +664,6 @@ def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys):
     assert [o[0] for o in shared] == [0, ("exit", 2), 0]
 
 
-def _with_block_position(path, position):
-    """Rewrite the 1-based block position field of a saved block container."""
-    raw = bytearray(path.read_bytes())
-    order = int.from_bytes(raw[6:10], "little")
-    offset = 10 + 8 * order + 8 * (order + 1)  # header, mode sizes, ranks
-    raw[offset:offset + 4] = position.to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-
-
 @pytest.mark.parametrize(
     "case, message",
     [
@@ -671,8 +673,7 @@ def _with_block_position(path, position):
         ("eig-on-vector", "does not hold a TT matrix"),
         ("solve-rhs-matrix", "does not hold a TT vector"),
         ("no-cores", "TTK1 container with no cores"),
-        ("block-position-0", "corrupt TTK1 container: block position 0"),
-        ("block-position-past-end", "corrupt TTK1 container: block position 3"),
+        ("block-container", "unknown TTK1 kind 2"),
         ("k-beyond-capped-local-dimension", "local dimension 2 cannot hold K=4 vectors"),
     ],
 )
@@ -692,16 +693,13 @@ def test_refusal_is_one_line_error(tmp_path, capsys, case, message):
         "eig-on-vector": ["eig", vec, "-o", out],
         "solve-rhs-matrix": ["solve", op, "--rhs", op, "-o", out],
         "no-cores": ["info", vec],
-        "block-position-0": ["info", blk],
-        "block-position-past-end": ["info", blk],
+        "block-container": ["info", blk],
         "k-beyond-capped-local-dimension": ["eig", op, "--k", 4, "--rank", 4, "--max-rank", 1, "-o", out],
     }[case]
     if case == "empty-raw":
         raw.write_bytes(b"")
     elif case == "no-cores":
         vec.write_bytes(vec.read_bytes()[:6] + (0).to_bytes(4, "little"))
-    elif case.startswith("block-position"):
-        _with_block_position(blk, 0 if case == "block-position-0" else 3)
     code, stdout, err = run(capsys, *argv)
     assert code == 1
     assert stdout == ""

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import block_container, block_from_tts, random_mpo
 from ttkit import container
-from ttkit.train import TTMatrix, TTVector, mpo_to_full, random_tt
+from ttkit.train import TTMatrix, TTVector, random_tt
 
 
 def test_vector_round_trip(tmp_path):
@@ -44,29 +44,18 @@ def test_block_round_trip(tmp_path):
     assert np.allclose(back.full(), blk.full())
 
 
-@pytest.mark.parametrize("position", range(3))
-def test_block_container_loads_as_a_tt_matrix(tmp_path, position):
-    # TTK1 kind 2 is read, never written: a block TT with K = 3 at
-    # ``position`` is the TT matrix with column size 3 there, 1 elsewhere
+def test_block_container_is_refused(tmp_path):
+    # TTK1 has kinds 0 and 1 only: K vectors held jointly are a TT matrix,
+    # saved and loaded as kind 1, and the block TT layout (kind 2) is refused
     rng = np.random.default_rng(6)
-    shapes = [(1, 2, 1, 2), (2, 3, 1, 2), (2, 2, 1, 1)]
-    shapes[position] = shapes[position][:2] + (3,) + shapes[position][3:]
-    # small integers: every product is exact, so the dense form is known
-    x = TTMatrix([rng.integers(-3, 4, shape).astype(np.float64) for shape in shapes])
+    x = TTMatrix([rng.standard_normal(shape) for shape in ((1, 2, 1, 2), (2, 3, 3, 2), (2, 2, 1, 1))])
     path = tmp_path / "b.tt"
-    path.write_bytes(block_container(x, position))
-    back = container.load(path)
-    assert isinstance(back, TTMatrix)
-    assert back.col_sizes == x.col_sizes and back.ranks == x.ranks
-    for a, b in zip(back.cores, x.cores):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    dense = back.full()
-    assert dense.tobytes() == mpo_to_full(x).tobytes()
-    exact = np.einsum("aijb,bklc,cmnd->ikmjln", *x.cores).reshape(12, 3)
-    assert np.array_equal(dense, exact)
-    # saved again, it is a kind-1 container
-    container.save(back, tmp_path / "m.tt")
+    path.write_bytes(block_container(x, 1))
+    with pytest.raises(ValueError, match="^unknown TTK1 kind 2$"):
+        container.load(path)
+    container.save(x, tmp_path / "m.tt")
     assert (tmp_path / "m.tt").read_bytes()[5] == 1
+    assert container.load(tmp_path / "m.tt").col_sizes == (1, 3, 1)
 
 
 def test_header_layout(tmp_path):
@@ -147,11 +136,24 @@ def test_zero_mode_or_rank_is_rejected(tmp_path, modes, ranks):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_core_is_rejected(tmp_path, bad):
     x = random_tt((2, 3, 2), 2, np.random.default_rng(5))
-    x.cores[1][0, 1, 0] = bad
     path = tmp_path / "x.tt"
     container.save(x, path)
-    with pytest.raises(ValueError, match="core 1 holds a non-finite value"):
+    # the payload ends the file: its last entry is the last core's
+    path.write_bytes(path.read_bytes()[:-8] + np.float64(bad).tobytes())
+    with pytest.raises(ValueError, match="core 2 holds a non-finite value"):
         container.load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_non_finite_core_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "x.tt"
+    with pytest.raises(ValueError, match="^cannot save core 0: it holds a non-finite value$"):
+        container.save(TTVector([np.full((1, 2, 1), bad)]), path)
+    x = random_tt((2, 3, 2), 2, np.random.default_rng(5))
+    x.cores[2][1, 0, 0] = bad
+    with pytest.raises(ValueError, match="^cannot save core 2: it holds a non-finite value$"):
+        container.save(x, path)
+    assert not path.exists()
 
 
 def test_save_refuses_an_unsupported_object(tmp_path):

@@ -357,18 +357,6 @@ def test_ac_product_chain_reproduces_operator_vector_product():
     assert np.allclose(mpo_apply(a, x).full().reshape(-1), dense)
 
 
-def test_fortran_flat_conversion_round_trip():
-    from ttkit import from_fortran_flat, to_fortran_flat
-
-    rng = np.random.default_rng(24)
-    t = rng.standard_normal((2, 3, 4))
-    flat = to_fortran_flat(t)
-    # first index fastest in the exported layout
-    assert flat[0] == t[0, 0, 0]
-    assert flat[1] == t[1, 0, 0]
-    assert np.array_equal(from_fortran_flat(flat, (2, 3, 4)), t)
-
-
 def test_size_one_modes_are_legal():
     from ttkit.train import tt_svd
 

@@ -7,7 +7,6 @@ from ttkit.quantize import (
     QuantizationPlan,
     dequantize,
     format_report,
-    from_fortran_flat,
     plan_auto,
     quantize_matrix,
     quantize_vector,
@@ -21,19 +20,18 @@ TIGHT = TruncationPolicy(1e-13)
 
 def test_plan_auto_power_of_two():
     plan = plan_auto(8, 2)
-    assert plan.factors == ((2, 2, 2),)
-    assert plan.physical_shape == (8,)
+    assert plan.factors == (2, 2, 2)
 
 
 def test_plan_auto_mixed_radix():
     plan = plan_auto(12, 2, mixed_radix=True)
-    assert plan.factors == ((2, 2, 3),)
-    assert plan_auto(60, 2, mixed_radix=True).factors == ((2, 2, 3, 5),)
+    assert plan.factors == (2, 2, 3)
+    assert plan_auto(60, 2, mixed_radix=True).factors == (2, 2, 3, 5)
 
 
 def test_plan_auto_minimal_and_strict():
-    assert plan_auto(2, 2).factors == ((2,),)
-    assert plan_auto(1).factors == ((1,),)
+    assert plan_auto(2, 2).factors == (2,)
+    assert plan_auto(1).factors == (1,)
     with pytest.raises(ValueError):
         plan_auto(12, 2)
 
@@ -47,15 +45,22 @@ def test_plan_auto_rejects_base_below_two(base):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: plan_auto(0), ValueError, "sizes must be positive, got (0,)"),
-        (lambda: plan_auto((4, -2)), ValueError, "sizes must be positive, got (4, -2)"),
+        (lambda: plan_auto(0), ValueError, "size must be an integer >= 1, got 0"),
+        (lambda: plan_auto(-2), ValueError, "size must be an integer >= 1, got -2"),
+        (lambda: plan_auto((4, 8)), ValueError, "size must be an integer >= 1, got (4, 8)"),
+        (lambda: plan_auto(8.0), ValueError, "size must be an integer >= 1, got 8.0"),
+        (lambda: plan_auto(True), ValueError, "size must be an integer >= 1, got True"),
+        (lambda: QuantizationPlan(((2, 2),)), ValueError, "plan factor must be an integer >= 1, got (2, 2)"),
         (lambda: quantize_matrix(np.ones(8), plan_auto(8), plan_auto(8)), ValueError, "expected a matrix, got shape (8,)"),
+        (lambda: quantize_vector(np.array([1.0, np.inf]), plan_auto(2)), ValueError, "cannot decompose a tensor holding inf or NaN"),
         (lambda: dequantize(tt_svd(np.ones((2, 2))), plan_auto(8)), ValueError, "plan total 8 does not match represented size 4"),
         (lambda: dequantize(np.ones(4)), TypeError, "cannot dequantize ndarray"),
-        (lambda: from_fortran_flat(np.ones(4), (4, 0)), ValueError, "mode sizes must be positive, got (4, 0)"),
         (lambda: storage_report(np.ones(4)), TypeError, "cannot report on ndarray"),
     ],
-    ids=["zero-size", "negative-size", "not-a-matrix", "plan-of-another-size", "dequantize-array", "fortran-zero-size", "report-on-array"],
+    ids=[
+        "zero-size", "negative-size", "size-sequence", "size-float", "size-bool", "grouped-plan",
+        "not-a-matrix", "non-finite-sample", "plan-of-another-size", "dequantize-array", "report-on-array",
+    ],
 )
 def test_bad_input_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -64,21 +69,22 @@ def test_bad_input_is_refused_with_its_message(call, error, message):
 
 def test_plan_determinism():
     assert plan_auto(64, 2) == plan_auto(64, 2)
-    assert plan_auto((4, 8), 2) == QuantizationPlan(((2, 2), (2, 2, 2)))
+    assert plan_auto(32, 2) == QuantizationPlan((2, 2, 2, 2, 2))
 
 
 @pytest.mark.parametrize("group", [(2, 2.5), (4, 2.0), (2, True, 4), (2, "4"), (0,), (2, -1), ()])
 def test_plan_rejects_non_integer_factors(group):
     with pytest.raises(ValueError) as info:
-        QuantizationPlan((group,))
+        QuantizationPlan(group)
     assert "\n" not in str(info.value)
 
 
 def test_plan_accepts_numpy_integers():
-    plan = QuantizationPlan(((np.int64(2), np.int32(4)), (np.uint8(3),)))
-    assert plan.physical_shape == (8, 3)
+    plan = QuantizationPlan((np.int64(2), np.int32(4), np.uint8(3)))
     x = quantize_vector(np.arange(24.0), plan, TruncationPolicy(1e-12))
-    assert np.allclose(dequantize(x, plan).reshape(-1), np.arange(24.0))
+    assert x.mode_sizes == (2, 4, 3)
+    assert np.allclose(dequantize(x, plan), np.arange(24.0))
+    assert plan_auto(np.int64(8)) == plan_auto(8)
 
 
 def test_quantize_constant_vector_rank_one():
@@ -145,14 +151,14 @@ def test_quantize_matrix_uneven_depth_pads():
     assert np.linalg.norm(dequantize(op) - m) <= 1e-12 * np.linalg.norm(m)
 
 
-def test_dequantize_physical_shape():
+def test_dequantize_returns_a_flat_vector():
+    # whatever the modes of the TT vector, with or without a plan
     rng = np.random.default_rng(4)
-    plan = plan_auto((4, 8), 2)
     t = rng.standard_normal((4, 8))
-    x = tt_svd(t.reshape(plan.virtual_shape), EXACT)
-    back = dequantize(x, plan)
-    assert back.shape == (4, 8)
-    assert np.allclose(back, t)
+    x = tt_svd(t, EXACT)
+    for back in (dequantize(x), dequantize(x, plan_auto(32))):
+        assert back.shape == (32,)
+        assert np.allclose(back, t.reshape(-1))
 
 
 def test_dequantize_single_factor_plan():

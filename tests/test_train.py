@@ -309,7 +309,7 @@ def test_tt_svd_zero_long_tensor(policy):
 def test_tt_svd_nan_raises():
     t = np.ones(2**13)
     t[100] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(ValueError, match=r"^cannot decompose a tensor holding inf or NaN$"):
         tt_svd(t.reshape((2,) * 13))
 
 
@@ -382,7 +382,7 @@ def test_quantize_matrix_blocks_match_plain_svds(cols):
     mat = _kernel(256, cols)
     row_plan, col_plan = plan_auto(256), plan_auto(cols)
     a = quantize_matrix(mat, row_plan, col_plan, TruncationPolicy(1e-12))
-    rows, col_modes = row_plan.virtual_shape, col_plan.virtual_shape
+    rows, col_modes = row_plan.factors, col_plan.factors
     col_modes += (1,) * (len(rows) - len(col_modes))
     _check_against_plain(_fused(a), _interleaved(mat, rows, col_modes), 1e-12)
 
@@ -756,11 +756,18 @@ def test_chain_validation():
         (lambda: tt_svd(np.zeros((2, 0, 3))), "cannot decompose an empty tensor"),
         (lambda: orthogonalize(random_tt((2, 2, 2), 2, np.random.default_rng(0)), 3), "site 3 out of range for order 3"),
         (lambda: orthogonalize(random_tt((2, 2, 2), 2, np.random.default_rng(0)), -1), "site -1 out of range for order 3"),
+        (lambda: orthogonalize(random_tt((2, 2, 2), 2, np.random.default_rng(0)), True), "site must be an integer, got True"),
+        (lambda: orthogonalize(random_tt((2, 2, 2), 2, np.random.default_rng(0)), 1.0), "site must be an integer, got 1.0"),
+        (lambda: tt_svd([[np.inf, 1], [1, 1]]), "cannot decompose a tensor holding inf or NaN"),
+        (lambda: mpo_svd(np.full((4, 4), np.nan), (2, 2), (2, 2)), "cannot decompose a tensor holding inf or NaN"),
         (lambda: feasible_ranks((2, 2, 2), [2]), "need 2 interior ranks, got 1"),
         (lambda: TTVector([np.ones((1, 2, 1)), np.ones((1, 2))]), "core 1 must be 3-way, got shape (1, 2)"),
         (lambda: TTMatrix([np.ones((1, 2, 1))]), "core 0 must be 4-way, got shape (1, 2, 1)"),
     ],
-    ids=["empty-tensor", "site-past-the-end", "site-below-zero", "rank-count", "vector-core", "matrix-core"],
+    ids=[
+        "empty-tensor", "site-past-the-end", "site-below-zero", "site-bool", "site-float", "inf-entry", "mpo-nan-entry",
+        "rank-count", "vector-core", "matrix-core",
+    ],
 )
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
