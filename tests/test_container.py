@@ -3,7 +3,7 @@ import pytest
 
 from oracles import block_container, block_from_tts, random_mpo
 from ttkit import container
-from ttkit.train import TTMatrix, TTVector, random_tt
+from ttkit.train import TTMatrix, TTVector, mpo_to_full, random_tt
 
 
 def test_vector_round_trip(tmp_path):
@@ -44,18 +44,32 @@ def test_block_round_trip(tmp_path):
     assert np.allclose(back.full(), blk.full())
 
 
-def test_block_container_is_refused(tmp_path):
-    # TTK1 has kinds 0 and 1 only: K vectors held jointly are a TT matrix,
-    # saved and loaded as kind 1, and the block TT layout (kind 2) is refused
+@pytest.mark.parametrize("position", range(3))
+def test_block_container_loads_as_a_tt_matrix(tmp_path, position):
+    # TTK1 has kinds 0 and 1 only: a block TT with K = 3 at ``position`` is
+    # the TT matrix with column size 3 there, 1 elsewhere, saved and loaded
+    # as kind 1; the block TT layout (kind 2) is refused
     rng = np.random.default_rng(6)
-    x = TTMatrix([rng.standard_normal(shape) for shape in ((1, 2, 1, 2), (2, 3, 3, 2), (2, 2, 1, 1))])
+    shapes = [(1, 2, 1, 2), (2, 3, 1, 2), (2, 2, 1, 1)]
+    shapes[position] = shapes[position][:2] + (3,) + shapes[position][3:]
+    # small integers: every product is exact, so the dense form is known
+    x = TTMatrix([rng.integers(-3, 4, shape).astype(np.float64) for shape in shapes])
     path = tmp_path / "b.tt"
-    path.write_bytes(block_container(x, 1))
+    path.write_bytes(block_container(x, position))
     with pytest.raises(ValueError, match="^unknown TTK1 kind 2$"):
         container.load(path)
     container.save(x, tmp_path / "m.tt")
     assert (tmp_path / "m.tt").read_bytes()[5] == 1
-    assert container.load(tmp_path / "m.tt").col_sizes == (1, 3, 1)
+    back = container.load(tmp_path / "m.tt")
+    assert isinstance(back, TTMatrix)
+    assert back.col_sizes == x.col_sizes and back.ranks == x.ranks
+    assert back.col_sizes == tuple(3 if n == position else 1 for n in range(3))
+    for a, b in zip(back.cores, x.cores):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    dense = back.full()
+    assert dense.tobytes() == mpo_to_full(x).tobytes()
+    exact = np.einsum("aijb,bklc,cmnd->ikmjln", *x.cores).reshape(12, 3)
+    assert np.array_equal(dense, exact)
 
 
 def test_header_layout(tmp_path):
