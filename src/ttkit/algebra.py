@@ -21,6 +21,7 @@ from .train import (
     _block_diag,
     _fused,
     _norm,
+    _wrap,
     mpo_round,
     orthogonalize,
 )
@@ -49,13 +50,13 @@ def tt_add(x: TTVector, y: TTVector) -> TTVector:
         _block_diag([a, b], ((0,) if n > 0 else ()) + ((2,) if n < last else ()))
         for n, (a, b) in enumerate(zip(x.cores, y.cores))
     ]
-    return TTVector(cores, copy=False)
+    return _wrap(TTVector, cores)
 
 
 def tt_scale(x: TTVector, alpha: float) -> TTVector:
     """Scale by multiplying the first core; ranks are unchanged."""
     cores = [x.cores[0] * float(alpha)] + [c.copy() for c in x.cores[1:]]
-    return TTVector(cores, copy=False)
+    return _wrap(TTVector, cores)
 
 
 def tt_norm(x: TTVector) -> float:
@@ -86,7 +87,7 @@ def mpo_mul(a: TTMatrix, b: TTMatrix, policy: Optional[TruncationPolicy] = None)
         c = np.einsum("aijb,cjkd->acikbd", ac, bc)
         p0, r0, i, k, p1, r1 = c.shape
         cores.append(c.reshape(p0 * r0, i, k, p1 * r1))
-    y = TTMatrix(cores, copy=False)
+    y = _wrap(TTMatrix, cores)
     return y if policy is None else mpo_round(y, policy)
 
 

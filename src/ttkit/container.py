@@ -57,6 +57,14 @@ def _read_u64s(fh, count: int) -> list:
 def save(obj, path):
     """Write a TT vector or a TT matrix to ``path``; a core holding a NaN or
     an infinity is refused before the file is opened."""
+    data = _encode(obj)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _encode(obj) -> bytes:
+    """The container bytes of ``obj`` (see :func:`save`), or ``ValueError``
+    naming its first non-finite core."""
     if isinstance(obj, TTVector):
         kind = KIND_VECTOR
     elif isinstance(obj, TTMatrix):
@@ -75,9 +83,7 @@ def save(obj, path):
         if not np.isfinite(core).all():
             raise ValueError(f"cannot save core {n}: it holds a non-finite value")
         buf.write(np.ascontiguousarray(core, dtype="<f8").tobytes())
-    data = buf.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(data)
+    return buf.getvalue()
 
 
 def load(path):

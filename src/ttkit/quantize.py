@@ -44,6 +44,8 @@ class QuantizationPlan:
     factors: tuple
 
     def __post_init__(self):
+        if not isinstance(self.factors, tuple):  # a list would leave the plan unhashable
+            raise ValueError(f"factors must be a tuple of mode sizes, got {type(self.factors).__name__}")
         if not self.factors:
             raise ValueError("a quantization plan needs at least one factor")
         for f in self.factors:

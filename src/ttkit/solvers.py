@@ -10,14 +10,19 @@ one site or a site pair, refuses a problem too small for K vectors and
 solves it exactly by ``solve``, whose last values go to the residual and
 are returned.  Their size is bounded only by
 ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the sweep
-keeps: the K lowest eigenpairs (``eigh`` with ``subset_by_index``), of ±AᵀA
-on the one SVD route, ``_svd``.  A single-site step of a K = 1 eigenproblem
-without a metric at a site solved before starts from the site's current
-core instead: Cholesky factors of shifted local matrices certify its
-Rayleigh quotient as the lowest eigenvalue, or drive inverse iteration to
-one that is, and ``eigh`` runs only when three factorizations did not
-settle it (see ``_lowest_pair``).  Such runs build their start by one sweep
-at rank ⌈R/2⌉ and pad its cores to rank R with the vector unchanged
+keeps: the K lowest eigenpairs, of ±AᵀA on the one SVD route, ``_svd``, by
+``_lowest_eigh``, which calls LAPACK's ``dsyevr`` (``dsygvx`` for a pencil)
+as ``scipy.linalg.eigh`` with ``subset_by_index`` does, bit for bit, but
+without its per-call checks; ``_cholesky_solve`` does the same for
+``cho_solve``.  Both refuse a local matrix holding inf or NaN, and every
+solver refuses such an operator or right-hand side at its entry.  A
+single-site step of a K = 1 eigenproblem without a metric at a site solved
+before starts from the site's current core instead: Cholesky factors of
+shifted local matrices certify its Rayleigh quotient as the lowest
+eigenvalue, or drive inverse iteration to one that is, and
+``_lowest_eigh`` runs only when three factorizations did not settle it
+(see ``_lowest_pair``).  Such runs build their start by one sweep at rank
+⌈R/2⌉ and pad its cores to rank R with the vector unchanged
 (``_Chain.pad``), so the dense first-visit ``eigh`` calls run at the half
 rank and every rank-R step starts warm; that sweep is not counted in
 ``max_sweeps`` or reported.  A sweep is two half-sweeps, left to right and
@@ -55,6 +60,7 @@ split goes through ``train.qr_split`` or ``train.svd_split``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -73,6 +79,7 @@ from .train import (
     _column,
     _fused,
     _unit_scaled,
+    _wrap,
     block_extract,
     feasible_ranks,
     fix_svd_signs,
@@ -276,7 +283,7 @@ class _Chain:
             padded[:ra, :, :rb] = core
             padded[ra:] = rng.standard_normal((profile[j] - ra, i, profile[j + 1]))
             cores.append(padded)
-        self.cores = orthogonalize(TTVector(cores, copy=False), 0).cores
+        self.cores = orthogonalize(_wrap(TTVector, cores), 0).cores
         self.pos = 0
         self.x = self.cores[0][:, :, :, None].copy()
 
@@ -287,7 +294,7 @@ class _Chain:
         (``train.block_extract``)."""
         cores = [c[:, :, None, :].copy() for c in self.cores]
         cores[self.pos] = np.ascontiguousarray(self.x.transpose(0, 1, 3, 2))
-        return TTMatrix(cores, copy=False)
+        return _wrap(TTMatrix, cores)
 
 
 def _half_sweeps(chains: List[_Chain], problems: List[tuple], solve: Callable, config: SweepConfig):
@@ -392,12 +399,57 @@ def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: s
     )
 
 
+def _require_finite(name: str, *arrays):
+    """Reject, with a one-line ``ValueError`` naming it, an object that holds
+    inf or NaN in one of its ``arrays``: an operator's or a right-hand side's
+    cores at a solver's entry, before anything is composed from them, or
+    local matrices, which the direct LAPACK calls below do not check."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} holds inf or NaN")
+
+
 def _cholesky_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve h·z = rhs by a Cholesky factor of h's lower triangle, read as
-    the upper one of ``h.T``; ``LinAlgError`` when there is none.  No
-    condition estimate is made, so an ill-conditioned but factorable h gives
-    no ``LinAlgWarning``."""
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(h.T), rhs)
+    the upper one of ``h.T``; ``LinAlgError`` when there is none.  These are
+    the LAPACK calls of ``scipy.linalg.cho_solve(cho_factor(h.T), rhs)``
+    (``dpotrf``, ``dpotrs``), made directly.  No condition estimate is made,
+    so an ill-conditioned but factorable h gives no ``LinAlgWarning``."""
+    _require_finite("local matrix", h, rhs)
+    factor, info = scipy.linalg.lapack.dpotrf(h.T, lower=0, clean=0)
+    if info:
+        raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the local system is not positive definite")
+    return scipy.linalg.lapack.dpotrs(factor, rhs, lower=0)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _eigh_work(n: int) -> tuple:
+    """Workspace sizes at order ``n`` of LAPACK's ``dsyevr`` (real and
+    integer) and ``dsygvx``, from LAPACK's own queries, as
+    ``scipy.linalg.eigh`` sizes them."""
+    work, iwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
+    return int(work), int(iwork), int(scipy.linalg.lapack.dsygvx_lwork(n, uplo="L")[0])
+
+
+def _lowest_eigh(h: np.ndarray, k: int, b: Optional[np.ndarray] = None):
+    """The k lowest eigenpairs ``(w, v)`` of the symmetric matrix whose lower
+    triangle is that of ``h``, or of the pencil (h, b) for a b positive
+    definite by its lower triangle: the local dense solve.  These are the
+    bits of ``scipy.linalg.eigh(h, b, subset_by_index=[0, k - 1])``, from the
+    LAPACK driver, arguments and workspace it uses (``dsyevr``, ``dsygvx``),
+    called directly.  A matrix holding inf or NaN raises ``ValueError``; a
+    failed driver (a b with no Cholesky factor) raises ``LinAlgError``."""
+    lapack = scipy.linalg.lapack
+    work, iwork, gwork = _eigh_work(h.shape[0])
+    if b is None:
+        _require_finite("local matrix", h)
+        w, v, found, _, info = lapack.dsyevr(h, range="I", lower=1, il=1, iu=k, lwork=work, liwork=iwork)
+    else:
+        _require_finite("local matrix", h, b)
+        w, v, found, _, info = lapack.dsygvx(h, b, range="I", uplo="L", il=1, iu=k, lwork=gwork)
+    if info:
+        raise scipy.linalg.LinAlgError(f"the local eigensolver failed (LAPACK info {info})")
+    return w[:found], v[:, :found]
 
 
 def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
@@ -449,7 +501,7 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
     = max(min(‖r‖, 10‖r‖²/g), floor), where the gap g to the next
     eigenvalue is read off the last contraction rate c as (rho −
     sigma)(1 − c)/c.  After three factorizations the answer comes from
-    ``eigh``, with the factor's buffer released first.
+    ``_lowest_eigh``, with the factor's buffer released first.
 
     An h whose ‖h‖_F lies outside (2^-400, 2^400), where that norm and the
     residual norms square past the float range, is solved scaled by its
@@ -466,13 +518,14 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
             return np.ldexp(w, exp), v
     floor, tol = n * eps * scale, math.sqrt(n) * eps * scale
 
+    # a vector's norm is sqrt(v.dot(v)), the dot that np.linalg.norm makes
     def rayleigh(x):
         hx = scipy.linalg.blas.dsymv(1.0, h, x, lower=1)
         rho = float(x @ hx)
         hx -= rho * x
-        return rho, float(np.linalg.norm(hx))
+        return rho, math.sqrt(hx.dot(hx))
 
-    x = start / np.linalg.norm(start)
+    x = start / math.sqrt(start.dot(start))
     rho, res = rayleigh(x)
     delta = max(res, floor)
     work = np.empty_like(h, order="F")
@@ -492,14 +545,14 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
                 break  # stalled, or at tol without the certificate: re-shift
             y = scipy.linalg.blas.dtrsv(work, x, lower=1)
             y = scipy.linalg.blas.dtrsv(work, y, lower=1, trans=1)
-            x = y / np.linalg.norm(y)
+            x = y / math.sqrt(y.dot(y))
             last = res
             rho, res = rayleigh(x)
         rate = res / last if last else 0.0
         gap = (rho - sigma) * (1.0 - rate) / rate if 0.0 < rate < 1.0 else 0.0
         delta = max(min(res, 10.0 * res * res / gap) if gap > 0.0 else res, floor)
     work = None
-    return scipy.linalg.eigh(h, subset_by_index=[0, 0])
+    return _lowest_eigh(h, 1)
 
 
 def _block_eig(
@@ -521,17 +574,14 @@ def _block_eig(
 
     def solve(mats):
         h = mats[0]
-        kept = [0, k - 1]
         if warm and chain.pos in solved:
             w, v = _lowest_pair(h, chain.x.reshape(-1))
         elif metric is None:
-            w, v = scipy.linalg.eigh(h, subset_by_index=kept)
+            w, v = _lowest_eigh(h, k)
         else:
-            w, v = _shift_ladder(
-                mats[1], lambda bm: scipy.linalg.eigh(h, bm, subset_by_index=kept), report, "local metric"
-            )
+            w, v = _shift_ladder(mats[1], lambda bm: _lowest_eigh(h, k, bm), report, "local metric")
         solved.add(chain.pos)
-        return float(np.sum(w)), [v], w
+        return float(w.sum()), [v], w
 
     def residual(values):
         snap = chain.snapshot()
@@ -569,9 +619,11 @@ def eig_min(op: TTMatrix, config: SweepConfig = SweepConfig()):
     ⌈R/2⌉ from the seeded random start, padded to rank R without changing
     the vector, so the first visits run at the half rank and every rank-R
     step starts warm.  That sweep is not counted in ``max_sweeps`` and adds
-    nothing to the report.  An operator that is not symmetric
-    (‖A − Aᵀ‖_F > 1e-12·‖A‖_F, checked in TT form) raises ``ValueError``.
+    nothing to the report.  An operator that holds inf or NaN, or is not
+    symmetric (‖A − Aᵀ‖_F > 1e-12·‖A‖_F, checked in TT form), raises
+    ``ValueError``.
     """
+    _require_finite("operator", *op.cores)
     _require_symmetric(op, "operator")
     values, block, report = _block_eig(op, 1, config)
     return float(values[0]), block_extract(block, 0), report
@@ -584,6 +636,7 @@ def eig_block(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
     orthonormal, which transfers to the global vectors.  At k = 1 the start
     is built as in :func:`eig_min`, by one uncounted sweep at half the rank.
     A non-symmetric operator raises ``ValueError``, as in :func:`eig_min`."""
+    _require_finite("operator", *op.cores)
     _require_symmetric(op, "operator")
     values, block, report = _block_eig(op, k, config)
     return np.asarray(values), block, report
@@ -608,12 +661,14 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     (``sense="max"``) and Σσ_k² for the smallest.  u is A·V orthogonalized
     toward site 0, its first core's (i·q) × K unfolding orthonormalized by
     ``train.qr_split`` (uᵀA·v has a nonnegative diagonal), then rounded at a
-    relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0."""
+    relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0.
+    An A that holds inf or NaN raises ``ValueError``."""
+    _require_finite("operator", *op.cores)
     _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
-    scaled = TTMatrix([np.ldexp(op.cores[0], -exp)] + op.cores[1:], copy=False)
+    scaled = _wrap(TTMatrix, [np.ldexp(op.cores[0], -exp)] + op.cores[1:])
     gram = mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND)
     if largest:
-        gram = TTMatrix([-gram.cores[0]] + gram.cores[1:], copy=False)
+        gram = _wrap(TTMatrix, [-gram.cores[0]] + gram.cores[1:])
     _, v, report = _block_eig(gram, k, config)
     av = mpo_mul(scaled, v)
     sigmas = np.array([np.ldexp(tt_norm(_column(av, j)) / tt_norm(_column(v, j)), exp) for j in range(k)])
@@ -631,9 +686,9 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     if unfolding.shape[0] < k:
         raise ValueError(f"K={k} exceeds the local dimension {unfolding.shape[0]} of the left vectors")
     cores[0] = qr_split(unfolding, 1)[0].reshape(1, -1, q, k).transpose(0, 1, 3, 2).reshape(1, -1, q)
-    u = tt_round(TTVector(cores, copy=False), _OP_ROUND).cores
+    u = tt_round(_wrap(TTVector, cores), _OP_ROUND).cores
     u = [u[0].reshape(1, -1, k, u[0].shape[2])] + [c[:, :, None, :] for c in u[1:]]
-    return sigmas[order], TTMatrix(u, copy=False), v, report
+    return sigmas[order], _wrap(TTMatrix, u), v, report
 
 
 def svd_small_k(op: TTMatrix, k: int, config: SweepConfig = SweepConfig()):
@@ -674,6 +729,8 @@ def gevd(
         raise ValueError("inner operator must act on the sandwich's column space")
     if b_op.row_sizes != x_op.row_sizes or b_op.col_sizes != x_op.row_sizes:
         raise ValueError("metric must act on the sandwich's row space")
+    for op, name in ((x_op, "sandwich operator"), (a_op, "inner operator"), (b_op, "metric operator")):
+        _require_finite(name, *op.cores)
     _require_symmetric(a_op, "inner operator")
     _require_symmetric(b_op, "metric operator")
     m_op = mpo_mul(mpo_mul(x_op, a_op, _OP_ROUND), mpo_transpose(x_op), _OP_ROUND)
@@ -702,6 +759,8 @@ def cca(
     """
     if x_op.col_sizes != y_op.col_sizes:
         raise ValueError("the two operators must share the observation modes")
+    _require_finite("data operator X", *x_op.cores)
+    _require_finite("data operator Y", *y_op.cores)
     cross = mpo_mul(x_op, mpo_transpose(y_op), _OP_ROUND)
     if config.identity_grams:
         return _svd(cross, k, config, largest=True)
@@ -826,6 +885,8 @@ def linsolve(op: TTMatrix, rhs: TTVector, config: SweepConfig = SweepConfig()):
         raise ValueError(
             f"operator rows {op.row_sizes} do not match rhs modes {rhs.mode_sizes}"
         )
+    _require_finite("operator", *op.cores)
+    _require_finite("right-hand side", *rhs.cores)
     if _is_symmetric(op):
         try:
             return _linear_sweeps(op, rhs, config, energy=True)

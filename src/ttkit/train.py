@@ -34,6 +34,7 @@ A TT vector is a TT matrix whose column indices have size 1
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -114,6 +115,16 @@ def _prepare_cores(cores, ndim: int, copy: bool):
     return out
 
 
+def _wrap(cls, cores: list):
+    """A ``cls`` (:class:`TTVector` or :class:`TTMatrix`) over ``cores`` as
+    they are.  Only for cores the library built itself, which are C-ordered
+    float64 arrays of the right order with linked ranks: the public
+    constructors would only check and convert them again."""
+    obj = object.__new__(cls)
+    obj.cores = cores
+    return obj
+
+
 class TTVector:
     """Chain of order-3 cores representing an N-way tensor."""
 
@@ -187,8 +198,7 @@ def fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     """Make the largest-magnitude entry of each left singular vector
     nonnegative, compensating in ``vt``; gives reproducible factors."""
     j = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[j, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
+    signs = np.where(u[j, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
     return u * signs, vt * signs[:, None]
 
 
@@ -198,7 +208,7 @@ def _unit_scaled(a: np.ndarray):
     in magnitude and their squares cannot overflow.  Scaling by a power of
     two is exact, so a norm or a rank decision made on the scaled entries
     is that of ``a`` to the bit, wherever ``a``'s own squares stay finite."""
-    exp = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    exp = int(np.frexp(np.abs(a).max(initial=0.0))[1])
     return np.ldexp(a, -exp), exp
 
 
@@ -241,17 +251,43 @@ def policy_rank(policy: TruncationPolicy) -> Callable[[np.ndarray], int]:
     return lambda s: select_rank(s, policy.tol * _norm(s), policy.max_rank)
 
 
+@functools.lru_cache(maxsize=128)
+def _qr_plan(rows: int, cols: int) -> tuple:
+    """Workspace sizes of ``dgeqrf`` and ``dorgqr`` for a ``rows`` × ``cols``
+    QR (LAPACK's own query), and the read-only mask of the strict lower
+    triangle of its ``min(rows, cols)`` × ``cols`` triangular factor."""
+    k = min(rows, cols)
+    lapack = scipy.linalg.lapack
+    geqrf = lapack.dgeqrf(np.empty((rows, cols), order="F"), lwork=-1)[2][0]
+    orgqr = lapack.dorgqr(np.empty((rows, k), order="F"), np.empty(k), lwork=-1)[1][0]
+    lower = np.tri(k, cols, -1, dtype=bool)
+    lower.flags.writeable = False  # shared by every call of this shape
+    return int(geqrf), int(orgqr), lower
+
+
 def qr_split(m: np.ndarray, step: int):
     """Split the unfolding ``m`` of a core across its bond by QR, keeping the
     rank: returns ``(a, b)`` with ``m == a @ b``.  For ``step > 0`` (moving
     right) ``a`` has orthonormal columns and ``b`` is the carry; for
     ``step < 0`` ``b`` has orthonormal rows and ``a`` is the carry.  The
-    diagonal of the triangular factor is made nonnegative."""
-    q, r = np.linalg.qr(m if step > 0 else m.T)
-    d = np.sign(np.diagonal(r)).copy()
-    d[d == 0] = 1.0
-    q, r = q * d, r * d[:, None]
-    return (q, r) if step > 0 else (r.T, np.ascontiguousarray(q.T))
+    diagonal of the triangular factor is made nonnegative.
+
+    LAPACK's ``dgeqrf`` and ``dorgqr`` are called directly, with the
+    workspace of their own query, as ``numpy.linalg.qr`` calls them: the
+    factors are its factors bit for bit, in the same memory order (C order,
+    the carry of a left move its transpose), since downstream products
+    depend on that order too."""
+    a = m if step > 0 else m.T
+    work_qr, work_q, lower = _qr_plan(*a.shape)
+    k = lower.shape[0]
+    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a, lwork=work_qr)
+    r = np.array(qr[:k], order="C")
+    np.copyto(r, 0.0, where=lower)
+    d = np.where(r.diagonal() < 0.0, -1.0, 1.0)
+    q, _, _ = scipy.linalg.lapack.dorgqr(qr[:, :k], tau, lwork=work_q, overwrite_a=1)
+    q *= d  # Fortran-ordered: its transpose is C-ordered
+    r *= d[:, None]
+    return (np.ascontiguousarray(q), r) if step > 0 else (r.T, q.T)
 
 
 def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
@@ -335,7 +371,7 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
     shape = t.shape
     n_modes = len(shape)
     if n_modes == 1:
-        return TTVector([t.reshape(1, shape[0], 1)], copy=False)
+        return _wrap(TTVector, [t.reshape(1, shape[0], 1)])
     threshold = None
 
     def rule(s):
@@ -364,7 +400,7 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
         cores += block
         n = end
     cores.append(rest.reshape(-1, shape[-1], 1))
-    return TTVector(cores, copy=False)
+    return _wrap(TTVector, cores)
 
 
 def tt_to_full(x: TTVector) -> np.ndarray:
@@ -426,7 +462,7 @@ def mpo_to_full(a: TTMatrix) -> np.ndarray:
 def _fused(a: TTMatrix) -> TTVector:
     """The TT matrix as a TT vector, with no copy: each core ``(p, i, j, q)``
     is read as a vector core ``(p, i·j, q)``, so ``tt_norm`` gives ‖a‖_F."""
-    return TTVector([c.reshape(c.shape[0], -1, c.shape[3]) for c in a.cores], copy=False)
+    return _wrap(TTVector, [c.reshape(c.shape[0], -1, c.shape[3]) for c in a.cores])
 
 
 def _as_matrix(x) -> TTMatrix:
@@ -434,13 +470,13 @@ def _as_matrix(x) -> TTMatrix:
     per site, and a TT matrix as itself."""
     if isinstance(x, TTMatrix):
         return x
-    return TTMatrix([c[:, :, None, :] for c in x.cores], copy=False)
+    return _wrap(TTMatrix, [c[:, :, None, :] for c in x.cores])
 
 
 def _unfused(v: TTVector, rows: Sequence[int], cols: Sequence[int]) -> TTMatrix:
     """Inverse of :func:`_fused`, for site sizes ``rows`` by ``cols``."""
     cores = [c.reshape(c.shape[0], i, j, c.shape[2]) for c, i, j in zip(v.cores, rows, cols)]
-    return TTMatrix(cores, copy=False)
+    return _wrap(TTMatrix, cores)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +494,21 @@ def orthogonalize(x: TTVector, site: int) -> TTVector:
         r0, i, r1 = cores[k].shape
         q, r = qr_split(cores[k].reshape(r0 * i, r1), 1)
         cores[k] = q.reshape(r0, i, -1)
-        cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
+        cores[k + 1] = _carry_right(r, cores[k + 1])
     for k in range(len(cores) - 1, site, -1):
         r0, i, r1 = cores[k].shape
         l, q = qr_split(cores[k].reshape(r0, i * r1), -1)
         cores[k] = q.reshape(-1, i, r1)
-        cores[k - 1] = np.tensordot(cores[k - 1], l, axes=(2, 0))
-    return TTVector(cores, copy=False)
+        c = cores[k - 1]
+        cores[k - 1] = np.dot(c.reshape(-1, c.shape[2]), l).reshape(c.shape[0], c.shape[1], -1)
+    return _wrap(TTVector, cores)
+
+
+def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """``carry`` absorbed into the left bond of ``core``: the one ``np.dot``
+    of the 2-D reshapes that ``np.tensordot(carry, core, axes=(1, 0))``
+    makes, without its argument handling."""
+    return np.dot(carry, core.reshape(core.shape[0], -1)).reshape(carry.shape[0], *core.shape[1:])
 
 
 def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
@@ -478,7 +522,7 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
     cores = orthogonalize(x, 0).cores
     n_modes = len(cores)
     if n_modes == 1:
-        return TTVector(cores, copy=False)
+        return _wrap(TTVector, cores)
     threshold = policy.tol * _norm(cores[0]) / math.sqrt(n_modes - 1)
     for k in range(n_modes - 1):
         r0, i, r1 = cores[k].shape
@@ -486,8 +530,8 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
             cores[k].reshape(r0 * i, r1), 1, lambda s: select_rank(s, threshold, policy.max_rank)
         )
         cores[k] = u.reshape(r0, i, -1)
-        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(1, 0))
-    return TTVector(cores, copy=False)
+        cores[k + 1] = _carry_right(carry, cores[k + 1])
+    return _wrap(TTVector, cores)
 
 
 def mpo_round(a: TTMatrix, policy: TruncationPolicy) -> TTMatrix:
@@ -503,9 +547,11 @@ def _column(x: TTMatrix, k: int) -> TTVector:
     """Column ``k`` of ``x``, unchecked and read in place: each core gives
     its column of the multi-index that ``k`` unravels to over the column
     sizes, last fastest, as a view wherever that column is contiguous."""
-    # in Python integers, which do not overflow past 2^63 columns
-    index = [int(k) // math.prod(x.col_sizes[n + 1 :]) % size for n, size in enumerate(x.col_sizes)]
-    return TTVector([c[:, :, j, :] for c, j in zip(x.cores, index)], copy=False)
+    cores, rest = [], int(k)  # Python integers do not overflow past 2^63 columns
+    for c in reversed(x.cores):
+        rest, j = divmod(rest, c.shape[2])
+        cores.append(np.ascontiguousarray(c[:, :, j, :]))
+    return _wrap(TTVector, cores[::-1])
 
 
 def block_extract(x: TTMatrix, k: int) -> TTVector:
@@ -568,4 +614,4 @@ def random_tt(mode_sizes, rank, rng) -> TTVector:
         rank = [rank] * (len(modes) - 1)
     r = feasible_ranks(modes, rank)
     cores = [rng.standard_normal((r[n], modes[n], r[n + 1])) for n in range(len(modes))]
-    return TTVector(cores, copy=False)
+    return _wrap(TTVector, cores)

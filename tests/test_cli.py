@@ -294,6 +294,30 @@ def test_solver_result_that_overflowed_is_one_line_error_and_no_file(tmp_path, c
     assert not list(tmp_path.glob("sol*"))
 
 
+def _vector(fill):
+    return TTVector([np.full((1, 2, 1), fill), np.ones((1, 2, 1))])
+
+
+@pytest.mark.parametrize(
+    "argv, solver, result, first",
+    [
+        (["svd", "a.tt"], "svd_dominant", (1.0, _vector(1.0), _vector(np.nan), None), "u"),
+        (["cca", "a.tt", "a.tt", "--k", "2"], "cca", ([1.0, 0.5], _vector(1.0), _vector(np.nan), None), "wx"),
+    ],
+    ids=["svd-v", "cca-wy"],
+)
+def test_second_result_refused_writes_neither(tmp_path, capsys, monkeypatch, argv, solver, result, first):
+    # the first result is finite and the second is not: the refusal comes
+    # before the first container is written, so no half result stays behind
+    monkeypatch.setattr(f"ttkit.cli.{solver}", lambda *args: result)
+    container.save(mpo_svd(laplacian(4), (2, 2), (2, 2)), tmp_path / "a.tt")
+    argv = [tmp_path / a if a == "a.tt" else a for a in argv]
+    code, stdout, err = run(capsys, *argv, "-o", tmp_path / "out")
+    assert (code, stdout, err) == (1, "", "error: cannot save core 0: it holds a non-finite value\n")
+    assert not (tmp_path / f"out.{first}.tt").exists()
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_solve_missing_rhs_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "whatever.tt", "-o", "out"])

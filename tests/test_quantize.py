@@ -67,6 +67,17 @@ def test_bad_input_is_refused_with_its_message(call, error, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "factors, name",
+    [(8, "int"), (2.0, "float"), ([2, 2], "list"), (np.array([2, 2]), "ndarray"), ("ab", "str"), (None, "NoneType")],
+    ids=["int", "float", "list", "array", "str", "none"],
+)
+def test_plan_refuses_factors_that_are_not_a_tuple(factors, name):
+    message = f"factors must be a tuple of mode sizes, got {name}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QuantizationPlan(factors)
+
+
 def test_plan_determinism():
     assert plan_auto(64, 2) == plan_auto(64, 2)
     assert plan_auto(32, 2) == QuantizationPlan((2, 2, 2, 2, 2))

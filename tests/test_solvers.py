@@ -1161,7 +1161,7 @@ def test_lowest_pair_matches_dense_oracle(problem, junk_upper):
     n = h.shape[0]
     bound = 4 * n * EPS * np.linalg.norm(h)
     given_h = _upper_junk(h) if junk_upper else h.copy()
-    with mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+    with mock.patch.object(solvers, "_lowest_eigh", wraps=solvers._lowest_eigh) as eigh:
         solvers._lowest_pair(h, start)
         clean_calls = eigh.call_count
         w, v = solvers._lowest_pair(given_h, start)
@@ -1170,6 +1170,50 @@ def test_lowest_pair_matches_dense_oracle(problem, junk_upper):
     assert abs(w[0] - np.linalg.eigvalsh(h)[0]) <= bound
     assert abs(np.linalg.norm(v) - 1.0) <= 4 * n * EPS
     assert np.linalg.norm(h @ v[:, 0] - w[0] * v[:, 0]) <= bound
+
+
+@pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("n", [4, 32, 128, 192])
+def test_lowest_eigh_is_scipy_eigh_bit_for_bit(n, k, metric):
+    # the local dense solve calls LAPACK directly: its pairs are those of
+    # scipy.linalg.eigh with subset_by_index to the bit, for Fortran-ordered
+    # matrices (as effective_operator assembles them) whose strict upper
+    # triangle is junk, since both read the lower one alone
+    rng = np.random.default_rng(n + k)
+    h = np.asfortranarray(rng.standard_normal((n, n)))
+    b = None
+    if metric:
+        g = rng.standard_normal((n, n))
+        b = np.asfortranarray(g @ g.T / n + np.eye(n) + np.triu(rng.standard_normal((n, n)), 1))
+    w, v = solvers._lowest_eigh(h, k, b)
+    want_w, want_v = scipy.linalg.eigh(h, b, subset_by_index=[0, k - 1])
+    assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+    assert v.shape == (n, k) and v.flags.f_contiguous == want_v.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [4, 32, 128])
+def test_cholesky_solve_is_scipy_cho_solve_bit_for_bit(n):
+    # linsolve's local systems: h Fortran-ordered with a junk upper
+    # triangle, factored by its lower one, as cho_factor(h.T) reads it
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    h = np.asfortranarray(np.tril(g @ g.T / n + np.eye(n)) + np.triu(rng.standard_normal((n, n)), 1))
+    rhs = rng.standard_normal(n)
+    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h.T), rhs)
+    assert solvers._cholesky_solve(h, rhs).tobytes() == want.tobytes()
+    with pytest.raises(scipy.linalg.LinAlgError):
+        solvers._cholesky_solve(-h, rhs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+def test_lowest_eigh_refuses_a_non_finite_matrix(value, metric):
+    h = np.eye(4)
+    b = np.eye(4) if metric else None
+    (b if metric else h)[2, 1] = value
+    with pytest.raises(ValueError, match="^local matrix holds inf or NaN$"):
+        solvers._lowest_eigh(h, 1, b)
 
 
 def _symmetric_8(rng, second=None):
@@ -1216,7 +1260,7 @@ def test_lowest_pair_settles_hard_starts_without_eigh(problem, junk_upper):
     h, start = problem()
     n = h.shape[0]
     bound = 4 * n * EPS * np.linalg.norm(h)
-    with mock.patch.object(scipy.linalg, "eigh", side_effect=AssertionError("eigh fallback")), \
+    with mock.patch.object(solvers, "_lowest_eigh", side_effect=AssertionError("eigh fallback")), \
             mock.patch.object(scipy.linalg.lapack, "dpotrf", wraps=scipy.linalg.lapack.dpotrf) as potrf:
         lam, v = solvers._lowest_pair(_upper_junk(h) if junk_upper else h, start)
     assert potrf.call_count == 3
@@ -1239,7 +1283,7 @@ def test_eig_min_warm_steps_skip_eigh(monkeypatch):
     phase = ["warm-up"]
     count = {(p, kind): 0 for p in ("warm-up", "rank 16") for kind in ("warm", "cold", "fallback")}
     inside = []
-    eigh, lowest_pair, pad = scipy.linalg.eigh, solvers._lowest_pair, solvers._Chain.pad
+    eigh, lowest_pair, pad = solvers._lowest_eigh, solvers._lowest_pair, solvers._Chain.pad
 
     def counting_eigh(*args, **kwargs):
         count[phase[0], "fallback" if inside else "cold"] += 1
@@ -1257,7 +1301,7 @@ def test_eig_min_warm_steps_skip_eigh(monkeypatch):
         pad(chain, rank, rng)
         phase[0] = "rank 16"
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solvers, "_lowest_eigh", counting_eigh)
     monkeypatch.setattr(solvers, "_lowest_pair", counting_pair)
     monkeypatch.setattr(solvers._Chain, "pad", padding)
     lam, _, rep = eig_min(op, SweepConfig(rank=16, max_sweeps=2, seed=0))
@@ -1312,7 +1356,7 @@ def test_warm_up_runs_every_cold_eigh_at_half_rank(monkeypatch, solve):
     op = qtt_laplacian(6)
     rank = [0]
     events = []
-    build, eigh, lowest_pair = solvers.effective_operator, scipy.linalg.eigh, solvers._lowest_pair
+    build, eigh, lowest_pair = solvers.effective_operator, solvers._lowest_eigh, solvers._lowest_pair
 
     def recording(stack, site, span=1):
         rank[0] = max(c.shape[2] for c in stack.bra)
@@ -1324,14 +1368,14 @@ def test_warm_up_runs_every_cold_eigh_at_half_rank(monkeypatch, solve):
 
     def counting_pair(h, start):
         events.append(("warm", rank[0]))
-        monkeypatch.setattr(scipy.linalg, "eigh", eigh)  # fallbacks are not first visits
+        monkeypatch.setattr(solvers, "_lowest_eigh", eigh)  # fallbacks are not first visits
         try:
             return lowest_pair(h, start)
         finally:
-            monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+            monkeypatch.setattr(solvers, "_lowest_eigh", counting_eigh)
 
     monkeypatch.setattr(solvers, "effective_operator", recording)
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solvers, "_lowest_eigh", counting_eigh)
     monkeypatch.setattr(solvers, "_lowest_pair", counting_pair)
     solve(op, SweepConfig(rank=5, max_sweeps=2, seed=3))
     assert events.count(("cold", 3)) == op.order
@@ -1414,6 +1458,57 @@ def test_symmetric_solvers_reject_nonsymmetric_operators(monkeypatch):
     svd_small_k(op, 1, cfg)
 
 
+def _with_entry(x, value):
+    """``x`` with one entry of its middle core set to ``value``."""
+    cores = [c.copy() for c in x.cores]
+    cores[len(cores) // 2].flat[1] = value
+    return type(x)(cores)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "position, name",
+    [
+        ("eig_min", "operator"),
+        ("eig_block", "operator"),
+        ("svd_small_k", "operator"),
+        ("svd_dominant", "operator"),
+        ("linsolve", "operator"),
+        ("linsolve-rhs", "right-hand side"),
+        ("gevd-sandwich", "sandwich operator"),
+        ("gevd-inner", "inner operator"),
+        ("gevd-metric", "metric operator"),
+        ("cca-x", "data operator X"),
+        ("cca-y", "data operator Y"),
+    ],
+)
+def test_non_finite_inputs_are_refused_at_entry(monkeypatch, position, name, value):
+    # one refusal naming the input, before any operator is composed or
+    # checked for symmetry (where a NaN read as "not symmetric") and before
+    # any sweep (where it ended in "SVD did not converge")
+    lap, eye = qtt_laplacian(6), eye_mpo((2,) * 6)
+    ones = TTVector([np.ones((1, 2, 1))] * 6)
+    bad, bad_ones = _with_entry(lap, value), _with_entry(ones, value)
+    cfg = SweepConfig(max_sweeps=2, rank=3, seed=0)
+    calls = {
+        "eig_min": lambda: eig_min(bad, cfg),
+        "eig_block": lambda: eig_block(bad, 2, cfg),
+        "svd_small_k": lambda: svd_small_k(bad, 2, cfg),
+        "svd_dominant": lambda: svd_dominant(bad, cfg),
+        "linsolve": lambda: linsolve(bad, ones, cfg),
+        "linsolve-rhs": lambda: linsolve(lap, bad_ones, cfg),
+        "gevd-sandwich": lambda: gevd(bad, eye, lap, 1, cfg),
+        "gevd-inner": lambda: gevd(eye, bad, lap, 1, cfg),
+        "gevd-metric": lambda: gevd(eye, lap, bad, 1, cfg),
+        "cca-x": lambda: cca(bad, lap, 1, cfg),
+        "cca-y": lambda: cca(lap, bad, 1, cfg),
+    }
+    for step in ("mpo_mul", "_is_symmetric", "_half_sweeps"):
+        monkeypatch.setattr(solvers, step, mock.Mock(side_effect=AssertionError(step)))
+    with pytest.raises(ValueError, match=f"^{name} holds inf or NaN$"):
+        calls[position]()
+
+
 # ---------------------------------------------------------------------------
 # one triangle: symmetric local matrices are read by their lower triangle
 
@@ -1451,13 +1546,13 @@ def test_local_solves_read_only_the_lower_triangle(monkeypatch, solver, adaptive
     # right through its eigh fallback, so the eigh calls are counted too
     config = SweepConfig(rank=4, max_sweeps=4, seed=0, adaptive=adaptive)
     run = _one_triangle_problems()[solver]
-    eigh, calls = scipy.linalg.eigh, []
+    eigh, calls = solvers._lowest_eigh, []
 
     def counting_eigh(*args, **kwargs):
         calls.append(None)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solvers, "_lowest_eigh", counting_eigh)
     clean, clean_calls = run(config), len(calls)
     build, junk = solvers.effective_operator, np.random.default_rng(5)
 

@@ -26,6 +26,7 @@ from ttkit.train import (
     nonzero_rank,
     orthogonalize,
     policy_rank,
+    qr_split,
     random_tt,
     select_rank,
     svd_split,
@@ -262,6 +263,43 @@ def test_svd_split_route_zero_matrix(step):
     assert not np.any(a @ b)
     ortho = a if step > 0 else b.T
     assert np.allclose(ortho.T @ ortho, 1.0)
+
+
+def _numpy_qr_split(m, step):
+    """qr_split by ``numpy.linalg.qr``, its diagonal made nonnegative."""
+    q, r = np.linalg.qr(m if step > 0 else m.T)
+    d = np.sign(np.diagonal(r)).copy()
+    d[d == 0] = 1.0
+    q, r = q * d, r * d[:, None]
+    return (q, r) if step > 0 else (r.T, np.ascontiguousarray(q.T))
+
+
+@pytest.mark.parametrize("zero_column", [False, True], ids=["random", "zero-column"])
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("shape", [(12, 6), (12, 3), (6, 3), (24, 6), (48, 24), (144, 72)])
+def test_qr_split_is_numpy_qr_bit_for_bit(shape, step, zero_column):
+    # the sweeps' QR shapes (the tall matrix that is factored): the direct
+    # LAPACK calls give numpy's factors to the bit and in its memory order,
+    # on which the products downstream depend too.  A zero column gives a
+    # zero diagonal entry, whose sign is taken as +1
+    tall = np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)
+    if zero_column:
+        tall[:, 1] = 0.0
+    m = tall if step > 0 else np.ascontiguousarray(tall.T)
+    got, want = qr_split(m, step), _numpy_qr_split(m, step)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+    assert np.array_equal(got[0] @ got[1], want[0] @ want[1])
+
+
+def test_fix_svd_signs_follows_the_largest_entry():
+    # the sign of each column's largest-magnitude entry, +1 for a zero column
+    u = np.array([[0.5, -3.0, 0.0, 1.0], [-2.0, 1.0, 0.0, -1.0]])
+    vt = np.arange(8.0).reshape(4, 2) + 1.0
+    su, svt = fix_svd_signs(u, vt)
+    signs = np.array([-1.0, -1.0, 1.0, 1.0])
+    assert np.array_equal(su, u * signs) and np.array_equal(svt, vt * signs[:, None])
 
 
 @pytest.mark.parametrize("shape", [BELOW[0], ABOVE[0]])
