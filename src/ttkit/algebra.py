@@ -20,10 +20,10 @@ from .train import (
     _as_matrix,
     _block_diag,
     _fused,
+    _last_core,
     _norm,
     _wrap,
     mpo_round,
-    orthogonalize,
 )
 
 __all__ = [
@@ -62,7 +62,7 @@ def tt_scale(x: TTVector, alpha: float) -> TTVector:
 def tt_norm(x: TTVector) -> float:
     """Frobenius norm, computed stably as the norm of the center core of the
     mixed-canonical form; finite whenever it is representable."""
-    return _norm(orthogonalize(x, x.order - 1).cores[-1])
+    return _norm(_last_core(x))
 
 
 def mpo_apply(a: TTMatrix, x: TTVector, policy: Optional[TruncationPolicy] = None) -> TTVector:

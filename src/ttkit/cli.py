@@ -87,16 +87,6 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _save_all(*results):
-    """Save every ``(obj, path)`` of ``results``, or none: each is encoded
-    first, so one that ``container.save`` refuses (a non-finite core) is
-    refused before the first file is written."""
-    for obj, _ in results:
-        container._encode(obj)
-    for obj, path in results:
-        container.save(obj, path)
-
-
 def _save_with_report(obj, path: str) -> int:
     """Save ``obj`` to ``path`` and write and print its storage report."""
     container.save(obj, path)
@@ -249,7 +239,7 @@ def _cmd_svd(args) -> int:
         if args.k != 1:
             raise ValueError("--k > 1 needs --smallest (the dominant route is single-triplet)")
         sigma, u, v, report = svd_dominant(op, config)
-        _save_all((u, args.out + ".u.tt"), (v, args.out + ".v.tt"))
+        container.save_all([(u, args.out + ".u.tt"), (v, args.out + ".v.tt")])
         values = [sigma]
     return _solver_outputs(args, report, values, "index,singular_value")
 
@@ -269,7 +259,7 @@ def _cmd_cca(args) -> int:
     y_op = _load(args.y, "matrix")
     config = _sweep_config(args)
     corr, wx, wy, report = cca(x_op, y_op, args.k, config)
-    _save_all((wx, args.out + ".wx.tt"), (wy, args.out + ".wy.tt"))
+    container.save_all([(wx, args.out + ".wx.tt"), (wy, args.out + ".wy.tt")])
     return _solver_outputs(args, report, corr, "index,correlation")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .train import TTMatrix, TTVector
 
-__all__ = ["MAGIC", "save", "load"]
+__all__ = ["MAGIC", "save", "save_all", "load"]
 
 MAGIC = b"TTK1"
 VERSION = 1
@@ -57,9 +57,17 @@ def _read_u64s(fh, count: int) -> list:
 def save(obj, path):
     """Write a TT vector or a TT matrix to ``path``; a core holding a NaN or
     an infinity is refused before the file is opened."""
-    data = _encode(obj)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    save_all([(obj, path)])
+
+
+def save_all(pairs):
+    """Write each ``(obj, path)`` of ``pairs``, or none of them: every object
+    is encoded, and one that :func:`save` refuses is refused, before the
+    first file is opened."""
+    encoded = [(_encode(obj), path) for obj, path in pairs]
+    for data, path in encoded:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _encode(obj) -> bytes:

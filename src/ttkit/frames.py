@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .train import TTMatrix, TTVector
+from .train import TTMatrix, TTVector, _contract
 
 __all__ = [
     "LOCAL_DIM_CAP",
@@ -175,15 +175,14 @@ def effective_operator(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     _check_local_dim(max(a * i * b, c * j * d))
     # the plan reads ("einsum_path", first pair, second pair)
     first = _contraction_path("apc,pijq,bqd->aibcjd", env_l.shape, op.shape, env_r.shape)[1]
-    # h.T as (c, j, d, a, i, b): batches (c, j, d) of one small product each.
-    # The first product is the np.dot of 2-D reshapes that np.tensordot makes
+    # h.T as (c, j, d, a, i, b): batches (c, j, d) of one small product each
     if first == (0, 1):  # the left environment first, then q: (a·i, q) @ (q, b)
-        t = np.dot(env_l.transpose(0, 2, 1).reshape(a * c, p), op.reshape(p, -1))  # (a·c, i·j·q)
-        t = np.ascontiguousarray(t.reshape(a, c, i, j, q).transpose(1, 3, 0, 2, 4)).reshape(c, j, 1, a * i, q)
+        t = _contract(env_l.transpose(0, 2, 1), op)  # (a, c, i, j, q)
+        t = np.ascontiguousarray(t.transpose(1, 3, 0, 2, 4)).reshape(c, j, 1, a * i, q)
         h_t = np.matmul(t, np.ascontiguousarray(env_r.transpose(2, 1, 0)))
     else:  # the right environment first, then p: (a, p) @ (p, i·b)
-        t = np.dot(op.reshape(-1, q), env_r.transpose(1, 0, 2).reshape(q, b * d))  # (p·i·j, b·d)
-        t = np.ascontiguousarray(t.reshape(p, i, j, b, d).transpose(2, 4, 0, 1, 3)).reshape(j, d, p, i * b)
+        t = _contract(op, env_r.transpose(1, 0, 2))  # (p, i, j, b, d)
+        t = np.ascontiguousarray(t.transpose(2, 4, 0, 1, 3)).reshape(j, d, p, i * b)
         h_t = np.matmul(np.ascontiguousarray(env_l.transpose(2, 0, 1))[:, None, None], t)
     return h_t.reshape(c * j * d, a * i * b).T
 
@@ -198,9 +197,8 @@ def effective_rhs(stack: EnvStack, site: int, span: int = 1) -> np.ndarray:
     _check_local_dim(dim)
     ket = stack.ket[site]
     if span == 2:
-        nxt = stack.ket[site + 1]  # one np.dot, as np.tensordot(ket, nxt, axes=(2, 0))
-        ket = np.dot(ket.reshape(-1, nxt.shape[0]), nxt.reshape(nxt.shape[0], -1))
-        ket = ket.reshape(stack.ket[site].shape[0], -1, nxt.shape[-1])
+        ket = _contract(ket, stack.ket[site + 1])
+        ket = ket.reshape(ket.shape[0], -1, ket.shape[-1])
     t = np.einsum("apc,cjd->apjd", env_l, ket)
     t = np.einsum("apjd,pijq->aidq", t, op)
     return np.einsum("aidq,bqd->aib", t, env_r).reshape(dim)

@@ -11,11 +11,7 @@ solves it exactly by ``solve``, whose last values go to the residual and
 are returned.  Their size is bounded only by
 ``frames.LOCAL_DIM_CAP``.  A local solve computes only the pairs the sweep
 keeps: the K lowest eigenpairs, of ±AᵀA on the one SVD route, ``_svd``, by
-``_lowest_eigh``, which calls LAPACK's ``dsyevr`` (``dsygvx`` for a pencil)
-as ``scipy.linalg.eigh`` with ``subset_by_index`` does, bit for bit, but
-without its per-call checks; ``_cholesky_solve`` does the same for
-``cho_solve``.  Both refuse a local matrix holding inf or NaN, and every
-solver refuses such an operator or right-hand side at its entry.  A
+``_lowest_eigh`` (``scipy.linalg.eigh`` with ``subset_by_index``).  A
 single-site step of a K = 1 eigenproblem without a metric at a site solved
 before starts from the site's current core instead: Cholesky factors of
 shifted local matrices certify its Rayleigh quotient as the lowest
@@ -25,7 +21,12 @@ eigenvalue, or drive inverse iteration to one that is, and
 ⌈R/2⌉ and pad its cores to rank R with the vector unchanged
 (``_Chain.pad``), so the dense first-visit ``eigh`` calls run at the half
 rank and every rank-R step starts warm; that sweep is not counted in
-``max_sweeps`` or reported.  A sweep is two half-sweeps, left to right and
+``max_sweeps`` or reported.  ``linsolve``'s local systems go through
+``_cholesky_solve``, which calls LAPACK's ``dpotrf`` and ``dpotrs`` as
+``cho_solve(cho_factor(h.T), rhs)`` does, bit for bit, without its
+per-call checks.  Both helpers refuse a local matrix holding inf or NaN,
+and every solver refuses such an operator or right-hand side at its
+entry.  A sweep is two half-sweeps, left to right and
 back, over one site schedule: each step solves the local problem over its
 span, installs the solution and moves the active site one bond on.  A run
 ends after a right-to-left half-sweep, so every iterate comes back as a
@@ -60,7 +61,6 @@ split goes through ``train.qr_split`` or ``train.svd_split``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -78,6 +78,7 @@ from .train import (
     _check_real,
     _column,
     _fused,
+    _last_core,
     _unit_scaled,
     _wrap,
     block_extract,
@@ -402,8 +403,8 @@ def _shift_ladder(m: np.ndarray, attempt: Callable, report: SolveReport, what: s
 def _require_finite(name: str, *arrays):
     """Reject, with a one-line ``ValueError`` naming it, an object that holds
     inf or NaN in one of its ``arrays``: an operator's or a right-hand side's
-    cores at a solver's entry, before anything is composed from them, or
-    local matrices, which the direct LAPACK calls below do not check."""
+    cores at a solver's entry, before anything is composed from them, or a
+    local matrix, before LAPACK reads it."""
     for a in arrays:
         if not np.isfinite(a).all():
             raise ValueError(f"{name} holds inf or NaN")
@@ -422,34 +423,16 @@ def _cholesky_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lapack.dpotrs(factor, rhs, lower=0)[0]
 
 
-@functools.lru_cache(maxsize=256)
-def _eigh_work(n: int) -> tuple:
-    """Workspace sizes at order ``n`` of LAPACK's ``dsyevr`` (real and
-    integer) and ``dsygvx``, from LAPACK's own queries, as
-    ``scipy.linalg.eigh`` sizes them."""
-    work, iwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
-    return int(work), int(iwork), int(scipy.linalg.lapack.dsygvx_lwork(n, uplo="L")[0])
-
-
 def _lowest_eigh(h: np.ndarray, k: int, b: Optional[np.ndarray] = None):
     """The k lowest eigenpairs ``(w, v)`` of the symmetric matrix whose lower
     triangle is that of ``h``, or of the pencil (h, b) for a b positive
-    definite by its lower triangle: the local dense solve.  These are the
-    bits of ``scipy.linalg.eigh(h, b, subset_by_index=[0, k - 1])``, from the
-    LAPACK driver, arguments and workspace it uses (``dsyevr``, ``dsygvx``),
-    called directly.  A matrix holding inf or NaN raises ``ValueError``; a
-    failed driver (a b with no Cholesky factor) raises ``LinAlgError``."""
-    lapack = scipy.linalg.lapack
-    work, iwork, gwork = _eigh_work(h.shape[0])
-    if b is None:
-        _require_finite("local matrix", h)
-        w, v, found, _, info = lapack.dsyevr(h, range="I", lower=1, il=1, iu=k, lwork=work, liwork=iwork)
-    else:
-        _require_finite("local matrix", h, b)
-        w, v, found, _, info = lapack.dsygvx(h, b, range="I", uplo="L", il=1, iu=k, lwork=gwork)
-    if info:
-        raise scipy.linalg.LinAlgError(f"the local eigensolver failed (LAPACK info {info})")
-    return w[:found], v[:, :found]
+    definite by its lower triangle: the local dense solve, by
+    ``scipy.linalg.eigh`` with ``subset_by_index``, looked up on the module
+    at each call (the bench's tracer books local solves by wrapping it).  A
+    matrix holding inf or NaN raises ``ValueError``; a b with no Cholesky
+    factor raises ``LinAlgError``."""
+    _require_finite("local matrix", h, *(() if b is None else (b,)))
+    return scipy.linalg.eigh(h, b, subset_by_index=[0, k - 1], check_finite=False)
 
 
 def _residual_norm(lhs: TTVector, rhs: TTVector) -> float:
@@ -664,7 +647,7 @@ def _svd(op: TTMatrix, k: int, config: SweepConfig, largest: bool):
     relative 1e-14: unlike A·v_k / σ_k it stays orthonormal as σ_k → 0.
     An A that holds inf or NaN raises ``ValueError``."""
     _require_finite("operator", *op.cores)
-    _, exp = _unit_scaled(orthogonalize(_fused(op), op.order - 1).cores[-1])
+    _, exp = _unit_scaled(_last_core(_fused(op)))
     scaled = _wrap(TTMatrix, [np.ldexp(op.cores[0], -exp)] + op.cores[1:])
     gram = mpo_mul(mpo_transpose(scaled), scaled, _OP_ROUND)
     if largest:

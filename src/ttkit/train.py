@@ -34,7 +34,6 @@ A TT vector is a TT matrix whose column indices have size 1
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -198,7 +197,8 @@ def fix_svd_signs(u: np.ndarray, vt: np.ndarray):
     """Make the largest-magnitude entry of each left singular vector
     nonnegative, compensating in ``vt``; gives reproducible factors."""
     j = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[j, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    signs = np.sign(u[j, np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
     return u * signs, vt * signs[:, None]
 
 
@@ -208,7 +208,7 @@ def _unit_scaled(a: np.ndarray):
     in magnitude and their squares cannot overflow.  Scaling by a power of
     two is exact, so a norm or a rank decision made on the scaled entries
     is that of ``a`` to the bit, wherever ``a``'s own squares stay finite."""
-    exp = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    exp = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
     return np.ldexp(a, -exp), exp
 
 
@@ -251,18 +251,12 @@ def policy_rank(policy: TruncationPolicy) -> Callable[[np.ndarray], int]:
     return lambda s: select_rank(s, policy.tol * _norm(s), policy.max_rank)
 
 
-@functools.lru_cache(maxsize=128)
-def _qr_plan(rows: int, cols: int) -> tuple:
-    """Workspace sizes of ``dgeqrf`` and ``dorgqr`` for a ``rows`` × ``cols``
-    QR (LAPACK's own query), and the read-only mask of the strict lower
-    triangle of its ``min(rows, cols)`` × ``cols`` triangular factor."""
-    k = min(rows, cols)
-    lapack = scipy.linalg.lapack
-    geqrf = lapack.dgeqrf(np.empty((rows, cols), order="F"), lwork=-1)[2][0]
-    orgqr = lapack.dorgqr(np.empty((rows, k), order="F"), np.empty(k), lwork=-1)[1][0]
-    lower = np.tri(k, cols, -1, dtype=bool)
-    lower.flags.writeable = False  # shared by every call of this shape
-    return int(geqrf), int(orgqr), lower
+def _diagonal_signs(r: np.ndarray) -> np.ndarray:
+    """The signs of the triangular factor ``r``'s diagonal, +1 where it is
+    zero: scaling ``r``'s rows by them makes that diagonal nonnegative."""
+    d = np.sign(np.diagonal(r)).copy()
+    d[d == 0] = 1.0
+    return d
 
 
 def qr_split(m: np.ndarray, step: int):
@@ -270,24 +264,11 @@ def qr_split(m: np.ndarray, step: int):
     rank: returns ``(a, b)`` with ``m == a @ b``.  For ``step > 0`` (moving
     right) ``a`` has orthonormal columns and ``b`` is the carry; for
     ``step < 0`` ``b`` has orthonormal rows and ``a`` is the carry.  The
-    diagonal of the triangular factor is made nonnegative.
-
-    LAPACK's ``dgeqrf`` and ``dorgqr`` are called directly, with the
-    workspace of their own query, as ``numpy.linalg.qr`` calls them: the
-    factors are its factors bit for bit, in the same memory order (C order,
-    the carry of a left move its transpose), since downstream products
-    depend on that order too."""
-    a = m if step > 0 else m.T
-    work_qr, work_q, lower = _qr_plan(*a.shape)
-    k = lower.shape[0]
-    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a, lwork=work_qr)
-    r = np.array(qr[:k], order="C")
-    np.copyto(r, 0.0, where=lower)
-    d = np.where(r.diagonal() < 0.0, -1.0, 1.0)
-    q, _, _ = scipy.linalg.lapack.dorgqr(qr[:, :k], tau, lwork=work_q, overwrite_a=1)
-    q *= d  # Fortran-ordered: its transpose is C-ordered
-    r *= d[:, None]
-    return (np.ascontiguousarray(q), r) if step > 0 else (r.T, q.T)
+    diagonal of the triangular factor is made nonnegative."""
+    q, r = np.linalg.qr(m if step > 0 else m.T)
+    d = _diagonal_signs(r)
+    q, r = q * d, r * d[:, None]
+    return (q, r) if step > 0 else (r.T, np.ascontiguousarray(q.T))
 
 
 def svd_split(m: np.ndarray, step: int, rank: Callable[[np.ndarray], int]):
@@ -494,21 +475,32 @@ def orthogonalize(x: TTVector, site: int) -> TTVector:
         r0, i, r1 = cores[k].shape
         q, r = qr_split(cores[k].reshape(r0 * i, r1), 1)
         cores[k] = q.reshape(r0, i, -1)
-        cores[k + 1] = _carry_right(r, cores[k + 1])
+        cores[k + 1] = _contract(r, cores[k + 1])
     for k in range(len(cores) - 1, site, -1):
         r0, i, r1 = cores[k].shape
         l, q = qr_split(cores[k].reshape(r0, i * r1), -1)
         cores[k] = q.reshape(-1, i, r1)
-        c = cores[k - 1]
-        cores[k - 1] = np.dot(c.reshape(-1, c.shape[2]), l).reshape(c.shape[0], c.shape[1], -1)
+        cores[k - 1] = _contract(cores[k - 1], l)
     return _wrap(TTVector, cores)
 
 
-def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """``carry`` absorbed into the left bond of ``core``: the one ``np.dot``
-    of the 2-D reshapes that ``np.tensordot(carry, core, axes=(1, 0))``
-    makes, without its argument handling."""
-    return np.dot(carry, core.reshape(core.shape[0], -1)).reshape(carry.shape[0], *core.shape[1:])
+def _last_core(x: TTVector) -> np.ndarray:
+    """The last core of ``orthogonalize(x, x.order - 1)``, bit for bit, from
+    the triangular factors of its QR steps alone (``numpy.linalg.qr`` with
+    ``mode="r"``): the left-orthogonal cores are never formed."""
+    core = np.ascontiguousarray(x.cores[0])
+    for nxt in x.cores[1:]:
+        r = np.linalg.qr(core.reshape(-1, core.shape[2]), mode="r")
+        core = _contract(r * _diagonal_signs(r)[:, None], np.ascontiguousarray(nxt))
+    return core
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a``'s last axis contracted with ``b``'s first: the one ``np.dot`` of
+    2-D reshapes that ``np.tensordot(a, b, axes=(a.ndim - 1, 0))`` makes,
+    bit for bit, without its argument handling."""
+    out = np.dot(a.reshape(-1, a.shape[-1]), b.reshape(b.shape[0], -1))
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
@@ -530,7 +522,7 @@ def tt_round(x: TTVector, policy: TruncationPolicy) -> TTVector:
             cores[k].reshape(r0 * i, r1), 1, lambda s: select_rank(s, threshold, policy.max_rank)
         )
         cores[k] = u.reshape(r0, i, -1)
-        cores[k + 1] = _carry_right(carry, cores[k + 1])
+        cores[k + 1] = _contract(carry, cores[k + 1])
     return _wrap(TTVector, cores)
 
 

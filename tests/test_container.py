@@ -170,6 +170,19 @@ def test_save_refuses_a_non_finite_core_and_writes_nothing(tmp_path, bad):
     assert not path.exists()
 
 
+def test_save_all_writes_every_object_or_none(tmp_path):
+    rng = np.random.default_rng(6)
+    x, y = random_tt((2, 3, 2), 2, rng), random_tt((2, 2), 1, rng)
+    bad = TTVector([np.full((1, 2, 1), np.nan)])
+    with pytest.raises(ValueError, match="^cannot save core 0: it holds a non-finite value$"):
+        container.save_all([(x, tmp_path / "x.tt"), (bad, tmp_path / "bad.tt")])
+    assert not list(tmp_path.iterdir())
+    container.save_all([(x, tmp_path / "x.tt"), (y, tmp_path / "y.tt")])
+    for obj, name in ((x, "x.tt"), (y, "y.tt")):
+        container.save(obj, tmp_path / "one.tt")
+        assert (tmp_path / name).read_bytes() == (tmp_path / "one.tt").read_bytes()
+
+
 def test_save_refuses_an_unsupported_object(tmp_path):
     path = tmp_path / "x.tt"
     with pytest.raises(TypeError, match="^cannot save ndarray$"):

@@ -1176,10 +1176,10 @@ def test_lowest_pair_matches_dense_oracle(problem, junk_upper):
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("n", [4, 32, 128, 192])
 def test_lowest_eigh_is_scipy_eigh_bit_for_bit(n, k, metric):
-    # the local dense solve calls LAPACK directly: its pairs are those of
-    # scipy.linalg.eigh with subset_by_index to the bit, for Fortran-ordered
-    # matrices (as effective_operator assembles them) whose strict upper
-    # triangle is junk, since both read the lower one alone
+    # the local dense solve: its pairs are those of scipy.linalg.eigh with
+    # subset_by_index to the bit, for Fortran-ordered matrices (as
+    # effective_operator assembles them) whose strict upper triangle is
+    # junk, since both read the lower one alone
     rng = np.random.default_rng(n + k)
     h = np.asfortranarray(rng.standard_normal((n, n)))
     b = None

@@ -14,6 +14,7 @@ from ttkit.train import (
     _QR_FIRST_SIZE,
     _column,
     _fused,
+    _last_core,
     _r_factor,
     TruncationPolicy,
     TTMatrix,
@@ -278,10 +279,10 @@ def _numpy_qr_split(m, step):
 @pytest.mark.parametrize("step", [1, -1])
 @pytest.mark.parametrize("shape", [(12, 6), (12, 3), (6, 3), (24, 6), (48, 24), (144, 72)])
 def test_qr_split_is_numpy_qr_bit_for_bit(shape, step, zero_column):
-    # the sweeps' QR shapes (the tall matrix that is factored): the direct
-    # LAPACK calls give numpy's factors to the bit and in its memory order,
-    # on which the products downstream depend too.  A zero column gives a
-    # zero diagonal entry, whose sign is taken as +1
+    # the sweeps' QR shapes (the tall matrix that is factored): numpy's
+    # factors to the bit and in its memory order, on which the products
+    # downstream depend too.  A zero column gives a zero diagonal entry,
+    # whose sign is taken as +1
     tall = np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)
     if zero_column:
         tall[:, 1] = 0.0
@@ -291,6 +292,20 @@ def test_qr_split_is_numpy_qr_bit_for_bit(shape, step, zero_column):
         assert a.tobytes() == b.tobytes()
         assert (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
     assert np.array_equal(got[0] @ got[1], want[0] @ want[1])
+
+
+@pytest.mark.parametrize("zero_column", [False, True], ids=["random", "zero-column"])
+@pytest.mark.parametrize("order", [1, 2, 5, 8])
+def test_last_core_is_orthogonalize_bit_for_bit(order, zero_column):
+    # tt_norm and _svd's scale read only the last core of the left-canonical
+    # form, which _last_core builds from the triangular factors alone.  A
+    # zero column gives a zero diagonal entry, whose sign is taken as +1
+    x = random_tt((2, 3, 2, 4, 2, 2, 3, 2)[:order], 5, np.random.default_rng(order))
+    if zero_column and order > 1:
+        x.cores[1][:, :, 0] = 0.0
+    want = orthogonalize(x, order - 1).cores[-1]
+    got = _last_core(x)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 def test_fix_svd_signs_follows_the_largest_entry():
