@@ -501,14 +501,13 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
             return np.ldexp(w, exp), v
     floor, tol = n * eps * scale, math.sqrt(n) * eps * scale
 
-    # a vector's norm is sqrt(v.dot(v)), the dot that np.linalg.norm makes
     def rayleigh(x):
         hx = scipy.linalg.blas.dsymv(1.0, h, x, lower=1)
         rho = float(x @ hx)
         hx -= rho * x
-        return rho, math.sqrt(hx.dot(hx))
+        return rho, float(np.linalg.norm(hx))
 
-    x = start / math.sqrt(start.dot(start))
+    x = start / np.linalg.norm(start)
     rho, res = rayleigh(x)
     delta = max(res, floor)
     work = np.empty_like(h, order="F")
@@ -528,7 +527,7 @@ def _lowest_pair(h: np.ndarray, start: np.ndarray):
                 break  # stalled, or at tol without the certificate: re-shift
             y = scipy.linalg.blas.dtrsv(work, x, lower=1)
             y = scipy.linalg.blas.dtrsv(work, y, lower=1, trans=1)
-            x = y / math.sqrt(y.dot(y))
+            x = y / np.linalg.norm(y)
             last = res
             rho, res = rayleigh(x)
         rate = res / last if last else 0.0
@@ -564,7 +563,7 @@ def _block_eig(
         else:
             w, v = _shift_ladder(mats[1], lambda bm: _lowest_eigh(h, k, bm), report, "local metric")
         solved.add(chain.pos)
-        return float(w.sum()), [v], w
+        return float(np.sum(w)), [v], w
 
     def residual(values):
         snap = chain.snapshot()
