@@ -352,7 +352,7 @@ def tt_svd(t: np.ndarray, policy: TruncationPolicy = EXACT) -> TTVector:
     shape = t.shape
     n_modes = len(shape)
     if n_modes == 1:
-        return _wrap(TTVector, [t.reshape(1, shape[0], 1)])
+        return _wrap(TTVector, [t.reshape(1, shape[0], 1).copy()])
     threshold = None
 
     def rule(s):

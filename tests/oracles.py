@@ -1,23 +1,24 @@
 """Reference operations the tests check the library against.
 
-Dense N-way tensors and the basic multilinear operations, block matrices
-with the strong Kronecker and AC products, the explicit interface and
-frame matrices of a TT vector, a QTT operator whose cores are exact, a
-TT-SVD by plain SVDs of every unfolding, the TT-format helpers only tests
-need (random TT matrices, inner products, diagonal operators, TT matrices
-whose columns are given TT vectors, and the TTK1 kind-2 bytes of a block
-TT), and the per-site contractions that the library's dense forms and
-operator-vector products equal bit for bit.  None of this
-lies on a library path: the library works on cores and cached environments
-and never forms a dense N-way tensor or a frame.
+Block matrices with the strong Kronecker and AC products: a TT vector is
+the strong Kronecker product of its cores read as block matrices, and an
+operator-vector product the strong Kronecker product of the per-site AC
+products.  Then the explicit interface and frame matrices of a TT vector,
+the 1-D Laplacian as a dense matrix and as a QTT operator whose cores are
+exact, a TT-SVD by plain SVDs of every unfolding, the TT-format helpers
+only tests need (random TT matrices, inner products, the vectorized dense
+form, diagonal operators, TT matrices whose columns are given TT vectors,
+and the TTK1 kind-2 bytes of a block TT), and the per-site contractions
+that the library's dense forms and operator-vector products equal bit for
+bit.  None of this lies on a library path: the library works on cores and
+cached environments and never forms a dense N-way tensor or a frame.
 
 Conventions:
 
 * a dense tensor is a C-contiguous float64 ``numpy.ndarray``;
-* linearization is big-endian (the last index runs fastest), which is
-  exactly numpy's C order, so ``vec(T) == T.reshape(-1)``;
-* unfoldings keep the grouped modes in their original order, again with
-  big-endian layout, so every reshape below is a pure view/permute;
+* vectorization is big-endian (the last index runs fastest), which is
+  exactly numpy's C order: a dense tensor T vectorizes to
+  ``T.reshape(-1)``, and :func:`vec` of a TT vector is its dense form's;
 * mode numbers are 0-based everywhere in code.
 
 For a TT vector x the frame matrix ``G_neq(n)`` maps the vectorized site-n
@@ -38,179 +39,6 @@ import numpy as np
 from ttkit.train import TTMatrix, TTVector, _block_diag, feasible_ranks
 
 FRAME_ROW_CAP = 1 << 16
-
-
-def _check_shape(shape: Sequence[int]) -> tuple:
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError(f"mode sizes must be positive, got {shape}")
-    return shape
-
-
-def flat_index(shape: Sequence[int], multi_index: Sequence[int]) -> int:
-    """Big-endian flat position of ``multi_index`` inside ``shape``.
-
-    The last index runs fastest: for shape (I, J) the pair (i, j) maps to
-    ``j + i*J``.
-    """
-    shape = _check_shape(shape)
-    idx = tuple(int(i) for i in multi_index)
-    if len(idx) != len(shape):
-        raise ValueError(f"index {idx} does not match order {len(shape)}")
-    k = 0
-    for i, s in zip(idx, shape):
-        if not 0 <= i < s:
-            raise IndexError(f"index {idx} out of bounds for shape {shape}")
-        k = k * s + i
-    return k
-
-
-def multi_from_flat(shape: Sequence[int], k: int) -> tuple:
-    """Inverse of :func:`flat_index`."""
-    shape = _check_shape(shape)
-    total = int(np.prod(shape, dtype=np.int64))
-    k = int(k)
-    if not 0 <= k < total:
-        raise IndexError(f"flat index {k} out of bounds for shape {shape}")
-    out = []
-    for s in reversed(shape):
-        out.append(k % s)
-        k //= s
-    return tuple(reversed(out))
-
-
-def _as_tensor(t) -> np.ndarray:
-    return np.ascontiguousarray(t, dtype=np.float64)
-
-
-def unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding: rows indexed by that mode, columns by the
-    remaining modes (kept in order, big-endian)."""
-    t = _as_tensor(t)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} invalid for order-{t.ndim} tensor")
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
-
-
-def refold(m: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`unfold`."""
-    shape = _check_shape(shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} invalid for order-{len(shape)} tensor")
-    rest = shape[:mode] + shape[mode + 1:]
-    t = _as_tensor(m).reshape((shape[mode],) + rest)
-    return np.moveaxis(t, 0, mode).copy()
-
-
-def unfold_split(t: np.ndarray, row_modes: Sequence[int]) -> np.ndarray:
-    """Generalized unfolding: the listed modes index the rows (in the given
-    order), the complement indexes the columns (ascending), both big-endian."""
-    t = _as_tensor(t)
-    rows = [int(m) for m in row_modes]
-    if not rows:
-        raise ValueError("row_modes must be non-empty")
-    if len(set(rows)) != len(rows) or any(not 0 <= m < t.ndim for m in rows):
-        raise ValueError(f"row_modes {rows} invalid for order-{t.ndim} tensor")
-    cols = [m for m in range(t.ndim) if m not in rows]
-    nrow = int(np.prod([t.shape[m] for m in rows], dtype=np.int64))
-    return t.transpose(rows + cols).reshape(nrow, -1)
-
-
-def mode_n_product(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` product with a matrix: ``unfold(result, mode) ==
-    mat @ unfold(t, mode)``."""
-    t = _as_tensor(t)
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != t.shape[mode]:
-        raise ValueError(
-            f"matrix {mat.shape} does not act on mode {mode} of size {t.shape[mode]}"
-        )
-    out = np.tensordot(mat, t, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
-
-
-def mode_n_vec_product(t: np.ndarray, vec: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` product with a vector; the mode is summed out."""
-    t = _as_tensor(t)
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != t.shape[mode]:
-        raise ValueError(
-            f"vector of length {vec.shape} does not act on mode {mode} "
-            f"of size {t.shape[mode]}"
-        )
-    return np.tensordot(t, vec, axes=(mode, 0))
-
-
-def multilinear_product(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply one matrix per mode: ``t ×₀ mats[0] ×₁ mats[1] ⋯``."""
-    t = _as_tensor(t)
-    if len(mats) != t.ndim:
-        raise ValueError(f"need {t.ndim} matrices, got {len(mats)}")
-    for n, m in enumerate(mats):
-        t = mode_n_product(t, m, n)
-    return t
-
-
-def contract(a: np.ndarray, b: np.ndarray, modes_a, modes_b) -> np.ndarray:
-    """Contract the paired modes of two tensors.
-
-    The result keeps the remaining modes of ``a`` (in order) followed by the
-    remaining modes of ``b``.  Contracting all modes of equal-shape tensors
-    yields their scalar inner product.
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    ma = [int(m) for m in np.atleast_1d(modes_a)]
-    mb = [int(m) for m in np.atleast_1d(modes_b)]
-    if len(ma) != len(mb):
-        raise ValueError("modes_a and modes_b must pair up")
-    for i, j in zip(ma, mb):
-        if a.shape[i] != b.shape[j]:
-            raise ValueError(
-                f"contracted sizes differ: a.shape[{i}]={a.shape[i]} vs "
-                f"b.shape[{j}]={b.shape[j]}"
-            )
-    return np.tensordot(a, b, axes=(ma, mb))
-
-
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outer (tensor) product; orders add."""
-    return np.tensordot(_as_tensor(a), _as_tensor(b), axes=0)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of equal-order tensors.
-
-    Per-mode index pairs fuse big-endian (the ``a`` index is slower), i.e.
-    ``c[..., i*Jn + j, ...] = a[..., i, ...] * b[..., j, ...]``.
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim != b.ndim:
-        raise ValueError("kron requires tensors of equal order")
-    n = a.ndim
-    c = np.tensordot(a, b, axes=0)
-    perm = [x for i in range(n) for x in (i, n + i)]
-    c = c.transpose(perm)
-    return c.reshape([ia * ib for ia, ib in zip(a.shape, b.shape)])
-
-
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product of two matrices with equal column count."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("khatri_rao needs two matrices with equal column count")
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of equal-shape tensors."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 class BlockMatrix:
@@ -361,7 +189,12 @@ def merged_core(x: TTVector, site: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# an operator with exact cores
+# the 1-D Laplacian, dense and with exact cores
+
+
+def laplacian(n: int) -> np.ndarray:
+    """Dense ``tridiag(-1, 2, -1)`` of size ``n``."""
+    return 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
 def qtt_laplacian(d: int) -> TTMatrix:
@@ -424,6 +257,11 @@ def random_mpo(row_sizes, col_sizes, rank, rng) -> TTMatrix:
         for n in range(len(fused))
     ]
     return TTMatrix(cores, copy=False)
+
+
+def vec(x: TTVector) -> np.ndarray:
+    """The represented vector, flattened in C order."""
+    return x.full().reshape(-1)
 
 
 def tt_inner(x: TTVector, y: TTVector) -> float:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from oracles import frame_matrix, frame_matrix_two, merged_core, random_mpo
+from oracles import frame_matrix, frame_matrix_two, laplacian, merged_core, random_mpo
 from ttkit import container
 from ttkit.algebra import (
     mpo_apply,
@@ -38,10 +38,6 @@ def check(num, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[criterion {num:02d}] {status}: {name}{suffix}")
     assert ok, f"criterion {num} failed: {name}{suffix}"
-
-
-def laplacian(n):
-    return 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
 def test_criterion_01_tt_svd_accuracy_law():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import diagonal_mpo, mpo_apply_einsum, random_mpo, tt_inner
+from oracles import (
+    BlockMatrix,
+    ac_product,
+    diagonal_mpo,
+    mpo_apply_einsum,
+    random_mpo,
+    strong_kron,
+    tt_inner,
+    vec,
+)
 from ttkit.algebra import (
     eye_mpo,
     mpo_apply,
@@ -20,10 +29,6 @@ from ttkit.train import (
 )
 
 TIGHT = TruncationPolicy(1e-12)
-
-
-def vec(x):
-    return x.full().reshape(-1)
 
 
 def test_add_zero_and_dense_equivalence():
@@ -158,6 +163,52 @@ def test_apply_shape_mismatch():
     a = random_mpo((2, 2), (2, 3), 2, rng)
     with pytest.raises(ValueError):
         mpo_apply(a, random_tt((2, 2), 1, rng))
+
+
+# the AC product of block matrices, the reference for the per-site product
+
+
+def test_ac_product_unit_grids_is_matmul():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((3, 4))
+    b = rng.standard_normal((4, 2))
+    out = ac_product(BlockMatrix(a[None, None]), BlockMatrix(b[None, None]))
+    assert out.grid == (1, 1)
+    assert np.allclose(out.block(0, 0), a @ b)
+
+
+def test_ac_product_grid_shape_law():
+    rng = np.random.default_rng(22)
+    a = BlockMatrix(rng.standard_normal((2, 3, 2, 4)))
+    b = BlockMatrix(rng.standard_normal((3, 2, 4, 5)))
+    out = ac_product(a, b)
+    assert out.grid == (2 * 3, 3 * 2)
+    assert out.block_shape == (2, 5)
+
+
+def test_ac_product_block_mismatch():
+    a = BlockMatrix(np.zeros((1, 1, 2, 3)))
+    b = BlockMatrix(np.zeros((1, 1, 4, 2)))
+    with pytest.raises(ValueError):
+        ac_product(a, b)
+
+
+def test_ac_product_chain_reproduces_operator_vector_product():
+    # site-wise AC products of operator/vector block matrices, chained with
+    # strong Kronecker products, assemble the dense matrix-vector product
+    rng = np.random.default_rng(23)
+    a = random_mpo((2, 3, 2), (2, 2, 3), 2, rng)
+    x = random_tt((2, 2, 3), 2, rng)
+    acc = None
+    for ac, xc in zip(a.cores, x.cores):
+        op_bm = BlockMatrix(ac.transpose(0, 3, 1, 2))
+        vec_bm = BlockMatrix(xc.transpose(0, 2, 1)[:, :, :, None])
+        site = ac_product(op_bm, vec_bm)
+        acc = site if acc is None else strong_kron(acc, site)
+    assert acc.grid == (1, 1)
+    dense = a.full() @ x.full().reshape(-1)
+    assert np.allclose(acc.block(0, 0)[:, 0], dense)
+    assert np.allclose(mpo_apply(a, x).full().reshape(-1), dense)
 
 
 def test_mul_identity_and_dense():

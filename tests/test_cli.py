@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ttkit
+from oracles import laplacian
 from ttkit import container
 from ttkit.cli import main
 from ttkit.quantize import storage_report
@@ -16,10 +17,6 @@ from ttkit.train import TruncationPolicy, TTMatrix, TTVector, mpo_svd, random_tt
 
 def write_raw(path, data):
     np.asarray(data, dtype="<f8").tofile(path)
-
-
-def laplacian(n):
-    return 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
 def run(capsys, *argv):

@@ -9,6 +9,7 @@ from oracles import (
     random_mpo,
     right_interface,
     tt_inner,
+    vec,
 )
 from ttkit.algebra import eye_mpo
 from ttkit.frames import (
@@ -18,10 +19,6 @@ from ttkit.frames import (
     env_build,
 )
 from ttkit.train import TTVector, orthogonalize, random_tt
-
-
-def vec(x):
-    return x.full().reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import diagonal_mpo, tt_inner
+from oracles import diagonal_mpo, laplacian, tt_inner
 from ttkit.algebra import (
     eye_mpo,
     mpo_apply,
@@ -42,7 +42,7 @@ OP_TOL = TruncationPolicy(1e-13)
 
 def laplacian_mpo(k: int):
     n = 2 ** k
-    dense = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense = laplacian(n)
     return mpo_svd(dense, (2,) * k, (2,) * k, OP_TOL), dense
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import scipy.linalg
 
 import ttkit
 from oracles import BlockMatrix, block_from_tts, random_mpo, strong_kron, tt_svd_plain, tt_to_full_chain
-from ttkit.quantize import plan_auto, quantize_matrix
+from ttkit.quantize import QuantizationPlan, plan_auto, quantize_matrix, quantize_vector
 from ttkit.train import (
     _QR_FIRST_SIZE,
     _column,
@@ -68,6 +69,32 @@ def test_tt_svd_order_zero():
     x = tt_svd(np.array(3.0))
     assert x.order == 1 and x.cores[0].shape == (1, 1, 1)
     assert x.cores[0][0, 0, 0] == 3.0
+
+
+def test_size_one_modes_are_legal():
+    rng = np.random.default_rng(25)
+    t = rng.standard_normal((2, 1, 3, 1))
+    x = tt_svd(t)
+    assert np.allclose(x.full(), t)
+    assert x.mode_sizes == (2, 1, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "decompose",
+    [
+        tt_svd,
+        lambda a: mpo_svd(a.reshape(2, 2), (2,), (2,)),
+        lambda a: quantize_vector(a, QuantizationPlan((4,))),
+    ],
+    ids=["tt_svd", "mpo_svd", "quantize_vector"],
+)
+def test_one_mode_result_does_not_alias_its_input(decompose):
+    # a one-mode input is not split, so its core is a copy, not a view
+    a = np.arange(4.0)
+    x = decompose(a)
+    want = x.full().copy()
+    a[0] = 99.0
+    assert np.array_equal(x.full(), want)
 
 
 def test_tt_svd_exact_random():
@@ -503,6 +530,47 @@ def test_tt_to_full_matches_strong_kron_chain():
     rng = np.random.default_rng(6)
     x = random_tt((2, 3, 2, 2), 3, rng)
     assert np.linalg.norm(_strong_kron_chain(x) - x.full().reshape(-1)) < 1e-12
+
+
+# the block-matrix reference the two strong-Kronecker chain tests rely on
+
+
+def test_block_matrix_dense_round_trip():
+    rng = np.random.default_rng(18)
+    m = rng.standard_normal((6, 8))
+    bm = BlockMatrix.from_dense(m, (2, 4))
+    assert bm.grid == (2, 4)
+    assert bm.block_shape == (3, 2)
+    assert np.array_equal(bm.to_dense(), m)
+    assert np.array_equal(bm.block(1, 2), m[3:6, 4:6])
+
+
+def test_strong_kron_unit_grids_is_kron():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((2, 3))
+    b = rng.standard_normal((3, 2))
+    out = strong_kron(BlockMatrix(a[None, None]), BlockMatrix(b[None, None]))
+    assert out.grid == (1, 1)
+    assert np.array_equal(out.block(0, 0), np.kron(a, b))
+
+
+def test_strong_kron_hand_expanded_two_by_two():
+    rng = np.random.default_rng(20)
+    a = BlockMatrix(rng.standard_normal((2, 2, 2, 3)))
+    b = BlockMatrix(rng.standard_normal((2, 2, 3, 2)))
+    out = strong_kron(a, b)
+    assert out.grid == (2, 2)
+    assert out.block_shape == (6, 6)
+    for r1, r3 in itertools.product(range(2), range(2)):
+        want = sum(np.kron(a.block(r1, r2), b.block(r2, r3)) for r2 in range(2))
+        assert np.allclose(out.block(r1, r3), want)
+
+
+def test_strong_kron_grid_mismatch():
+    a = BlockMatrix(np.zeros((1, 2, 2, 2)))
+    b = BlockMatrix(np.zeros((3, 1, 2, 2)))
+    with pytest.raises(ValueError):
+        strong_kron(a, b)
 
 
 # ---------------------------------------------------------------------------
